@@ -321,15 +321,14 @@ def _sqrtp_eval_frac(q: SqrtPPoly, two_e: int) -> Fraction:
 def sqrtp_eval_halfint(q: SqrtPPoly, two_e: int) -> int:
     """Exact integer value of q at X = p^(two_e/2) for odd two_e > 0.
 
-    Integrality is guaranteed by the parity grading and is asserted; a
-    fractional result signals a corrupted polynomial.
+    Each monomial contributes d_i * p^((i*two_e + (i % 2))/2), an integer
+    power of p by the parity grading, so the sum runs in Python ints;
+    ``_sqrtp_eval_frac`` is the rational reference.
     """
-    if two_e <= 0:
+    if two_e <= 0 or two_e % 2 == 0:
         raise ValidationError("two_e must be a positive odd integer")
-    val = _sqrtp_eval_frac(q, two_e)
-    if val.denominator != 1:
-        raise InternalConsistencyError(f"non-integral value {val} for {q}")
-    return val.numerator
+    p = q.p
+    return sum(di * p ** ((i * two_e + i % 2) // 2) for i, di in enumerate(q.d) if di)
 
 
 # ---------------------------------------------------------------------------

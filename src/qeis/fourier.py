@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
                     sigma_k, sqrtp_eval_halfint, vp)
@@ -60,8 +61,9 @@ def c_ell(ell: int) -> Fraction:
     return Fraction((-1) ** ell * 2 ** (2 * ell + 1), math.factorial(ell) ** 2)
 
 
+@lru_cache
 def d_nl(P: Params, F: FieldE) -> Fraction:
-    """The rank-2 normalizing constant D_{n,l}."""
+    """The rank-2 normalizing constant D_{n,l}, computed once per (P, F)."""
     n, ell = P.n, P.ell
     w = 2 * ell - n + 2
     half = ell + 1 - n // 2

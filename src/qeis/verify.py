@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 
 from . import archimedean as arch
-from .arith import Splitting, vp
+from .arith import Splitting, prime_factors, vp
 from .errors import ValidationError
-from .fourier import denominator_bound_check, full_expansion
+from .fourier import d_nl, denominator_bound_check, full_expansion
 from .hermitian import FieldE, GlobalVector, Params, local_quadratic_data, norm
 from .siegel import (b_series, c_series, c_term_gauss, extract_P, extract_R,
                      R_closed_form, q_poly, ramified_invariants,
@@ -158,7 +158,7 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
             failures.append({"D": D, "missing_norms": missing})
         for T in vectors:
             nrm = norm(T, F)
-            for p in sorted(set(f for f in _prime_factors(nrm))):
+            for p in prime_factors(nrm):
                 data = local_quadratic_data(T, F, p, P)
                 q = q_poly(data, P)  # dual-path + monic + FE assertions built in
                 checks += 1
@@ -194,12 +194,6 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
                                              "k": [k1, k2, k],
                                              "coeffs": list(rpoly.coeffs)})
     return _report("functional", checks, failures)
-
-
-def _prime_factors(n: int):
-    from .arith import prime_factors
-
-    return prime_factors(n)
 
 
 def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
@@ -314,18 +308,12 @@ def suite_denominators(D: int = 3, ells=(3, 4, 5), bound: int = 12) -> dict:
             if e.rank != 2 or e.rational == 0:
                 continue
             checks += 1
-            prod = e.rational / _d_nl_cached(P, F)
+            prod = e.rational / d_nl(P, F)
             if prod.denominator != 1 or prod <= 0:
                 failures.append({"check": "local_product_positive_integer",
                                  "ell": ell, "T": e.T.as_list(),
                                  "product": str(prod)})
     return _report("denominators", checks, failures)
-
-
-def _d_nl_cached(P, F):
-    from .fourier import d_nl
-
-    return d_nl(P, F)
 
 
 def run_suite(name: str, budget: int | None = None, ps=None) -> list:

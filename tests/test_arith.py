@@ -170,6 +170,15 @@ def test_sqrtp_functional_equation_evaluation(args):
         _sqrtp_eval_frac(q, -two_e) * Fraction(p) ** (k * two_e)
 
 
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers(-50, 50), max_size=12),
+       st.integers(0, 8))
+def test_sqrtp_eval_integer_path_matches_rational_reference(p, d, half_e):
+    two_e = 2 * half_e + 1
+    q = SqrtPPoly(p, d)
+    assert sqrtp_eval_halfint(q, two_e) == _sqrtp_eval_frac(q, two_e)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial containers
 # ---------------------------------------------------------------------------

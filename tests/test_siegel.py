@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, vp
-from qeis.errors import ResourceBudgetError, ValidationError
+from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
+                         ValidationError)
 from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
 from qeis.siegel import (R_closed_form, assemble_series, b_series, c_series,
@@ -398,9 +399,59 @@ def test_q_poly_hand_supplied_higher_rank():
                            coords=eta, prec=2)
     assert q_poly(data, P6) == SqrtPPoly(3, [1])
     data5 = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=0, k2=0,
-                            coords=(1, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0), prec=3)
+                            coords=(1, 0, 0, 0, 0, 0, 5, 1, 0, 0, 0, 0), prec=3)
     q = q_poly(data5, P6)
     assert q.degree == 2 and q.is_palindromic()
+
+
+def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
+    """A wrong k1 would make the invariant cache serve another key's Q."""
+    P6 = Params(n=6, ell=8)
+    coords = (1, 0, 0, 0, 0, 0, 5, 1, 0, 0, 0, 0)   # k = 1, k1 = k2 = 0 at p = 5
+    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=1, k2=0,
+                           coords=coords, prec=3)
+    with pytest.raises(ValidationError, match="k1"):
+        q_poly(data, P6)
+    # coordinates of the wrong rank for n
+    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=0, k2=0,
+                           coords=(1, 0, 5, 1), prec=3)
+    with pytest.raises(ValidationError):
+        q_poly(data, P6)
+
+
+def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
+    import qeis.siegel as siegel
+
+    siegel._q_poly_of_invariants.cache_clear()
+    monkeypatch.setattr(siegel, "q_poly_closed_form",
+                        lambda data, P: SqrtPPoly(data.p, [1, 1, 1]))
+    data = local_quadratic_data(global_vector(1, 0, 3, 1), F3, 7, P2)  # norm 7, split
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError) as err:
+            q_poly(data, P2)
+        assert "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)" in str(err.value)
+    assert siegel._q_poly_of_invariants.cache_info().currsize == 0
+
+
+def test_q_poly_key_is_sufficient():
+    """Q from T's own local data equals the Q cached for T's invariant key.
+
+    2,800 (T, p) pairs over 50 keys, including split p = 2 (D = 7), inert
+    p = 2 (D = 3) and ramified p = 3, 7, 11.
+    """
+    from qeis.arith import prime_factors
+    from qeis.verify import _vectors_with_positive_norm
+
+    seen = set()
+    for D in (3, 7, 11, 19):
+        F = FieldE(D)
+        for T in _vectors_with_positive_norm(F, 12, 16):
+            for p in prime_factors(norm(T, F)):
+                data = local_quadratic_data(T, F, p, P2)
+                assert q_poly_closed_form(data, P2) == q_poly(data, P2), (D, T, p)
+                seen.add((p, data.case))
+    assert {(2, Splitting.SPLIT), (2, Splitting.INERT), (3, Splitting.RAMIFIED),
+            (7, Splitting.RAMIFIED), (11, Splitting.RAMIFIED)} <= seen
 
 
 def test_q_poly_hand_supplied_higher_rank_ramified():
