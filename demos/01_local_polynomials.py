@@ -3,8 +3,8 @@
 For a vector T in the hyperbolic plane over Z[omega], omega = (1+sqrt(-D))/2,
 every prime p dividing <T, T> contributes a monic palindromic polynomial
 Q_{T,p} of degree 2 v_p(<T,T>) whose odd coefficients carry a factor
-sqrt(p).  This script computes a few and re-derives every underlying series
-term by brute-force lattice enumeration.
+sqrt(p).  This script computes a few and re-derives a few underlying series
+terms with the exact lattice-count oracle.
 """
 
 from qeis import (FieldE, Params, assemble_series, global_vector,
@@ -42,9 +42,9 @@ show(global_vector(1, 0, 4, 1), 3)
 # every closed-form term can be re-derived by counting lattice points
 eta = (3, 0, 3, 0)
 sh = split_shape(3, 2)
-print("enumeration oracle on the split rank-4 lattice at p = 3:")
+print("lattice-count oracle on the split rank-4 lattice at p = 3:")
 from qeis.siegel import term_unramified
 
 for r in range(3):
     print(f"  r = {r}: closed form {term_unramified(r, eta, sh):6d}"
-          f"   enumeration {term_oracle(r, eta, sh):6d}")
+          f"   lattice count {term_oracle(r, eta, sh):6d}")

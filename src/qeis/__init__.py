@@ -2,7 +2,7 @@
 
 The public surface re-exports the main objects of each layer: the exact
 arithmetic substrate, the Hermitian lattice model, the p-adic Siegel-series
-engine with its enumeration oracle, the archimedean checkers, the global
+engine with its lattice-count oracle, the archimedean checkers, the global
 Fourier assembly, and the candidate Saito-Kurokawa lifts.
 """
 

@@ -25,10 +25,12 @@ from .hermitian import (FieldE, GlobalVector, Params, global_vector,
                         local_quadratic_data, norm)
 from .lift import EigenformData, lift_coefficient, standard_L_factors
 from .siegel import (assemble_series, q_poly, ramified_shape, split_shape,
-                     term_oracle)
+                     term_oracle, term_unramified)
 from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INTERNAL, EXIT_BUDGET = 0, 1, 2, 3, 4
+BUDGET_HELP = ("largest p^(r*rank), the size of the lattice an oracle term counts "
+               "(not the work done); default QEIS_BUDGET or 10^8")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +107,7 @@ def cmd_local(args) -> int:
 
 
 def _oracle_verdict(data, P, budget) -> dict:
-    """Recompute every term of the assembled series by enumeration."""
+    """Recompute every term of the assembled series with the lattice-count oracle."""
     series = assemble_series(data, P)
     p, n = data.p, P.n
     if data.case is Splitting.RAMIFIED:
@@ -124,8 +126,6 @@ def _oracle_verdict(data, P, budget) -> dict:
         agree = True
         half = len(data.coords) // 2
         t1, t2 = list(data.coords[:half]), list(data.coords[half:])
-        from .siegel import term_unramified
-
         for i in range(data.k1 + 1):
             eta = [Fraction(c, p ** i) for c in t1] + list(t2)
             for r in range(0, data.k - i + 2):
@@ -264,12 +264,13 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--budget", type=int,
-                        default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)))
+                        default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)),
+                        help=BUDGET_HELP)
 
     sp = sub.add_parser("local", help="one local polynomial Q_{T,p}")
     common(sp, T=True, p=True)
     sp.add_argument("--oracle", action="store_true",
-                    help="re-derive every series term by lattice enumeration")
+                    help="re-derive every series term by the exact lattice-count oracle")
     sp.set_defaults(func=cmd_local)
 
     sp = sub.add_parser("coeff", help="one Fourier coefficient")
@@ -289,7 +290,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--budget", type=int,
-                    default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)))
+                    default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)),
+                    help=BUDGET_HELP)
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -5,8 +5,10 @@ Three ingredients, all exact:
 * closed-form term sequences for the two quadratic lattice shapes that occur
   (a split hyperbolic lattice of rank 2m, and the ramified normal form of
   rank 4m with quadratic form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i);
-* a brute-force lattice-enumeration oracle that recomputes any single term
-  by counting points of (Z/p^r)^rank, with the character sum collapsed
+* a lattice-count oracle that recomputes any single term from the points
+  of (Z/p^r)^rank; q and the character argument are sums over the
+  hyperbolic pairs, so their joint count is a cyclic convolution of one
+  histogram per pair over (Z/p^r)^2, and the character sum collapses
   exactly through the Galois average
       term = #[q = 0, (eta, y) = 0 mod p^r] - #[q = 0, v((eta, y)) = r-1] / (p - 1),
   so no root of unity and no float is ever touched;
@@ -26,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -82,29 +84,24 @@ class QuadLatticeShape:
         ws = self.pair_weights
         return sum(w * vec[i] * vec[half + i] for i, w in enumerate(ws))
 
+    def _weighted(self, vec) -> list:
+        """w_i * vec_i for every coordinate; ints stay ints, the rest become Fractions."""
+        return [w * (vec[i] if isinstance(vec[i], int) else Fraction(vec[i]))
+                for i, w in enumerate(self.pair_weights * 2)]
+
     def dual_scaled(self, vec) -> list:
         """Integer vector of pairings used in characters: weight-scaled coordinates.
 
         For eta in the dual lattice every entry w_i * eta_i is integral even
         when the p-block carries denominator p.
         """
-        half = self.rank // 2
-        ws = self.pair_weights
-        out = []
-        for i in range(half):
-            out.append(ws[i] * Fraction(vec[i]))
-        for i in range(half):
-            out.append(ws[i] * Fraction(vec[half + i]))
-        for c in out:
-            if c.denominator != 1:
-                raise ValidationError("vector lies outside the dual lattice")
+        out = self._weighted(vec)
+        if any(c.denominator != 1 for c in out):
+            raise ValidationError("vector lies outside the dual lattice")
         return [int(c) for c in out]
 
     def in_dual(self, vec) -> bool:
-        half = self.rank // 2
-        ws = self.pair_weights
-        return all((ws[i % half] * Fraction(vec[i])).denominator == 1
-                   for i in range(self.rank))
+        return all(c.denominator == 1 for c in self._weighted(vec))
 
     def in_lattice(self, vec) -> bool:
         return all(Fraction(c).denominator == 1 for c in vec)
@@ -122,10 +119,14 @@ def ramified_invariants(eta, shape: QuadLatticeShape):
     """(k1, k2, k) of a vector in the rank-4m ramified lattice.
 
     k1 = min(v(eta_1), v(eta_2)), k2 = min(v(eta_1), v(eta_2) + 1) with
-    eta_1 the unit block and eta_2 the p-block; k = v_p(q(eta)).
+    eta_1 the unit block and eta_2 the p-block; k = v_p(q(eta)).  Coordinates
+    given as ints stay in int arithmetic; any other input, dual vectors
+    included, goes through Fraction.
     """
     if shape.form != "ramified":
         raise ValidationError("ramified invariants need a ramified shape")
+    if not all(isinstance(c, int) for c in eta):
+        eta = [Fraction(c) for c in eta]
     m, half = shape.m, shape.rank // 2
     unit_block = list(eta[:m]) + list(eta[half:half + m])
     p_block = list(eta[m:half]) + list(eta[half + m:])
@@ -133,12 +134,13 @@ def ramified_invariants(eta, shape: QuadLatticeShape):
     v2 = min(_vp_frac(c, shape.p) for c in p_block)
     k1 = min(v1, v2)
     k2 = min(v1, v2 + 1)
-    q = shape.quad_form([Fraction(c) for c in eta])
-    k = _vp_frac(q, shape.p)
+    k = _vp_frac(shape.quad_form(eta), shape.p)
     return k1, k2, k
 
 
 def _vp_frac(x, p: int):
+    if isinstance(x, int):
+        return vp(x, p)
     x = Fraction(x)
     if x == 0:
         return math.inf
@@ -245,51 +247,43 @@ def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration oracle
+# Lattice-count oracle
 # ---------------------------------------------------------------------------
 
-_GRID_CACHE_POINTS = 1 << 21
+_INT64_EXACT = 1 << 63  # every count is at most p^(r*rank); int64 holds it below this
 
 
-@lru_cache(maxsize=6)
-def _point_grid(p: int, m: int, form: str, r: int):
-    """All points of (Z/p^r)^rank as an int64 matrix, plus q mod p^r."""
-    shape = QuadLatticeShape(p, m, form)
-    rank = shape.rank
-    mod = p ** r
-    coords = np.indices((mod,) * rank, dtype=np.int64).reshape(rank, -1)
-    q = _q_of(coords, shape, mod)
-    return coords, q
+def _pair_histogram(w: int, a: int, b: int, mod: int):
+    """H[u, v] = #{(x, y) in (Z/mod)^2 : w*x*y = u, a*x + b*y = v mod mod}."""
+    x = np.arange(mod, dtype=np.int64).reshape(mod, 1)
+    y = x.reshape(1, mod)
+    # reducing the length-mod factors first keeps every product below mod^2
+    u = (w * x % mod) * y % mod
+    v = (a * x % mod + b * y % mod) % mod
+    return np.bincount((u * mod + v).ravel(), minlength=mod * mod).reshape(mod, mod)
 
 
-def _q_of(coords, shape: QuadLatticeShape, mod: int):
-    half = shape.rank // 2
-    q = np.zeros(coords.shape[1], dtype=np.int64)
-    for i, w in enumerate(shape.pair_weights):
-        q += w * ((coords[i] * coords[half + i]) % mod)
-    return q % mod
-
-
-def _level_counts(coords, q, c, mod: int, p: int) -> tuple:
-    """(#[q=0, pairing=0], #[q=0, v(pairing)=r-1]) on one coordinate block."""
-    pairing = (c @ coords) % mod
-    on_quadric = q == 0
-    full = int(np.count_nonzero(on_quadric & (pairing == 0)))
-    if mod == p:
-        prev = int(np.count_nonzero(on_quadric)) - full
-    else:
-        prev = int(np.count_nonzero(on_quadric & (pairing % (mod // p) == 0))) - full
-    return full, prev
+def _convolve(hist_a, hist_b):
+    """Exact cyclic convolution of two int64 histograms over (Z/mod)^2."""
+    mod = len(hist_a)
+    idx = np.arange(mod)
+    diff = (idx[None, :] - idx[:, None]) % mod  # diff[s, u] = u - s
+    # along the pairing axis: part[s, u, v] = Sum_t a[s, t] b[u, v - t]
+    part = np.einsum("st,utv->suv", hist_a, hist_b[:, diff])
+    # along the q axis: out[u, v] = Sum_s part[s, u - s, v]
+    return part[idx[:, None], diff].sum(axis=0)
 
 
 def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int | None = None):
-    """Independent enumeration of a single Siegel-series term.
+    """Independent exact count of a single Siegel-series term.
 
-    Counts points y of L/p^r L with q(y) = 0 mod p^r, grouped by the residue
-    level of the character argument (eta, y) mod p^r, and collapses the
-    character sum exactly; the result is an exact integer.  Works for any
-    eta in the dual lattice (denominators at the p-block are allowed) and
-    returns 0 otherwise.
+    Counts points y of L/p^r L with q(y) = 0 mod p^r by the residue level of
+    the character argument (eta, y) mod p^r and collapses the character sum
+    exactly.  The pair histograms but the last are convolved, and the result
+    is contracted with the last one, once as is and once with the pairing
+    axis folded mod p^(r-1).  Works for any eta in the dual lattice (p-block
+    denominators allowed) and returns 0 otherwise.  ``budget`` bounds
+    p^(r*rank), the size of the lattice counted, not the work done.
     """
     if r < 0:
         raise ValidationError("term index r must be >= 0")
@@ -306,29 +300,31 @@ def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int | None = None)
     if total_points > budget:
         raise ResourceBudgetError(
             f"enumeration of p^(r*rank) = {total_points} points exceeds budget {budget}")
+    if total_points >= _INT64_EXACT:
+        raise ResourceBudgetError(
+            f"p^(r*rank) = {total_points} points overflow the exact int64 count")
     half = rank // 2
     scaled = shape.dual_scaled(eta)
-    # character argument (eta, y) = Sum w_i (etax_i yy_i + etay_i yx_i) mod p^r
-    c = np.array([x % mod for x in scaled[half:] + scaled[:half]], dtype=np.int64)
-    if total_points <= _GRID_CACHE_POINTS:
-        coords, q = _point_grid(p, shape.m, shape.form, r)
-        m_full, m_prev = _level_counts(coords, q, c, mod, p)
-    else:
-        m_full = m_prev = 0
-        powers = np.array([mod ** (rank - 1 - i) for i in range(rank)],
-                          dtype=np.int64).reshape(rank, 1)
-        block = _GRID_CACHE_POINTS
-        for start in range(0, total_points, block):
-            idx = np.arange(start, min(start + block, total_points), dtype=np.int64)
-            coords = (idx // powers) % mod
-            q = _q_of(coords, shape, mod)
-            f, pv = _level_counts(coords, q, c, mod, p)
-            m_full += f
-            m_prev += pv
-    val = m_full - Fraction(m_prev, p - 1)
-    if val.denominator != 1:
+    # character argument (eta, y) = Sum w_i (eta_{half+i} x_i + eta_i y_i) mod p^r
+    pairs = [(w, scaled[half + i], scaled[i]) for i, w in enumerate(shape.pair_weights)]
+    head = [_pair_histogram(w % mod, a % mod, b % mod, mod) for w, a, b in pairs[:-1]]
+    if head:
+        acc = reduce(_convolve, head)
+    else:  # m = 1: the unit mass at (0, 0), the histogram of the empty sum
+        acc = np.zeros((mod, mod), dtype=np.int64)
+        acc[0, 0] = 1
+    # the last pair with negated coefficients counts its points at (-u, -v), so
+    # the elementwise product counts the points with q = 0 and pairing = 0
+    w, a, b = pairs[-1]
+    last = _pair_histogram(-w % mod, -a % mod, -b % mod, mod)
+    m_full = int((acc * last).sum())
+    fold = mod // p  # pairing = 0 mod p^(r-1): sum the pairing axis over its lift
+    m_prev = int((acc.reshape(mod, p, fold).sum(axis=1)
+                  * last.reshape(mod, p, fold).sum(axis=1)).sum()) - m_full
+    shift, rest = divmod(m_prev, p - 1)
+    if rest:
         raise InternalConsistencyError("oracle character collapse is non-integral")
-    return val.numerator
+    return m_full - shift
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, vp
@@ -13,6 +16,7 @@ from qeis.siegel import (R_closed_form, assemble_series, b_series, c_series,
                          q_poly_closed_form, q_poly_from_series,
                          ramified_invariants, ramified_shape, split_shape,
                          term_oracle, term_ramified, term_unramified)
+from qeis.verify import sample_ramified_vectors
 
 F3 = FieldE(3)
 P2 = Params(n=2, ell=3)
@@ -133,18 +137,62 @@ def test_oracle_matches_closed_form_rank8_ramified():
         seen += 1
 
 
-def test_oracle_blocked_path_matches_cached_path(monkeypatch):
-    """Streaming enumeration (grids over the cache limit) counts identically."""
-    import qeis.siegel as siegel
+def _brute_force_terms(r, etas, shape):
+    """Reference count: every point of (Z/p^r)^rank, one pairing per eta (r >= 1)."""
+    p, rank, mod = shape.p, shape.rank, shape.p ** r
+    half = rank // 2
+    pts = np.indices((mod,) * rank, dtype=np.int64).reshape(rank, -1)
+    q = sum(w * pts[i] * pts[half + i] for i, w in enumerate(shape.pair_weights))
+    on_quadric = pts[:, q % mod == 0]
+    coeffs = []
+    for eta in etas:
+        scaled = shape.dual_scaled(eta)
+        coeffs.append(scaled[half:] + scaled[:half])
+    pairing = np.array(coeffs, dtype=np.int64) % mod @ on_quadric % mod
+    full = np.count_nonzero(pairing == 0, axis=1)
+    prev = np.count_nonzero(pairing % (mod // p) == 0, axis=1) - full
+    return [int(f) - Fraction(int(v), p - 1) for f, v in zip(full, prev)]
 
-    sh = split_shape(3, 2)
-    etas = [(1, 2, 3, 4), (3, 0, 3, 0), (0, 1, 0, 3)]
-    cached = [term_oracle(2, eta, sh) for eta in etas]
-    monkeypatch.setattr(siegel, "_GRID_CACHE_POINTS", 100)
-    blocked = [term_oracle(2, eta, sh) for eta in etas]
-    assert blocked == cached
+
+def _oracle_etas(shape, r, rng):
+    """Every dual residue mod p^r at p = 2; seeded dual vectors otherwise.
+
+    A p-block coordinate of the ramified shape may carry denominator p.
+    """
+    p, mod = shape.p, shape.p ** r
+    weights = shape.pair_weights * 2
+    if p == 2:
+        return [tuple(s // w if s % w == 0 else Fraction(s, w)
+                      for s, w in zip(res, weights))
+                for res in itertools.product(range(mod), repeat=shape.rank)]
+    return [tuple(Fraction(rng.randrange(p * mod), p) if w > 1 and rng.random() < 0.4
+                  else rng.randrange(mod) * p ** rng.randint(0, r) for w in weights)
+            for _ in range(12)]
+
+
+def test_oracle_matches_brute_force_count():
+    """The pair-convolution count equals plain enumeration on every small grid."""
+    rng = random.Random(29)
+    shapes = ([split_shape(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)]
+              + [ramified_shape(p, m) for p in (2, 3, 5, 7) for m in (1, 2)])
+    grids = 0
+    for sh in shapes:
+        r = 1
+        while (sh.p ** r) ** sh.rank <= 3 ** 8:
+            etas = _oracle_etas(sh, r, rng)
+            got = [term_oracle(r, eta, sh) for eta in etas]
+            assert got == _brute_force_terms(r, etas, sh), (sh, r)
+            grids += 1
+            r += 1
+    assert grids == 33
     rsh = ramified_shape(3, 1)
     assert term_oracle(2, (1, 0, 3, 1), rsh) == term_ramified(2, (1, 0, 3, 1), rsh)
+
+
+def test_oracle_refuses_counts_past_int64():
+    """3^(4*12) points overflow int64, so no budget lets the count run."""
+    with pytest.raises(ResourceBudgetError):
+        term_oracle(4, (1,) + (0,) * 11, split_shape(3, 6), budget=10 ** 40)
 
 
 def test_oracle_budget():
@@ -486,3 +534,31 @@ def test_ramified_invariants_of_synthetic_vectors():
     assert ramified_invariants((3, 1, 3, 0), sh) == (0, 1, 2)
     assert ramified_invariants((3, 1, 3, 1), sh) == (0, 1, 1)
     assert ramified_invariants((0, Fraction(1, 3), 1, 0), sh)[0] == -1
+
+
+def _ramified_invariants_reference(eta, sh):
+    """(k1, k2, k) read with every coordinate and q(eta) as a Fraction."""
+    def v(x):
+        return math.inf if x == 0 else vp(x.numerator, sh.p) - vp(x.denominator, sh.p)
+
+    eta = [Fraction(c) for c in eta]
+    m, half = sh.m, sh.rank // 2
+    v1 = min(v(c) for c in eta[:m] + eta[half:half + m])
+    v2 = min(v(c) for c in eta[m:half] + eta[half + m:])
+    return min(v1, v2), min(v1, v2 + 1), v(sh.quad_form(eta))
+
+
+def test_ramified_invariants_int_path_matches_fraction_path():
+    """Int coordinates and Fraction coordinates, dual vectors included, agree."""
+    duals = 0
+    for p in (3, 5, 7):
+        for m in (1, 2):
+            sh = ramified_shape(p, m)
+            for vec in sample_ramified_vectors(p, m, 40, k_cap=4, seed=p + m):
+                expected = _ramified_invariants_reference(vec, sh)
+                assert ramified_invariants(vec, sh) == expected, vec
+                if all(c.denominator == 1 for c in vec):
+                    assert ramified_invariants([int(c) for c in vec], sh) == expected, vec
+                else:
+                    duals += 1
+    assert duals > 0
