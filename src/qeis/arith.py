@@ -66,18 +66,25 @@ def vp(x: int, p: int) -> int | float:
 def ramanujan_sum(p: int, s: int, t: int) -> int:
     """Sum of e^(2 pi i c t / p^s) over units c mod p^s.
 
+    Depends on t only through v_p(t); see :func:`ramanujan_sum_vp`.
+    """
+    return ramanujan_sum_vp(p, s, vp(t, p))
+
+
+def ramanujan_sum_vp(p: int, s: int, v) -> int:
+    """The Ramanujan sum c_{p^s}(t) from v = v_p(t) alone (v = inf for t = 0).
+
     Evaluated by the closed three-case formula, never by summing roots of
     unity, so the result stays an exact integer:
 
-        p^s - p^(s-1)   if p^s  | t,
-        -p^(s-1)        if p^(s-1) exactly divides t,
+        p^s - p^(s-1)   if v >= s,
+        -p^(s-1)        if v = s - 1,
         0               otherwise.
     """
     if s < 0:
         raise ValidationError("ramanujan_sum needs s >= 0")
     if s == 0:
         return 1
-    v = vp(t, p)
     if v >= s:
         return p ** s - p ** (s - 1)
     if v == s - 1:
@@ -213,15 +220,20 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class SeriesPoly:
-    """Finite series in an abstract variable t, rational coefficients."""
+    """Finite series in an abstract variable t, rational coefficients.
+
+    Int coefficients stay Python ints, the rest become Fractions, so a
+    series of integers is divided in integer arithmetic.
+    """
 
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_strip([Fraction(c) for c in coeffs])))
+        object.__setattr__(self, "coeffs", tuple(_strip(
+            [c if isinstance(c, int) else Fraction(c) for c in coeffs])))
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @property
     def degree(self) -> int:
@@ -241,16 +253,20 @@ class SeriesPoly:
     def scaled(self, c) -> "SeriesPoly":
         return SeriesPoly([Fraction(c) * x for x in self.coeffs])
 
-    def divide_exact(self, root: Fraction, shift: int) -> "SeriesPoly":
-        """Exact quotient by (1 - root * t^shift); nonzero remainder is an error."""
-        root = Fraction(root)
+    def divide_exact(self, root, shift: int) -> "SeriesPoly":
+        """Exact quotient by (1 - root * t^shift); nonzero remainder is an error.
+
+        An int root on an int series keeps the quotient in ints.
+        """
+        if not isinstance(root, int):
+            root = Fraction(root)
         n = self.degree
         if n < 0:
             return SeriesPoly([])
-        quot = [Fraction(0)] * max(n + 1 - shift, 0)
+        quot = [0] * max(n + 1 - shift, 0)
         for i in range(n + 1):
-            prev = quot[i - shift] if i >= shift else Fraction(0)
-            val = self[i] + root * prev
+            prev = quot[i - shift] if i >= shift else 0
+            val = self.coeffs[i] + root * prev
             if i < len(quot):
                 quot[i] = val
             elif val != 0:

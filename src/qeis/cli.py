@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,8 +23,8 @@ from .fourier import ExpansionTable, c_ell, coefficient, d_nl, full_expansion
 from .hermitian import (FieldE, GlobalVector, Params, global_vector,
                         local_quadratic_data, norm)
 from .lift import EigenformData, lift_coefficient, standard_L_factors
-from .siegel import (assemble_series, q_poly, ramified_shape, split_shape,
-                     term_oracle, term_unramified)
+from .siegel import (assemble_series, enumeration_budget, q_poly, ramified_shape,
+                     split_shape, term_oracle, term_unramified)
 from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INTERNAL, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -263,9 +262,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--budget", type=int,
-                        default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)),
-                        help=BUDGET_HELP)
+        sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
 
     sp = sub.add_parser("local", help="one local polynomial Q_{T,p}")
     common(sp, T=True, p=True)
@@ -289,9 +286,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", required=True)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int,
-                    default=int(os.environ.get("QEIS_BUDGET", 10 ** 8)),
-                    help=BUDGET_HELP)
+    sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -301,6 +296,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget is None:
+            args.budget = enumeration_budget()
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -331,17 +331,13 @@ def _ramified_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> 
     if not (k1 <= k2 <= k1 + 1) or k - k1 - k2 < 0:
         raise InternalConsistencyError("ramified valuations out of range")
     # T/varpi = (x2 + (x1/(p u)) varpi) c1 + (y2 + (y1/(p u)) varpi) c2: the unit
-    # block and p-block swap, with denominators bounded by p
+    # block and p-block swap, with denominators bounded by p; its normal-form
+    # coordinates follow the rescaling of T's above
     uinv = pow(u, -1, mod)
-    over = _ramified_quad_coords(Fraction(x2), Fraction(x1 * uinv % mod, p),
-                                 Fraction(y2), Fraction(y1 * uinv % mod, p), u, p)
+    over = (Fraction(x2), -2 * u * Fraction(x1 * uinv % mod, p),
+            2 * Fraction(y2), Fraction(y1 * uinv % mod, p))
     return LocalVectorData(p=p, case=Splitting.RAMIFIED, n=n, k=k, k1=int(k1), k2=int(k2),
                            coords=coords, coords_over_uniformizer=over, prec=prec)
-
-
-def _ramified_quad_coords(x1, x2, y1, y2, u: int, p: int) -> tuple:
-    """Normal-form coordinates (X1, X2, Y1, Y2) of x = (x1 + x2 varpi) c1 + (y1 + y2 varpi) c2."""
-    return (x1, -2 * u * x2, 2 * y1, y2)
 
 
 def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> LocalVectorData:

@@ -32,7 +32,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .arith import IntPoly, SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, vp
+from .arith import IntPoly, SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum_vp, vp
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import LocalVectorData, Params
 
@@ -40,8 +40,20 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 def enumeration_budget() -> int:
+    """The oracle budget from QEIS_BUDGET, DEFAULT_BUDGET when it is unset or empty.
+
+    A value that is not a positive integer raises ValidationError.
+    """
     env = os.environ.get("QEIS_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise ValidationError(f"QEIS_BUDGET = {env!r} is not an integer") from None
+    if budget <= 0:
+        raise ValidationError(f"QEIS_BUDGET = {env!r} is not positive")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -151,40 +163,58 @@ def _vp_frac(x, p: int):
 # Closed-form terms
 # ---------------------------------------------------------------------------
 
+def unramified_invariants(eta, shape: QuadLatticeShape):
+    """(v(eta), v_p(q(eta))) of a vector of the split lattice, None outside it.
+
+    Both are +inf for the zero vector, and v_p(q(eta)) is +inf when eta is
+    isotropic.
+    """
+    if shape.form != "split":
+        raise ValidationError("unramified invariants need a split shape")
+    if not shape.in_lattice(eta):
+        return None
+    eta = [int(c) for c in eta]
+    p = shape.p
+    return min(vp(c, p) for c in eta), vp(shape.quad_form(eta), p)
+
+
 def term_unramified(r: int, eta, shape: QuadLatticeShape) -> int:
     """B_{r,eta} for the split hyperbolic lattice of rank 2m.
 
-    Gauss-sum factorization over the hyperbolic pairs gives
-
-      B_{r,eta} = p^-r ( p^{2mr} [p^r | eta]
-                  + Sum_{j=0}^{min(r-1, v(eta))} p^{m(r+j)} c_{p^{r-j}}(q(eta)/p^{2j}) )
-
-    with c the unit Ramanujan sum; the value is always an integer.  For
+    B reads eta only through (v(eta), v_p(q(eta))); see :func:`b_term`.  For
     eta outside the lattice every term vanishes.
     """
-    if shape.form != "split":
-        raise ValidationError("term_unramified needs a split shape")
     if r < 0:
         raise ValidationError("term index r must be >= 0")
-    if not shape.in_lattice(eta):
+    inv = unramified_invariants(eta, shape)
+    if inv is None:
         return 0
-    eta = [int(e) for e in eta]
+    return b_term(r, *inv, shape.m, shape.p)
+
+
+def b_term(r: int, v, kq, m: int, p: int) -> int:
+    """B_{r,eta} from v = v(eta) and kq = v_p(q(eta)) alone, in int arithmetic.
+
+    Gauss-sum factorization over the hyperbolic pairs gives
+
+      B_{r,eta} = p^-r ( p^{2mr} [v >= r]
+                  + Sum_{j=0}^{min(r-1, v)} p^{m(r+j)} c_{p^{r-j}}(q(eta)/p^{2j}) )
+
+    with c the unit Ramanujan sum, which reads q(eta)/p^{2j} only through its
+    valuation kq - 2j; the value is always an integer.
+    """
+    if r < 0:
+        raise ValidationError("term index r must be >= 0")
     if r == 0:
         return 1
-    p, m = shape.p, shape.m
-    v = min(_vp_frac(c, p) for c in eta)
-    q = shape.quad_form(eta)
-    total = 0
-    if v >= r:
-        total += p ** (2 * m * r)
-    j_top = min(r - 1, v)
-    j = 0
-    while j <= j_top:
-        total += p ** (m * (r + j)) * ramanujan_sum(p, r - j, q // p ** (2 * j))
-        j += 1
-    if total % p ** r != 0:
+    total = p ** (2 * m * r) if v >= r else 0
+    # c_{p^(r-j)} vanishes once kq - 2j < r - j - 1, i.e. for j > kq - r + 1
+    for j in range(min(r - 1, v, kq - r + 1) + 1):
+        total += p ** (m * (r + j)) * ramanujan_sum_vp(p, r - j, kq - 2 * j)
+    quot, rest = divmod(total, p ** r)
+    if rest:
         raise InternalConsistencyError("non-integral unramified term")
-    return total // p ** r
+    return quot
 
 
 def term_ramified(r: int, eta, shape: QuadLatticeShape) -> int:
@@ -240,7 +270,7 @@ def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
         return 1
     total = p ** (4 * m * r) if k2 >= r else 0
     for j in range(min(r - 1, k1) + 1):
-        total += p ** ((2 * r + 2 * j + 1) * m) * ramanujan_sum(p, r - j, p ** (k - 2 * j))
+        total += p ** ((2 * r + 2 * j + 1) * m) * ramanujan_sum_vp(p, r - j, k - 2 * j)
     if total % p ** r != 0:
         raise InternalConsistencyError("non-integral ramified term")
     return total // p ** r
@@ -342,17 +372,35 @@ class LocalSeries:
     terms: SeriesPoly
 
 
-def _split_eta_family(data: LocalVectorData):
-    """The vectors (p^-i T1, T2) and (T1, p^-j T2) entering the split double sum."""
+def _eta_family(data: LocalVectorData, shape: QuadLatticeShape) -> list:
+    """(shift, invariants) of every eta entering an unramified local series.
+
+    Inert: T itself, shift 0.  Split: the vectors (p^-i T1, T2), i = 0..k1,
+    and (T1, p^-j T2), j = 1..k2, of the double sum.  The invariants are
+    (v(eta), v_p(q(eta))), or None for eta outside the lattice, and are read
+    off T's once: dividing a block by p^i lowers its valuation and
+    v_p(q) by i, and takes eta out of the lattice when the block's
+    valuation is below i.
+    """
+    inv = unramified_invariants(data.coords, shape)
+    if data.case is Splitting.INERT:
+        return [(0, inv)]
+    shifts = [(i, 0) for i in range(data.k1 + 1)] + [(0, j) for j in range(1, data.k2 + 1)]
+    if inv is None:
+        return [(i + j, None) for i, j in shifts]
+    p, kq = data.p, inv[1]
     half = len(data.coords) // 2
-    t1 = list(data.coords[:half])
-    t2 = list(data.coords[half:])
-    for i in range(data.k1 + 1):
-        eta = [Fraction(c, data.p ** i) for c in t1] + [Fraction(c) for c in t2]
-        yield i, eta
-    for j in range(1, data.k2 + 1):
-        eta = [Fraction(c) for c in t1] + [Fraction(c, data.p ** j) for c in t2]
-        yield j, eta
+    v1 = min(vp(int(c), p) for c in data.coords[:half])
+    v2 = min(vp(int(c), p) for c in data.coords[half:])
+    return [(i + j, (min(v1 - i, v2 - j), kq - i - j) if v1 >= i and v2 >= j else None)
+            for i, j in shifts]
+
+
+def _b_terms(inv, m: int, p: int, k: int) -> list:
+    """[B_0, ..., B_{k+1}] of an eta with invariants ``inv`` (None: all zero)."""
+    if inv is None:
+        return [0] * (k + 2)
+    return [b_term(r, *inv, m, p) for r in range(k + 2)]
 
 
 def assemble_series(data: LocalVectorData, P) -> LocalSeries:
@@ -362,40 +410,28 @@ def assemble_series(data: LocalVectorData, P) -> LocalSeries:
     two wedges r1 < r2, r1 > r2, each wedge collapsing to a shifted B-series
     of the rescaled vector.  Inert: single B-series in t^2.  Ramified: even
     part is the C-series of T/varpi, odd part the C-series of T with the
-    p^(s-n) prefactor.
+    p^(s-n) prefactor.  Each B-series reads its vector only through
+    (v(eta), v_p(q(eta))), and every coefficient is built in Python ints.
     """
     p, n, k = data.p, P.n, data.k
-    coeffs = [Fraction(0)] * (2 * k + 3)
-    if data.case is Splitting.SPLIT:
-        shape = split_shape(p, n)
-        half = len(data.coords) // 2
-        t1, t2 = list(data.coords[:half]), list(data.coords[half:])
-        for i in range(data.k1 + 1):
-            eta = [Fraction(c, p ** i) for c in t1] + list(t2)
-            for r in range(0, (k - i) + 2):
-                coeffs[2 * r + i] += term_unramified(r, eta, shape) * Fraction(p) ** (r + n * i)
-        for j in range(1, data.k2 + 1):
-            eta = list(t1) + [Fraction(c, p ** j) for c in t2]
-            for r in range(0, (k - j) + 2):
-                coeffs[2 * r + j] += term_unramified(r, eta, shape) * Fraction(p) ** (r + n * j)
-    elif data.case is Splitting.INERT:
-        shape = split_shape(p, n)
-        for r in range(0, k + 2):
-            coeffs[2 * r] += term_unramified(r, data.coords, shape) * Fraction(p) ** r
+    coeffs = [0] * (2 * k + 3)
+    if data.case in (Splitting.SPLIT, Splitting.INERT):
+        for shift, inv in _eta_family(data, split_shape(p, n)):
+            for r, b in enumerate(_b_terms(inv, n, p, k - shift)):
+                coeffs[2 * r + shift] += b * p ** (r + n * shift)
     else:
         m = n // 2
         k1, k2 = data.k1, data.k2
         # even powers: C-series of T/varpi, whose invariants are (k2-1, k1, k-1)
         for r in range(0, k + 1):
-            coeffs[2 * r] += c_term(r, k2 - 1, k1, k - 1, m, p) * Fraction(p) ** r
+            coeffs[2 * r] += c_term(r, k2 - 1, k1, k - 1, m, p) * p ** r
         # odd powers: p^(s-n) (C-series of T minus its r = 0 term)
         for r in range(1, k + 2):
-            coeffs[2 * r - 1] += c_term(r, k1, k2, k, m, p) * Fraction(p) ** (r - n)
-    series = SeriesPoly(coeffs)
-    for c in series.coeffs:
-        if c.denominator != 1:
-            raise InternalConsistencyError("assembled local series has non-integral term")
-    return LocalSeries(p=p, case=data.case, n=n, k=k, terms=series)
+            quot, rest = divmod(c_term(r, k1, k2, k, m, p) * p ** r, p ** n)
+            if rest:
+                raise InternalConsistencyError("assembled local series has non-integral term")
+            coeffs[2 * r - 1] += quot
+    return LocalSeries(p=p, case=data.case, n=n, k=k, terms=SeriesPoly(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +444,13 @@ def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
     The division must be exact, the rescaled coefficients integral, and the
     quotient monic; anything else signals corrupted input.
     """
-    quot = series.divide_exact(Fraction(p) ** (m - 1), 1)
+    quot = series.divide_exact(p ** (m - 1), 1)
     coeffs = []
     for i, c in enumerate(quot.coeffs):
-        scaled = c / Fraction(p) ** (m * i)
-        if scaled.denominator != 1:
+        scaled, rest = divmod(c, p ** (m * i))
+        if rest:
             raise InternalConsistencyError("P extraction produced a non-integer coefficient")
-        coeffs.append(scaled.numerator)
+        coeffs.append(scaled)
     poly = IntPoly(coeffs)
     if not poly.is_monic():
         raise InternalConsistencyError(f"extracted P = {poly} is not monic")
@@ -423,7 +459,7 @@ def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
 
 def b_series(eta, shape: QuadLatticeShape, k: int) -> SeriesPoly:
     """B-series of eta in the variable t' = p^(1-2s), truncated at r = k + 1."""
-    return SeriesPoly([term_unramified(r, eta, shape) for r in range(k + 2)])
+    return SeriesPoly(_b_terms(unramified_invariants(eta, shape), shape.m, shape.p, k))
 
 
 def c_series(k1: int, k2: int, k: int, m: int, p: int) -> SeriesPoly:
@@ -533,17 +569,14 @@ def q_poly_closed_form(data: LocalVectorData, P) -> SqrtPPoly:
     Inert: Q(X) = P_T(X^2).
     Ramified: Q(X) = R_{T/varpi}(X^2) + Q2(X) + p^(m-1/2) Q1(X)
                     + p^(1/2-m) X^-1 R_T(X^2).
+    Each P is extracted from the B-series of (v(eta), v_p(q(eta))) of its
+    vector, in Python ints.
     """
     p, n, k = data.p, P.n, data.k
     d = [0] * (2 * k + 1)
     if data.case in (Splitting.SPLIT, Splitting.INERT):
-        shape = split_shape(p, n)
-        if data.case is Splitting.INERT:
-            family = [(0, list(data.coords))]
-        else:
-            family = list(_split_eta_family(data))
-        for i, eta in family:
-            poly = extract_P(b_series(eta, shape, k - i), n, p)
+        for i, inv in _eta_family(data, split_shape(p, n)):
+            poly = extract_P(SeriesPoly(_b_terms(inv, n, p, k - i)), n, p)
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
             for rr, c in enumerate(poly.coeffs):
@@ -573,19 +606,21 @@ def q_poly_from_series(series: LocalSeries) -> SqrtPPoly:
 
     Unramified: E(t) = (1 - p^n t^2) Q(p^((n+1)/2) t);
     ramified:   E(t) = (1 - p^(n/2) t) Q(p^((n+1)/2) t).
+    An integer series is divided in Python ints, and a nonzero remainder of
+    the division or of a rescaling raises InternalConsistencyError.
     """
     p, n = series.p, series.n
     if series.case is Splitting.RAMIFIED:
-        quot = series.terms.divide_exact(Fraction(p) ** (n // 2), 1)
+        quot = series.terms.divide_exact(p ** (n // 2), 1)
     else:
-        quot = series.terms.divide_exact(Fraction(p) ** n, 2)
+        quot = series.terms.divide_exact(p ** n, 2)
     d = []
     for i, c in enumerate(quot.coeffs):
         e = (i * (n + 1) + (i % 2)) // 2
-        scaled = c / Fraction(p) ** e
-        if scaled.denominator != 1:
+        scaled, rest = divmod(c, p ** e)
+        if rest:
             raise InternalConsistencyError("series division broke the sqrt(p) grading")
-        d.append(scaled.numerator)
+        d.append(scaled)
     return SqrtPPoly(p, d)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qeis.arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
                         _sqrtp_eval_frac, bernoulli, hyp2f1_terminating,
                         kronecker_symbol, pochhammer, ramanujan_sum,
-                        splitting_class, sqrtp_eval_halfint, vp)
+                        ramanujan_sum_vp, splitting_class, sqrtp_eval_halfint, vp)
 from qeis.errors import InternalConsistencyError, ValidationError
 
 
@@ -77,6 +77,7 @@ def test_ramanujan_against_unit_sum():
         for s in range(0, 5):
             for t in range(-p ** 5, p ** 5 + 1):
                 assert ramanujan_sum(p, s, t) == _unit_sum_oracle(p, s, t), (p, s, t)
+    assert ramanujan_sum_vp(3, 2, math.inf) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,19 @@ def test_seriespoly_divide_exact():
     assert q == SeriesPoly([1, 1, 1])
     with pytest.raises(InternalConsistencyError):
         SeriesPoly([1, 1]).divide_exact(Fraction(3), 1)
+
+
+def test_seriespoly_int_division_stays_in_ints():
+    s = SeriesPoly([1, -2, -2, -3])
+    q = s.divide_exact(3, 1)
+    assert q == SeriesPoly([1, 1, 1])
+    assert all(type(c) is int for c in q.coeffs)
+    # a Fraction root or coefficient still divides in Fractions
+    assert all(isinstance(c, Fraction) for c in s.divide_exact(Fraction(3), 1).coeffs)
+    half = SeriesPoly([Fraction(1, 2), -1]).divide_exact(2, 1)
+    assert half == SeriesPoly([Fraction(1, 2)])
+    with pytest.raises(InternalConsistencyError):
+        SeriesPoly([1, 1]).divide_exact(3, 1)
 
 
 def test_seriespoly_divide_by_t_squared_factor():

@@ -145,3 +145,14 @@ def test_env_budget_override(tmp_path, monkeypatch):
     code = main(["local", "--D", "3", "--p", "5", "--T", "5,0,5,0",
                  "--oracle", "--out", str(out)])
     assert code == 4
+
+
+def test_env_budget_rejects_bad_values(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "local.json"
+    for value in ("1e6", "-5"):
+        monkeypatch.setenv("QEIS_BUDGET", value)
+        code = main(["local", "--D", "3", "--p", "5", "--T", "5,0,5,0",
+                     "--oracle", "--out", str(out)])
+        assert code == 2, value
+        assert f"QEIS_BUDGET = {value!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,16 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, vp
+from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, vp
 from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
-from qeis.siegel import (R_closed_form, assemble_series, b_series, c_series,
-                         c_term, c_term_gauss, extract_P, extract_R, q_poly,
-                         q_poly_closed_form, q_poly_from_series,
+from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series,
+                         c_series, c_term, c_term_gauss, extract_P, extract_R,
+                         q_poly, q_poly_closed_form, q_poly_from_series,
                          ramified_invariants, ramified_shape, split_shape,
-                         term_oracle, term_ramified, term_unramified)
+                         term_oracle, term_ramified, term_unramified,
+                         unramified_invariants)
 from qeis.verify import sample_ramified_vectors
 
 F3 = FieldE(3)
@@ -40,6 +42,62 @@ def test_term_unramified_outside_lattice_vanishes():
     eta = (Fraction(1, 3), 0, 1, 0)
     for r in range(4):
         assert term_unramified(r, eta, sh) == 0
+
+
+def _term_unramified_reference(r, eta, shape):
+    """B_{r,eta} as first written: Fraction coordinates, v(eta) and q(eta)
+    recomputed for every r, and a Ramanujan sum of q(eta)/p^(2j) for every j."""
+    if not shape.in_lattice(eta):
+        return 0
+    eta = [int(e) for e in eta]
+    if r == 0:
+        return 1
+    p, m = shape.p, shape.m
+    v = min(vp(c, p) for c in eta)
+    q = shape.quad_form(eta)
+    total = 0
+    if v >= r:
+        total += p ** (2 * m * r)
+    j_top = min(r - 1, v)
+    j = 0
+    while j <= j_top:
+        total += p ** (m * (r + j)) * ramanujan_sum(p, r - j, q // p ** (2 * j))
+        j += 1
+    assert total % p ** r == 0
+    return total // p ** r
+
+
+def test_term_unramified_matches_reference_on_every_valuation_pair():
+    """The (v, v_p(q)) form of B_{r,eta} against the reference, exhaustively.
+
+    p in {2, 3, 5, 7}, m in {1, 2, 3}, r = 0..9, and for every v <= 6 the
+    seven pairs 2v <= k_q <= 2v + 6 plus q = 0, built as x = (p^v, 0, ...),
+    y = (p^(k_q - v), 0, ...) (y = 0 for q = 0): 6,720 terms.  Each case
+    also puts 1/p first in the x-block, then in the y-block, which is what
+    dividing that block by one more power of p than it holds gives, as the
+    split eta family does past k1 or k2; both forms must give 0 there:
+    13,440 more terms.
+    """
+    inside = outside = 0
+    for p in (2, 3, 5, 7):
+        for m in (1, 2, 3):
+            sh = split_shape(p, m)
+            pad = [0] * (m - 1)
+            for v in range(7):
+                for kq in list(range(2 * v, 2 * v + 7)) + [None]:
+                    y0 = 0 if kq is None else p ** (kq - v)
+                    eta = [p ** v] + pad + [y0] + pad
+                    off = ([Fraction(1, p)] + pad + [y0] + pad,
+                           [p ** v] + pad + [Fraction(1, p)] + pad)
+                    for r in range(10):
+                        expected = _term_unramified_reference(r, eta, sh)
+                        assert term_unramified(r, eta, sh) == expected, (p, m, v, kq, r)
+                        inside += 1
+                        for bad in off:
+                            assert _term_unramified_reference(r, bad, sh) == 0
+                            assert term_unramified(r, bad, sh) == 0, (p, m, v, kq, r, bad)
+                            outside += 1
+    assert (inside, outside) == (6720, 13440)
 
 
 def test_term_ramified_examples():
@@ -334,6 +392,103 @@ def test_extract_P_functional_equation_random():
         assert poly.is_monic()
         assert poly.is_palindromic()
         seen += 1
+
+
+def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
+    """Corrupted integer series still fail extraction with InternalConsistencyError."""
+    import qeis.siegel as siegel
+
+    sh = split_shape(13, 2)
+    series = b_series((1, 0, 13 ** 3, 0), sh, 3)
+    assert all(isinstance(c, int) for c in series.coeffs)
+    assert extract_P(series, 2, 13).degree == 3
+    for i in range(len(series.coeffs)):
+        bumped = list(series.coeffs)
+        bumped[i] += 1
+        with pytest.raises(InternalConsistencyError, match="not divisible"):
+            extract_P(SeriesPoly(bumped), 2, 13)
+    # (1 - 13 t')(1 + t') divides exactly, but 1 is not a multiple of 13^2
+    with pytest.raises(InternalConsistencyError, match="non-integer coefficient"):
+        extract_P(SeriesPoly([1, -12, -13]), 2, 13)
+
+    ramified = local_quadratic_data(global_vector(3, 0, 3, 0), F3, 3, P2)  # k = 2
+    for data in (local_quadratic_data(global_vector(7, 0, 21, 7), F3, 7, P2),  # split, k = 3
+                 local_quadratic_data(global_vector(2, 0, 4, 0), F3, 2, P2),   # inert, k = 4
+                 ramified):
+        local = assemble_series(data, P2)
+        assert all(isinstance(c, int) for c in local.terms.coeffs)
+        q_poly_from_series(local)
+        for i in range(len(local.terms.coeffs)):
+            bumped = list(local.terms.coeffs)
+            bumped[i] += 1
+            with pytest.raises(InternalConsistencyError, match="not divisible"):
+                q_poly_from_series(dataclasses.replace(local, terms=SeriesPoly(bumped)))
+    # (1 - 7^2 t^2)(1 + t^2) divides exactly, but its t^2 term is not a multiple of 7^3
+    divisible = LocalSeries(p=7, case=Splitting.SPLIT, n=2, k=2,
+                            terms=SeriesPoly([1, 0, -48, 0, -49]))
+    with pytest.raises(InternalConsistencyError, match="sqrt\\(p\\) grading"):
+        q_poly_from_series(divisible)
+    # a ramified C-term that p^(n - r) does not divide
+    monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
+    with pytest.raises(InternalConsistencyError, match="non-integral term"):
+        assemble_series(ramified, P2)
+
+
+def _split_series_reference(data, n):
+    """The split local series assembled as first written: Fraction etas, term by term."""
+    p, k = data.p, data.k
+    sh = split_shape(p, n)
+    t1, t2 = list(data.coords[:n]), list(data.coords[n:])
+    coeffs = [Fraction(0)] * (2 * k + 3)
+    for i in range(data.k1 + 1):
+        eta = [Fraction(c, p ** i) for c in t1] + t2
+        for r in range(k - i + 2):
+            coeffs[2 * r + i] += _term_unramified_reference(r, eta, sh) * Fraction(p) ** (r + n * i)
+    for j in range(1, data.k2 + 1):
+        eta = t1 + [Fraction(c, p ** j) for c in t2]
+        for r in range(k - j + 2):
+            coeffs[2 * r + j] += _term_unramified_reference(r, eta, sh) * Fraction(p) ** (r + n * j)
+    return SeriesPoly(coeffs)
+
+
+def test_eta_family_invariants_match_the_rescaled_vectors():
+    """The (v, v_p(q)) the split family reads off T equal those of the
+    rescaled vectors themselves, also when k1 or k2 is declared one too
+    deep, which puts the last vector outside the lattice."""
+    from qeis.siegel import _eta_family
+
+    checked = outside = 0
+    for D, p in ((7, 2), (3, 7), (3, 13), (11, 5)):
+        F = FieldE(D)
+        sh = split_shape(p, 2)
+        for T in ((p, 0, p ** 2, 1), (p ** 2, p, 3 * p, p), (1, 1, p ** 3, 0)):
+            data = local_quadratic_data(global_vector(*T), F, p, P2)
+            assert data.case is Splitting.SPLIT
+            t1, t2 = list(data.coords[:2]), list(data.coords[2:])
+            for dk1, dk2 in ((0, 0), (1, 0), (0, 1)):
+                deep = dataclasses.replace(data, k1=data.k1 + dk1, k2=data.k2 + dk2)
+                etas = [(i, [Fraction(c, p ** i) for c in t1] + t2)
+                        for i in range(deep.k1 + 1)]
+                etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
+                         for j in range(1, deep.k2 + 1)]
+                expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
+                assert _eta_family(deep, sh) == expected, (D, p, T, dk1, dk2)
+                checked += len(expected)
+                outside += sum(inv is None for _, inv in expected)
+    assert (checked, outside) == (96, 24)
+
+
+def test_deep_split_key_both_routes_agree():
+    """A split k = 40 key at p = 13: the int series equals the Fraction-built
+    reference, and both routes give the same monic palindromic Q of degree 80."""
+    data = LocalVectorData(p=13, case=Splitting.SPLIT, n=2, k=40, k1=13, k2=7,
+                           coords=(13 ** 13, 0, 13 ** 27, 13 ** 7), prec=42)
+    series = assemble_series(data, P2)
+    assert series.terms == _split_series_reference(data, 2)
+    closed = q_poly_closed_form(data, P2)
+    assert closed == q_poly_from_series(series)
+    assert closed.degree == 80 and closed.is_monic() and closed.is_palindromic()
+    assert closed == q_poly(data, P2)
 
 
 def test_R_closed_form_examples():
