@@ -242,16 +242,9 @@ class SeriesPoly:
     def __eq__(self, other):
         return isinstance(other, SeriesPoly) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "SeriesPoly") -> "SeriesPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SeriesPoly([self[i] + other[i] for i in range(n)])
-
     def __sub__(self, other: "SeriesPoly") -> "SeriesPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return SeriesPoly([self[i] - other[i] for i in range(n)])
-
-    def scaled(self, c) -> "SeriesPoly":
-        return SeriesPoly([Fraction(c) * x for x in self.coeffs])
 
     def divide_exact(self, root, shift: int) -> "SeriesPoly":
         """Exact quotient by (1 - root * t^shift); nonzero remainder is an error.

@@ -15,16 +15,16 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
-from .arith import Splitting, prime_factors
+from .arith import prime_factors
 from .errors import (InternalConsistencyError, ResourceBudgetError,
                      ValidationError)
 from .fourier import ExpansionTable, c_ell, coefficient, d_nl, full_expansion
 from .hermitian import (FieldE, GlobalVector, Params, global_vector,
                         local_quadratic_data, norm)
 from .lift import EigenformData, lift_coefficient, standard_L_factors
-from .siegel import (assemble_series, enumeration_budget, q_poly, ramified_shape,
-                     split_shape, term_oracle, term_unramified)
+from .siegel import check_against_oracle, enumeration_budget, q_poly
 from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INTERNAL, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -100,44 +100,10 @@ def cmd_local(args) -> int:
         "coefficient_convention": "coeff(X^i) = Q[i] * p^((i mod 2)/2)",
     }
     if args.oracle:
-        doc["oracle"] = _oracle_verdict(data, P, args.budget)
+        check_against_oracle(data, P, args.budget)
+        doc["oracle"] = {"verdict": "agree"}
     _emit(doc, args.out)
     return EXIT_OK
-
-
-def _oracle_verdict(data, P, budget) -> dict:
-    """Recompute every term of the assembled series with the lattice-count oracle."""
-    series = assemble_series(data, P)
-    p, n = data.p, P.n
-    if data.case is Splitting.RAMIFIED:
-        shape = ramified_shape(p, n // 2)
-        vectors = {"T": data.coords, "T_over_uniformizer": data.coords_over_uniformizer}
-        rebuilt = [Fraction(0)] * len(series.terms.coeffs)
-        for r in range(0, data.k + 1):
-            rebuilt[2 * r] += term_oracle(r, data.coords_over_uniformizer, shape,
-                                          budget=budget) * Fraction(p) ** r
-        for r in range(1, data.k + 2):
-            rebuilt[2 * r - 1] += term_oracle(r, data.coords, shape,
-                                              budget=budget) * Fraction(p) ** (r - n)
-        agree = all(series.terms[i] == rebuilt[i] for i in range(len(rebuilt)))
-    else:
-        shape = split_shape(p, n)
-        agree = True
-        half = len(data.coords) // 2
-        t1, t2 = list(data.coords[:half]), list(data.coords[half:])
-        for i in range(data.k1 + 1):
-            eta = [Fraction(c, p ** i) for c in t1] + list(t2)
-            for r in range(0, data.k - i + 2):
-                if term_unramified(r, eta, shape) != term_oracle(r, eta, shape, budget=budget):
-                    agree = False
-        for j in range(1, data.k2 + 1):
-            eta = list(t1) + [Fraction(c, p ** j) for c in t2]
-            for r in range(0, data.k - j + 2):
-                if term_unramified(r, eta, shape) != term_oracle(r, eta, shape, budget=budget):
-                    agree = False
-    if not agree:
-        raise InternalConsistencyError("oracle disagrees with closed-form terms")
-    return {"verdict": "agree"}
 
 
 def cmd_coeff(args) -> int:
@@ -240,7 +206,9 @@ def cmd_verify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="qeis",
                      description="Fourier expansions of quaternionic Heisenberg "
                                  "Eisenstein series on U(2,n)")
@@ -260,12 +228,10 @@ def _build_parser() -> _Parser:
             sp.add_argument("--eigenvalues", required=True,
                             help="JSON file {\"weight\": w, \"ap\": {\"2\": -24, ...}}")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
 
     sp = sub.add_parser("local", help="one local polynomial Q_{T,p}")
     common(sp, T=True, p=True)
+    sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     sp.add_argument("--oracle", action="store_true",
                     help="re-derive every series term by the exact lattice-count oracle")
     sp.set_defaults(func=cmd_local)
@@ -276,6 +242,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("expand", help="expansion table up to a norm bound")
     common(sp, bound=True)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("lift", help="candidate lift coefficient from eigenvalues")
@@ -293,10 +261,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.budget is None:
+        if "budget" in vars(args) and args.budget is None:
             args.budget = enumeration_budget()
         return args.func(args)
     except ValidationError as exc:

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .arith import SqrtPPoly, prime_factors, vp
 from .errors import ValidationError
-from .fourier import d_nl
 from .hermitian import FieldE, GlobalVector, Params, local_quadratic_data, norm
 from .siegel import q_poly
 
@@ -183,17 +182,6 @@ def lift_coefficient_numeric(T: GlobalVector, satake: dict, P: Params, F: FieldE
             val += di * p ** ((i % 2) / 2.0) * alpha ** (i - k)
         total *= val
     return total
-
-
-def eisenstein_specialization(T: GlobalVector, P: Params, F: FieldE) -> Fraction:
-    """Substituting alpha_p = p^(l-(n-1)/2) must reproduce the rank-2 local product.
-
-    Returns prod_p Qtilde_{T,p}(p^(l-(n-1)/2)) * <T,T>^(l-(n-1)/2), which the
-    cross-module identity equates with rank2_coefficient.rational / D_{n,l}.
-    """
-    from .fourier import rank2_coefficient
-
-    return rank2_coefficient(T, P, F).rational / d_nl(P, F)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ Three ingredients, all exact:
   t = p^(-s), and extraction of the normalized local polynomials P, R and
   Q_{T,p} by exact division.
 
+The series is a sum of blocks (:func:`series_blocks`), one per eta: its
+invariants, its r range, and where each term lands.  The series assembly,
+the oracle check (:func:`check_against_oracle`, which recounts each term of
+each block) and, at unramified p, the closed-form Q walk the same blocks.
+
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); the alternative literal reading
 p^(r(2m-1)-1) is kept behind ``first_range="literal"`` purely so the test
@@ -29,6 +34,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -237,21 +243,18 @@ def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
         return 1 if r == 0 else 0
     if k1 < -1 or k2 not in (k1, k1 + 1) or k - k1 - k2 < 0:
         raise ValidationError(f"inconsistent ramified invariants {(k1, k2, k)}")
-    kp = k - k1 - k2
     if r == 0:
         return 1
+
+    def band(top):  # Sum_{j < top} p^((2r+2j+1)m - j) - p^((2r+2j+1)m - j - 1)
+        return sum(p ** ((2 * r + 2 * j + 1) * m - j - 1) * (p - 1) for j in range(top))
+
     if r <= k2:
-        return p ** (r * (4 * m - 1)) + sum(
-            p ** ((2 * r + 2 * j + 1) * m - j) - p ** ((2 * r + 2 * j + 1) * m - j - 1)
-            for j in range(r))
-    if r <= k2 + kp:
-        return sum(
-            p ** ((2 * r + 2 * j + 1) * m - j) - p ** ((2 * r + 2 * j + 1) * m - j - 1)
-            for j in range(k1 + 1))
+        return p ** (r * (4 * m - 1)) + band(r)
+    if r <= k - k1:
+        return band(k1 + 1)
     if r <= k + 1:
-        return sum(
-            p ** ((2 * r + 2 * j + 1) * m - j) - p ** ((2 * r + 2 * j + 1) * m - j - 1)
-            for j in range(k - r + 1)) - p ** ((2 * k + 3) * m + r - k - 2)
+        return band(k - r + 1) - p ** ((2 * k + 3) * m + r - k - 2)
     return 0
 
 
@@ -372,66 +375,103 @@ class LocalSeries:
     terms: SeriesPoly
 
 
-def _eta_family(data: LocalVectorData, shape: QuadLatticeShape) -> list:
-    """(shift, invariants) of every eta entering an unramified local series.
+class SeriesBlock(NamedTuple):
+    """One eta of the local series: for r in ``rs``, term r of eta times
+    p^(r + power) adds to the coefficient of t^(2r + shift), a negative
+    exponent dividing exactly.  ``inv`` is what the closed form reads:
+    (v(eta), v_p(q(eta))) on the split lattice, None for eta outside it,
+    (k1, k2, k) on the ramified one.  ``eta()`` builds the vector itself, which
+    only the oracle check needs; ``name`` says how eta comes from T."""
 
-    Inert: T itself, shift 0.  Split: the vectors (p^-i T1, T2), i = 0..k1,
-    and (T1, p^-j T2), j = 1..k2, of the double sum.  The invariants are
-    (v(eta), v_p(q(eta))), or None for eta outside the lattice, and are read
-    off T's once: dividing a block by p^i lowers its valuation and
-    v_p(q) by i, and takes eta out of the lattice when the block's
-    valuation is below i.
+    name: str
+    inv: tuple | None
+    rs: range
+    shift: int
+    power: int
+    eta: Callable[[], tuple]
+
+
+def series_blocks(data: LocalVectorData, n: int):
+    """(shape, blocks) of the local series E^T_{2,p}(s), per splitting case.
+
+    Inert: T itself, a single B-series in t^2.  Split: the double sum over
+    (r1, r2) splits into the diagonal and the wedges r1 < r2, r1 > r2, each a
+    shifted B-series of (p^-i T1, T2), i = 0..k1, or (T1, p^-j T2),
+    j = 1..k2, whose invariants are read off T's once: dividing a block by
+    p^i lowers its valuation and v_p(q) by i, and takes eta out of the
+    lattice when the block's valuation is below i.  Ramified: the even part
+    is the C-series of T/varpi, with invariants (k2 - 1, k1, k - 1), and the
+    odd part p^(s-n) times the C-series of T less its r = 0 term.
     """
-    inv = unramified_invariants(data.coords, shape)
+    p, k, coords = data.p, data.k, data.coords
+    if data.case is Splitting.RAMIFIED:
+        k1, k2 = data.k1, data.k2
+        return ramified_shape(p, n // 2), [
+            SeriesBlock("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
+                        lambda: data.coords_over_uniformizer),
+            SeriesBlock("T", (k1, k2, k), range(1, k + 2), -1, -n, lambda: coords)]
+    shape = split_shape(p, n)
+    inv = unramified_invariants(coords, shape)
     if data.case is Splitting.INERT:
-        return [(0, inv)]
-    shifts = [(i, 0) for i in range(data.k1 + 1)] + [(0, j) for j in range(1, data.k2 + 1)]
-    if inv is None:
-        return [(i + j, None) for i, j in shifts]
-    p, kq = data.p, inv[1]
-    half = len(data.coords) // 2
-    v1 = min(vp(int(c), p) for c in data.coords[:half])
-    v2 = min(vp(int(c), p) for c in data.coords[half:])
-    return [(i + j, (min(v1 - i, v2 - j), kq - i - j) if v1 >= i and v2 >= j else None)
-            for i, j in shifts]
+        return shape, [SeriesBlock("T", inv, range(k + 2), 0, 0, lambda: coords)]
+    half = len(coords) // 2
+    if inv is not None:
+        v1 = min(vp(int(c), p) for c in coords[:half])
+        v2 = min(vp(int(c), p) for c in coords[half:])
+    blocks = []
+    for i, j in [(i, 0) for i in range(data.k1 + 1)] + [(0, j) for j in range(1, data.k2 + 1)]:
+        blocks.append(SeriesBlock(
+            f"(p^-{i} T1, T2)" if i else f"(T1, p^-{j} T2)" if j else "T",
+            None if inv is None or v1 < i or v2 < j else (min(v1 - i, v2 - j), inv[1] - i - j),
+            range(k - i - j + 2), i + j, n * (i + j),
+            lambda i=i, j=j: tuple(Fraction(c, p ** (i if h < half else j))
+                                   for h, c in enumerate(coords))))
+    return shape, blocks
 
 
-def _b_terms(inv, m: int, p: int, k: int) -> list:
-    """[B_0, ..., B_{k+1}] of an eta with invariants ``inv`` (None: all zero)."""
+def _closed_terms(inv, rs: range, shape: QuadLatticeShape) -> list:
+    """[term_r for r in rs] of an eta with invariants ``inv``, in int arithmetic."""
+    if shape.form == "ramified":
+        return [c_term(r, *inv, shape.m, shape.p) for r in rs]
     if inv is None:
-        return [0] * (k + 2)
-    return [b_term(r, *inv, m, p) for r in range(k + 2)]
+        return [0] * len(rs)
+    return [b_term(r, *inv, shape.m, shape.p) for r in rs]
 
 
 def assemble_series(data: LocalVectorData, P) -> LocalSeries:
-    """Exact truncated local series at p, per the three splitting cases.
-
-    Split: double sum over (r1, r2) reorganized into the diagonal and the
-    two wedges r1 < r2, r1 > r2, each wedge collapsing to a shifted B-series
-    of the rescaled vector.  Inert: single B-series in t^2.  Ramified: even
-    part is the C-series of T/varpi, odd part the C-series of T with the
-    p^(s-n) prefactor.  Each B-series reads its vector only through
-    (v(eta), v_p(q(eta))), and every coefficient is built in Python ints.
-    """
-    p, n, k = data.p, P.n, data.k
+    """Exact truncated local series at p, the sum of :func:`series_blocks`, in Python ints."""
+    p, k = data.p, data.k
+    shape, blocks = series_blocks(data, P.n)
     coeffs = [0] * (2 * k + 3)
-    if data.case in (Splitting.SPLIT, Splitting.INERT):
-        for shift, inv in _eta_family(data, split_shape(p, n)):
-            for r, b in enumerate(_b_terms(inv, n, p, k - shift)):
-                coeffs[2 * r + shift] += b * p ** (r + n * shift)
-    else:
-        m = n // 2
-        k1, k2 = data.k1, data.k2
-        # even powers: C-series of T/varpi, whose invariants are (k2-1, k1, k-1)
-        for r in range(0, k + 1):
-            coeffs[2 * r] += c_term(r, k2 - 1, k1, k - 1, m, p) * p ** r
-        # odd powers: p^(s-n) (C-series of T minus its r = 0 term)
-        for r in range(1, k + 2):
-            quot, rest = divmod(c_term(r, k1, k2, k, m, p) * p ** r, p ** n)
-            if rest:
-                raise InternalConsistencyError("assembled local series has non-integral term")
-            coeffs[2 * r - 1] += quot
-    return LocalSeries(p=p, case=data.case, n=n, k=k, terms=SeriesPoly(coeffs))
+    for b in blocks:
+        for r, term in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
+            e = r + b.power
+            if e < 0:
+                term, rest = divmod(term, p ** -e)
+                if rest:
+                    raise InternalConsistencyError("assembled local series has non-integral term")
+            coeffs[2 * r + b.shift] += term * p ** max(e, 0)
+    return LocalSeries(p=p, case=data.case, n=P.n, k=k, terms=SeriesPoly(coeffs))
+
+
+def check_against_oracle(data: LocalVectorData, P, budget: int | None = None) -> None:
+    """Recount every term of the assembled local series with :func:`term_oracle`.
+
+    Walks the blocks that :func:`assemble_series` sums, one term at a time; a
+    closed-form term the oracle disagrees with raises InternalConsistencyError
+    naming p, the case, (k, k1, k2), r and eta.
+    """
+    shape, blocks = series_blocks(data, P.n)
+    for b in blocks:
+        eta = b.eta()
+        for r, closed in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
+            oracle = term_oracle(r, eta, shape, budget=budget)
+            if oracle != closed:
+                raise InternalConsistencyError(
+                    f"oracle disagrees with the closed form at p={data.p}, case "
+                    f"{data.case.value}, (k, k1, k2) = {(data.k, data.k1, data.k2)}, "
+                    f"r = {r}, eta = {b.name} = ({', '.join(map(str, eta))}): "
+                    f"closed {closed}, oracle {oracle}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +499,7 @@ def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
 
 def b_series(eta, shape: QuadLatticeShape, k: int) -> SeriesPoly:
     """B-series of eta in the variable t' = p^(1-2s), truncated at r = k + 1."""
-    return SeriesPoly(_b_terms(unramified_invariants(eta, shape), shape.m, shape.p, k))
+    return SeriesPoly(_closed_terms(unramified_invariants(eta, shape), range(k + 2), shape))
 
 
 def c_series(k1: int, k2: int, k: int, m: int, p: int) -> SeriesPoly:
@@ -468,13 +508,9 @@ def c_series(k1: int, k2: int, k: int, m: int, p: int) -> SeriesPoly:
 
 
 def _geo(p: int, m: int, a: int) -> int:
-    """(p^(a(2m-1)) - 1)/(p^(2m-1) - 1) = 1 + p^(2m-1) + ... (a terms)."""
+    """(p^(a(2m-1)) - 1)/(p^(2m-1) - 1) = 1 + p^(2m-1) + ... (a terms, none for a <= 0)."""
     step = p ** (2 * m - 1)
-    total, cur = 0, 1
-    for _ in range(max(a, 0)):
-        total += cur
-        cur *= step
-    return total
+    return (step ** max(a, 0) - 1) // (step - 1)
 
 
 def R_closed_form(k1: int, k2: int, k: int, m: int, p: int,
@@ -569,14 +605,16 @@ def q_poly_closed_form(data: LocalVectorData, P) -> SqrtPPoly:
     Inert: Q(X) = P_T(X^2).
     Ramified: Q(X) = R_{T/varpi}(X^2) + Q2(X) + p^(m-1/2) Q1(X)
                     + p^(1/2-m) X^-1 R_T(X^2).
-    Each P is extracted from the B-series of (v(eta), v_p(q(eta))) of its
-    vector, in Python ints.
+    Each P is extracted from the B-series of one block of
+    :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
     """
     p, n, k = data.p, P.n, data.k
     d = [0] * (2 * k + 1)
     if data.case in (Splitting.SPLIT, Splitting.INERT):
-        for i, inv in _eta_family(data, split_shape(p, n)):
-            poly = extract_P(SeriesPoly(_b_terms(inv, n, p, k - i)), n, p)
+        shape, blocks = series_blocks(data, n)
+        for b in blocks:
+            poly = extract_P(SeriesPoly(_closed_terms(b.inv, b.rs, shape)), n, p)
+            i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
             for rr, c in enumerate(poly.coeffs):

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from qeis.cli import main
+import pytest
+
+from qeis.cli import _build_parser, main
 
 RUN = [sys.executable, "-m", "qeis.cli"]
 
@@ -63,6 +65,21 @@ def test_usage_exit_code():
     assert proc.returncode == 1
     proc = run_cli("local", "--D", "3")
     assert proc.returncode == 1
+
+
+def test_flags_without_effect_are_usage_errors(capsys):
+    """--format and --workers belong to expand, --budget to local and verify."""
+    for argv in (["local", "--D", "3", "--p", "2", "--T", "1,0,1,0", "--workers", "2"],
+                 ["coeff", "--D", "3", "--T", "1,0,1,0", "--format", "csv"],
+                 ["expand", "--D", "3", "--bound", "0", "--budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_budget_exit_code(tmp_path):
@@ -156,3 +173,11 @@ def test_env_budget_rejects_bad_values(tmp_path, monkeypatch, capsys):
         assert code == 2, value
         assert f"QEIS_BUDGET = {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_env_budget_read_only_by_budget_commands(tmp_path, monkeypatch):
+    """Only local and verify take --budget, so only they read QEIS_BUDGET."""
+    monkeypatch.setenv("QEIS_BUDGET", "1e6")
+    out = tmp_path / "c.json"
+    assert main(["coeff", "--D", "3", "--T", "1,0,1,0", "--out", str(out)]) == 0
+    assert main(["local", "--D", "3", "--p", "2", "--T", "1,0,1,0", "--out", str(out)]) == 2

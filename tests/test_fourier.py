@@ -131,6 +131,23 @@ def test_constant_term_numeric():
     assert abs(float(mp.zeta(4)) - math.pi ** 4 / 90) < 1e-12
 
 
+@pytest.mark.parametrize("D", [3, 7, 11, 19, 23, 31, 43])
+def test_constant_term_against_mpmath(D):
+    """zeta_E(l+1) and zeta_E(l+1)/pi^(2l+1) to 1e-14 relative for l = 3..8.
+
+    Every D here is a prime = 3 mod 4, so chi_{-D}(a) is the Legendre symbol (a/D).
+    """
+    chi = [0] + [1 if pow(a, (D - 1) // 2, D) == 1 else -1 for a in range(1, D)]
+    with mp.workdps(40):
+        for ell in range(3, 9):
+            s = ell + 1
+            zeta_e = mp.zeta(s) * mp.dirichlet(s, chi)
+            ct = constant_term(Params(n=2, ell=ell), FieldE(D))
+            assert abs(ct.zeta_E - zeta_e) <= 1e-14 * zeta_e, (D, ell)
+            numeric = zeta_e / mp.pi ** (2 * ell + 1)
+            assert abs(ct.numeric - numeric) <= 1e-14 * numeric, (D, ell)
+
+
 # ---------------------------------------------------------------------------
 # Tables
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
 from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
 from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series,
-                         c_series, c_term, c_term_gauss, extract_P, extract_R,
+                         c_series, c_term, c_term_gauss, check_against_oracle,
+                         extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
-                         ramified_invariants, ramified_shape, split_shape,
-                         term_oracle, term_ramified, term_unramified,
+                         ramified_invariants, ramified_shape, series_blocks,
+                         split_shape, term_oracle, term_ramified, term_unramified,
                          unramified_invariants)
 from qeis.verify import sample_ramified_vectors
 
@@ -259,6 +260,72 @@ def test_oracle_budget():
         term_oracle(3, (1, 0, 0, 0), sh, budget=10 ** 6)
 
 
+# (D, p, T): split with k1, k2 > 0 and four distinct blocks, inert, ramified
+ORACLE_CHECK_DATA = ((7, 2, (2, 2, 4, 0)), (3, 2, (2, 0, 8, 8)), (3, 3, (3, 0, 3, 0)))
+
+
+def _check_data(D, p, T):
+    return local_quadratic_data(global_vector(*T), FieldE(D), p, P2)
+
+
+@pytest.mark.parametrize("D, p, T", ORACLE_CHECK_DATA)
+def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
+    """A closed-form term off by one at a single r fails the oracle check,
+    and the error names p, the case, (k, k1, k2), r and eta."""
+    import qeis.siegel as siegel
+
+    siegel._q_poly_of_invariants.cache_clear()
+    data = _check_data(D, p, T)
+    check_against_oracle(data, P2)
+    _, blocks = series_blocks(data, 2)
+    target = blocks[-1]
+    r = target.rs[-1]
+    assert sum(b.inv == target.inv for b in blocks) == 1
+    name = "c_term" if data.case is Splitting.RAMIFIED else "b_term"
+    original = getattr(siegel, name)
+
+    def off_by_one(rr, *args):
+        return original(rr, *args) + ((rr, *args[:-2]) == (r, *target.inv))
+
+    monkeypatch.setattr(siegel, name, off_by_one)
+    with pytest.raises(InternalConsistencyError) as err:
+        check_against_oracle(data, P2)
+    message = str(err.value)
+    assert f"p={p}, case {data.case.value}," in message
+    assert f"(k, k1, k2) = {(data.k, data.k1, data.k2)}, r = {r}," in message
+    assert f"eta = {target.name} = (" in message
+
+
+@pytest.mark.parametrize("D, p, T", ORACLE_CHECK_DATA)
+def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch):
+    """The oracle check calls term_oracle once per term of the assembled
+    series, and those counts, placed as the blocks say, rebuild the series;
+    inert data is checked on T's own coordinates only, k + 2 terms."""
+    import qeis.siegel as siegel
+
+    siegel._q_poly_of_invariants.cache_clear()
+    data = _check_data(D, p, T)
+    calls = []
+
+    def recording(r, eta, shape, budget=None):
+        value = term_oracle(r, eta, shape, budget=budget)
+        calls.append((r, tuple(eta), value))
+        return value
+
+    monkeypatch.setattr(siegel, "term_oracle", recording)
+    check_against_oracle(data, P2)
+    _, blocks = series_blocks(data, 2)
+    placed = [(b, r) for b in blocks for r in b.rs]
+    assert [(r, tuple(b.eta())) for b, r in placed] == [c[:2] for c in calls]
+    rebuilt = [Fraction(0)] * (2 * data.k + 3)
+    for (b, r), (_, _, value) in zip(placed, calls):
+        rebuilt[2 * r + b.shift] += value * Fraction(p) ** (r + b.power)
+    assert SeriesPoly(rebuilt) == assemble_series(data, P2).terms
+    if data.case is Splitting.INERT:
+        assert data.k == 4 and len(calls) == data.k + 2
+        assert all(eta == data.coords for _, eta, _ in calls)
+
+
 # ---------------------------------------------------------------------------
 # Series assembly and the unit-norm corollaries
 # ---------------------------------------------------------------------------
@@ -452,11 +519,10 @@ def _split_series_reference(data, n):
 
 
 def test_eta_family_invariants_match_the_rescaled_vectors():
-    """The (v, v_p(q)) the split family reads off T equal those of the
+    """The (v, v_p(q)) the split blocks read off T equal those of the
     rescaled vectors themselves, also when k1 or k2 is declared one too
-    deep, which puts the last vector outside the lattice."""
-    from qeis.siegel import _eta_family
-
+    deep, which puts the last vector outside the lattice; each block's own
+    eta is that rescaled vector."""
     checked = outside = 0
     for D, p in ((7, 2), (3, 7), (3, 13), (11, 5)):
         F = FieldE(D)
@@ -472,7 +538,10 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
                 etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
                          for j in range(1, deep.k2 + 1)]
                 expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
-                assert _eta_family(deep, sh) == expected, (D, p, T, dk1, dk2)
+                shape, blocks = series_blocks(deep, 2)
+                assert shape == sh
+                assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T, dk1, dk2)
+                assert [list(b.eta()) for b in blocks] == [eta for _, eta in etas]
                 checked += len(expected)
                 outside += sum(inv is None for _, inv in expected)
     assert (checked, outside) == (96, 24)
