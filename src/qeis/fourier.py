@@ -23,7 +23,7 @@ from functools import lru_cache
 from scipy.special import zeta
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
-                    sigma_k, sqrtp_eval_halfint, vp)
+                    sigma_k, sqrtp_eval_halfint)
 from .errors import ResourceBudgetError, ValidationError
 from .hermitian import (FieldE, GlobalVector, Params, QuadInt,
                         local_quadratic_data, norm, prime_ideal_valuation)
@@ -31,6 +31,7 @@ from .siegel import q_poly
 from .archimedean import WhittakerEval, whittaker_at
 
 REGION_SCALE = 2  # coordinate box: N(a), N(b) <= REGION_SCALE * (bound + 1)
+MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,12 @@ def rank1_coefficient(T: GlobalVector, P: Params, F: FieldE,
                               sigma=sigma, whittaker=w)
 
 
+def local_polynomials(T: GlobalVector, P: Params, F: FieldE) -> dict:
+    """{p: Q_{T,p}} over the primes p dividing <T, T>; None is the zero marker."""
+    return {p: q_poly(local_quadratic_data(T, F, p, P), P)
+            for p in prime_factors(norm(T, F))}
+
+
 def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
                       nu_scale: Fraction = Fraction(1),
                       with_whittaker: bool = False) -> FourierCoefficient:
@@ -108,20 +115,14 @@ def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
     |nu(m)|^(n-l) when a finite M-translation with |nu(m)| = nu_scale is
     applied.  Zero when some local polynomial is the zero marker.
     """
-    nrm = norm(T, F)
-    if nrm <= 0:
+    if norm(T, F) <= 0:
         raise ValidationError("rank-2 coefficients need <T, T> > 0")
     two_e = 2 * P.ell - P.n + 1
-    local = {}
+    local = local_polynomials(T, P, F)
     prod = Fraction(1)
-    for p in prime_factors(nrm):
-        if vp(nrm, p) == 0:
-            continue
-        q = q_poly(local_quadratic_data(T, F, p, P), P)
-        if q is None:
-            prod = Fraction(0)
-            break
-        local[p] = q
+    if None in local.values():
+        prod, local = Fraction(0), {}
+    for q in local.values():
         prod *= sqrtp_eval_halfint(q, two_e)
     rational = d_nl(P, F) * prod * Fraction(nu_scale) ** (P.n - P.ell)
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
@@ -188,64 +189,41 @@ class ExpansionTable:
     entries: tuple
 
 
-def _coords_in_disc(F: FieldE, cap: int):
-    """All x + y omega with N <= cap, lexicographic in (x, y)."""
-    out = []
-    if cap < 0:
-        return out
-    ymax = int(math.isqrt(4 * cap // F.D)) + 1
-    for x in range(-cap - 1, cap + 2):
-        for y in range(-ymax, ymax + 1):
-            z = QuadInt(x, y)
-            if z.norm(F) <= cap:
-                out.append(z)
-    return out
+def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int) -> list:
+    """Nonzero T with N(a), N(b) <= cap and lo <= <T, T> <= hi, by (norm, coordinates)."""
+    ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1
+    disc = [z for x in range(-cap - 1, cap + 2) for y in range(-ymax, ymax + 1)
+            if (z := QuadInt(x, y)).norm(F) <= cap]
+    vectors = []
+    for a in disc:
+        for b in disc:
+            T = GlobalVector(a, b)
+            if T and lo <= norm(T, F) <= hi:
+                vectors.append(T)
+    vectors.sort(key=lambda T: (norm(T, F), T.a.x, T.a.y, T.b.x, T.b.y))
+    return vectors
 
 
-def _entry_key(T: GlobalVector, F: FieldE):
-    return (norm(T, F), T.a.x, T.a.y, T.b.x, T.b.y)
-
-
-def _table_worker(args):
-    T, P, F = args
-    return coefficient(T, P, F)
-
-
-def full_expansion(P: Params, F: FieldE, bound: int, workers: int = 1,
-                   max_vectors: int = 200000) -> ExpansionTable:
+def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
     """Expansion table over the coordinate region N(a), N(b) <= 2 (bound+1).
 
     Keeps every enumerated T with 0 <= <T,T> <= bound; the isotropic family
     is infinite, so the table is complete only within the declared region.
-    Entries are sorted by (norm, coordinates) and the build is deterministic
-    for any worker count.
+    Entries are sorted by (norm, coordinates) and built serially, one
+    coefficient at a time; a region of more than MAX_TABLE_VECTORS vectors
+    raises ResourceBudgetError.
     """
     if P.n != 2:
         raise ValidationError("expansion tables exist only for the n = 2 model")
     if bound < 0:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
-    disc = _coords_in_disc(F, cap)
-    vectors = []
-    for a in disc:
-        for b in disc:
-            T = GlobalVector(a, b)
-            if not T:
-                continue
-            if 0 <= norm(T, F) <= bound:
-                vectors.append(T)
-    if len(vectors) > max_vectors:
+    vectors = vectors_in_region(F, cap, 0, bound)
+    if len(vectors) > MAX_TABLE_VECTORS:
         raise ResourceBudgetError(f"{len(vectors)} vectors exceed the table budget")
-    vectors.sort(key=lambda T: _entry_key(T, F))
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            entries = pool.map(_table_worker, [(T, P, F) for T in vectors])
-    else:
-        entries = [coefficient(T, P, F) for T in vectors]
     return ExpansionTable(D=F.D, params=P, bound=bound, region_norm_cap=cap,
-                          constant=constant_term(P, F), entries=tuple(entries))
+                          constant=constant_term(P, F),
+                          entries=tuple(coefficient(T, P, F) for T in vectors))
 
 
 def denominator_bound_check(table: ExpansionTable):

@@ -137,8 +137,13 @@ def global_vector(ax: int, ay: int, bx: int, by: int) -> GlobalVector:
 
 
 def norm(T: GlobalVector, F: FieldE) -> int:
-    """<T, T> = Tr(a conj(b)), always a rational integer."""
-    return T.a.mul(T.b.conj(), F).trace()
+    """<T, T> = Tr(a conj(b)), always a rational integer.
+
+    With a = a0 + a1 omega and b = b0 + b1 omega it is 2 a0 b0 + a0 b1 + a1 b0
+    + ((1+D)/2) a1 b1, read off in ints: building a conj(b) as QuadInts costs 6x.
+    """
+    a, b = T.a, T.b
+    return 2 * a.x * b.x + a.x * b.y + a.y * b.x + 2 * F.omega_norm * a.y * b.y
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +180,16 @@ def omega_root_lift(F: FieldE, p: int, prec: int) -> int:
     return r
 
 
-def _vp_bounded(x: int, p: int, prec: int):
-    """Valuation of a residue known mod p^prec; None means >= prec (ambiguous)."""
-    x %= p ** prec
-    if x == 0:
-        return None
-    return vp(x, p)
+def _split_embeddings(T: GlobalVector, F: FieldE, p: int, prec: int) -> tuple:
+    """(sigma1(a), sigma1(b)) and (sigma2(a), sigma2(b)) mod p^prec.
+
+    sigma1 sends omega to the Hensel-lifted root r, sigma2 to the conjugate
+    root 1 - r (the roots sum to 1).
+    """
+    mod = p ** prec
+    r = omega_root_lift(F, p, prec)
+    return tuple(((T.a.x + T.a.y * root) % mod, (T.b.x + T.b.y * root) % mod)
+                 for root in (r, 1 - r))
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +200,14 @@ def _split_vals(T: GlobalVector, F: FieldE, p: int) -> tuple:
     """(v_p1(T), v_p2(T)) via the Hensel-lifted root embeddings."""
     na = T.a.norm(F)
     nb = T.b.norm(F)
-    cap = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0, 0)
-    prec = int(cap) + 2
-    r = omega_root_lift(F, p, prec)
-    r2 = (1 - r) % p ** prec  # the conjugate root: root sum is 1
+    prec = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0) + 2
     vals = []
-    for root in (r, r2):
-        vs = []
-        for z in (T.a, T.b):
-            if z:
-                v = _vp_bounded(z.x + z.y * root, p, prec)
-                if v is None:
-                    raise InternalConsistencyError("split valuation exceeded precision cap")
-                vs.append(v)
-        vals.append(min(vs))
+    for images in _split_embeddings(T, F, p, prec):
+        # a coordinate's image is known mod p^prec; 0 there means v >= prec
+        nonzero = [s for s, z in zip(images, (T.a, T.b)) if z]
+        if 0 in nonzero:
+            raise InternalConsistencyError("split valuation exceeded precision cap")
+        vals.append(min(vp(s, p) for s in nonzero))
     return vals[0], vals[1]
 
 
@@ -269,15 +272,12 @@ def _min_vp(vec, p: int):
 
 def _split_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> LocalVectorData:
     na, nb = T.a.norm(F), T.b.norm(F)
-    cap = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0, k, 0)
-    prec = int(cap) + 2
+    prec = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0, k) + 2
     mod = p ** prec
-    r = omega_root_lift(F, p, prec)
-    r2 = (1 - r) % mod
     # first embedding on the x-block, swapped second embedding on the y-block,
     # so that q(coords) = sigma1(a) sigma2(b) + sigma1(b) sigma2(a) = <T, T>
-    t1 = ((T.a.x + T.a.y * r) % mod, (T.b.x + T.b.y * r) % mod)
-    t2 = ((T.b.x + T.b.y * r2) % mod, (T.a.x + T.a.y * r2) % mod)
+    t1, (s2a, s2b) = _split_embeddings(T, F, p, prec)
+    t2 = (s2b, s2a)
     k1 = _min_vp(t1, p)
     k2 = _min_vp(t2, p)
     q = (t1[0] * t2[0] + t1[1] * t2[1]) % mod

@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SqrtPPoly, prime_factors, vp
+from .arith import SqrtPPoly
 from .errors import ValidationError
-from .hermitian import FieldE, GlobalVector, Params, local_quadratic_data, norm
-from .siegel import q_poly
+from .fourier import local_polynomials
+from .hermitian import FieldE, GlobalVector, Params, norm
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +153,7 @@ def lift_coefficient(T: GlobalVector, h: EigenformData, P: Params, F: FieldE):
     if nrm <= 0:
         raise ValidationError("lift coefficients need <T, T> > 0")
     total = Fraction(1)
-    for p in prime_factors(nrm):
-        k = vp(nrm, p)
-        if k == 0:
-            continue
-        q = q_poly(local_quadratic_data(T, F, p, P), P)
+    for p, q in local_polynomials(T, P, F).items():
         a_p = h.eigenvalue(p)
         coeffs = lift_local_exact(q, h.weight)
         total *= sum(c * Fraction(a_p) ** m for m, c in enumerate(coeffs))
@@ -171,11 +167,8 @@ def lift_coefficient_numeric(T: GlobalVector, satake: dict, P: Params, F: FieldE
         raise ValidationError("lift coefficients need <T, T> > 0")
     e = P.ell - (P.n - 1) / 2.0
     total = complex(nrm ** e)
-    for p in prime_factors(nrm):
-        k = vp(nrm, p)
-        if k == 0:
-            continue
-        q = q_poly(local_quadratic_data(T, F, p, P), P)
+    for p, q in local_polynomials(T, P, F).items():
+        k = q.degree // 2
         alpha = satake[p] if isinstance(satake[p], complex) else satake[p].alpha
         val = 0j
         for i, di in enumerate(q.d):

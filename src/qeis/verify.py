@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import archimedean as arch
 from .arith import Splitting, prime_factors, vp
 from .errors import ValidationError
-from .fourier import d_nl, denominator_bound_check, full_expansion
-from .hermitian import FieldE, GlobalVector, Params, local_quadratic_data, norm
+from .fourier import (d_nl, denominator_bound_check, full_expansion,
+                      vectors_in_region)
+from .hermitian import FieldE, Params, local_quadratic_data, norm
 from .siegel import (b_series, c_series, c_term_gauss, extract_P, extract_R,
                      R_closed_form, q_poly, ramified_invariants,
                      ramified_shape, split_shape, term_oracle, term_ramified,
@@ -134,20 +135,6 @@ def suite_oracle(ps=ORACLE_PRIMES, budget: int | None = None, count: int = 50) -
 # Functional equations
 # ---------------------------------------------------------------------------
 
-def _vectors_with_positive_norm(F: FieldE, norm_cap: int, coord_cap: int):
-    from .fourier import _coords_in_disc
-
-    disc = _coords_in_disc(F, coord_cap)
-    seen = []
-    for a in disc:
-        for b in disc:
-            T = GlobalVector(a, b)
-            if T and 0 < norm(T, F) <= norm_cap:
-                seen.append(T)
-    seen.sort(key=lambda T: (norm(T, F), T.a.x, T.a.y, T.b.x, T.b.y))
-    return seen
-
-
 def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
                      ell: int = 3) -> dict:
     """Exact functional equations for every P, R and Q on the global grid.
@@ -160,7 +147,7 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
     P = Params(n=2, ell=ell)
     for D in Ds:
         F = FieldE(D)
-        vectors = _vectors_with_positive_norm(F, norm_cap, coord_cap)
+        vectors = vectors_in_region(F, coord_cap, 1, norm_cap)
         covered = {norm(T, F) for T in vectors}
         missing = [v for v in range(1, norm_cap + 1) if v not in covered]
         if missing:

@@ -6,7 +6,12 @@ import pytest
 from qeis.bessel import bessel_k, bessel_k_scaled
 from qeis.errors import ValidationError
 
-mp.mp.dps = 30
+
+@pytest.fixture(autouse=True)
+def _mp_precision():
+    """Every mpmath reference in this module runs at 30 digits, and only here."""
+    with mp.workdps(30):
+        yield
 
 
 def k_quadrature(v, x):

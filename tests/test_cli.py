@@ -89,6 +89,19 @@ def test_budget_exit_code(tmp_path):
     assert code == 4
 
 
+def test_table_budget_exit_code(monkeypatch, capsys):
+    from qeis import fourier
+
+    monkeypatch.setattr(fourier, "MAX_TABLE_VECTORS", 5)
+    assert main(["expand", "--D", "3", "--bound", "2"]) == 4
+    assert "exceed the table budget" in capsys.readouterr().err
+
+
+def test_unknown_suite_is_a_validation_error(capsys):
+    assert main(["verify", "--suite", "bogus"]) == 2
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
+
+
 def test_expand_schema_and_determinism(tmp_path):
     f1, f2, f3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     for f, workers in ((f1, "1"), (f2, "1"), (f3, "2")):

@@ -123,12 +123,12 @@ def test_constant_term_numeric():
     assert ct.rational == 1
     assert ct.symbolic == "zetaE(l+1)/pi^(2l+1)"
     # zeta(4) = pi^4 / 90; L(4, chi_-3) = 3^-4 (zeta(4, 1/3) - zeta(4, 2/3))
-    mp.mp.dps = 25
-    L = mp.mpf(3) ** -4 * (mp.zeta(4, mp.mpf(1) / 3) - mp.zeta(4, mp.mpf(2) / 3))
-    ref = float(mp.zeta(4) * L)
-    assert abs(ct.zeta_E - ref) < 1e-12
-    assert abs(ct.numeric - ref / math.pi ** 7) < 1e-15
-    assert abs(float(mp.zeta(4)) - math.pi ** 4 / 90) < 1e-12
+    with mp.workdps(25):
+        L = mp.mpf(3) ** -4 * (mp.zeta(4, mp.mpf(1) / 3) - mp.zeta(4, mp.mpf(2) / 3))
+        ref = float(mp.zeta(4) * L)
+        assert abs(ct.zeta_E - ref) < 1e-12
+        assert abs(ct.numeric - ref / math.pi ** 7) < 1e-15
+        assert abs(float(mp.zeta(4)) - math.pi ** 4 / 90) < 1e-12
 
 
 @pytest.mark.parametrize("D", [3, 7, 11, 19, 23, 31, 43])
@@ -171,13 +171,11 @@ def test_full_expansion_bound_zero():
     assert all(e.rank == 1 for e in table.entries)
 
 
-def test_full_expansion_reproducible_and_parallel():
+def test_full_expansion_reproducible():
     t1 = full_expansion(P3, F3, 2)
     t2 = full_expansion(P3, F3, 2)
-    t3 = full_expansion(P3, F3, 2, workers=2)
     assert [e.rational for e in t1.entries] == [e.rational for e in t2.entries]
-    assert [e.rational for e in t1.entries] == [e.rational for e in t3.entries]
-    assert [e.T.as_list() for e in t1.entries] == [e.T.as_list() for e in t3.entries]
+    assert [e.T.as_list() for e in t1.entries] == [e.T.as_list() for e in t2.entries]
 
 
 def test_denominator_bound_examples():

@@ -53,6 +53,12 @@ def test_sqrt_minus_D_square():
 # Global vectors and norms
 # ---------------------------------------------------------------------------
 
+@given(qi, qi, st.sampled_from([3, 7, 11, 19, 23]))
+def test_norm_is_trace_of_a_times_conj_b(a, b, D):
+    F = FieldE(D)
+    assert norm(GlobalVector(a, b), F) == a.mul(b.conj(), F).trace()
+
+
 def test_norm_examples():
     assert norm(global_vector(1, 0, 1, 0), F3) == 2
     # b = sqrt(-3) = -1 + 2 omega gives an isotropic vector

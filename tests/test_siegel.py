@@ -712,12 +712,12 @@ def test_q_poly_key_is_sufficient():
     p = 2 (D = 3) and ramified p = 3, 7, 11.
     """
     from qeis.arith import prime_factors
-    from qeis.verify import _vectors_with_positive_norm
+    from qeis.fourier import vectors_in_region
 
     seen = set()
     for D in (3, 7, 11, 19):
         F = FieldE(D)
-        for T in _vectors_with_positive_norm(F, 12, 16):
+        for T in vectors_in_region(F, 16, 1, 12):
             for p in prime_factors(norm(T, F)):
                 data = local_quadratic_data(T, F, p, P2)
                 assert q_poly_closed_form(data, P2) == q_poly(data, P2), (D, T, p)
