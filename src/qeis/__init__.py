@@ -21,8 +21,8 @@ from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       denominator_bound_check, full_expansion,
                       rank1_coefficient, rank2_coefficient, sigma_E)
 from .hermitian import (FieldE, GlobalVector, LocalVectorData, Params,
-                        QuadInt, global_vector, local_quadratic_data, norm,
-                        prime_ideal_valuation, quadint)
+                        QuadInt, global_vector, local_key, local_quadratic_data,
+                        norm, prime_ideal_valuation, quadint)
 from .lift import (EigenformData, SatakeParam, delta_eigenvalues,
                    lift_coefficient, lift_coefficient_numeric,
                    satake_from_eigenvalue, standard_L_factors)

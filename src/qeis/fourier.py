@@ -24,10 +24,10 @@ from scipy.special import zeta
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
                     sigma_k, sqrtp_eval_halfint)
-from .errors import ResourceBudgetError, ValidationError
-from .hermitian import (FieldE, GlobalVector, Params, QuadInt,
-                        local_quadratic_data, norm, prime_ideal_valuation)
-from .siegel import q_poly
+from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
+from .hermitian import (FieldE, GlobalVector, Params, QuadInt, local_key, norm,
+                        prime_ideal_valuation)
+from .siegel import q_poly_of_invariants
 from .archimedean import WhittakerEval, whittaker_at
 
 REGION_SCALE = 2  # coordinate box: N(a), N(b) <= REGION_SCALE * (bound + 1)
@@ -101,9 +101,23 @@ def rank1_coefficient(T: GlobalVector, P: Params, F: FieldE,
 
 
 def local_polynomials(T: GlobalVector, P: Params, F: FieldE) -> dict:
-    """{p: Q_{T,p}} over the primes p dividing <T, T>; None is the zero marker."""
-    return {p: q_poly(local_quadratic_data(T, F, p, P), P)
-            for p in prime_factors(norm(T, F))}
+    """{p: Q_{T,p}} over the primes p dividing <T, T>.
+
+    Each Q is served by its key (p, case, n, k, k1, k2), with (case, k, k1, k2)
+    read once from T's valuations by :func:`local_key`; no coordinates are
+    built.  The global model has n = 2 only, so other n raise ValidationError.
+    A failed consistency check of a Q build is re-raised naming T and p.
+    """
+    if P.n != 2:
+        raise ValidationError("the built-in global model has n = 2")
+    local = {}
+    for p in prime_factors(norm(T, F)):
+        case, k, k1, k2 = local_key(T, F, p)
+        try:
+            local[p] = q_poly_of_invariants(p, case, P.n, k, k1, k2)
+        except InternalConsistencyError as exc:
+            raise InternalConsistencyError(f"T = {T.as_list()}, p = {p}: {exc}") from exc
+    return local
 
 
 def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
@@ -113,15 +127,13 @@ def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
 
     rational = D_{n,l} * prod_{p | <T,T>} Q_{T,p}(p^(l-(n-1)/2)), scaled by
     |nu(m)|^(n-l) when a finite M-translation with |nu(m)| = nu_scale is
-    applied.  Zero when some local polynomial is the zero marker.
+    applied.
     """
     if norm(T, F) <= 0:
         raise ValidationError("rank-2 coefficients need <T, T> > 0")
     two_e = 2 * P.ell - P.n + 1
     local = local_polynomials(T, P, F)
     prod = Fraction(1)
-    if None in local.values():
-        prod, local = Fraction(0), {}
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, two_e)
     rational = d_nl(P, F) * prod * Fraction(nu_scale) ** (P.n - P.ell)

@@ -232,6 +232,28 @@ def prime_ideal_valuation(T: GlobalVector, F: FieldE, p: int):
     return min(vp(z.norm(F), p) for z in coords)
 
 
+def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
+    """(case, k, k1, k2) of T at p, read off the prime-ideal valuations.
+
+    k = v_p(<T, T>) always; split p: (k1, k2) = (v_p1(T), v_p2(T)); inert p:
+    k1 = k2 = v_p(T); ramified p: k1 = floor(v_varpi(T)/2) and
+    k2 = ceil(v_varpi(T)/2).  With p and n this is the key Q_{T,p} depends on.
+    Requires <T, T> != 0.
+    """
+    nrm = norm(T, F)
+    if nrm == 0:
+        raise ValidationError("the local key requires <T, T> != 0")
+    case = F.splitting(p)
+    vals = prime_ideal_valuation(T, F, p)
+    if case is Splitting.SPLIT:
+        k1, k2 = vals
+    elif case is Splitting.INERT:
+        k1 = k2 = vals
+    else:
+        k1, k2 = vals // 2, (vals + 1) // 2
+    return case, vp(nrm, p), k1, k2
+
+
 # ---------------------------------------------------------------------------
 # Local quadratic-lattice data
 # ---------------------------------------------------------------------------
@@ -240,10 +262,12 @@ def prime_ideal_valuation(T: GlobalVector, F: FieldE, p: int):
 class LocalVectorData:
     """Per-prime data feeding the Siegel-series engine.
 
-    ``coords`` holds the quadratic-lattice coordinates of T in the split
-    normal form Sum x_i y_i (case split/inert, rank 2m, layout x-block then
-    y-block) or the ramified normal form Sum_{i<=m} x_i y_i + p Sum_{i>m}
-    x_i y_i (rank 4m).  For the ramified case ``coords_over_uniformizer``
+    Q_{T,p} reads only the key (p, case, n, k, k1, k2).  ``coords`` holds the
+    quadratic-lattice coordinates of T, read by the oracle check and by
+    :func:`qeis.siegel.q_poly`'s check of the key, in the split normal form
+    Sum x_i y_i (case split/inert, layout x-block then y-block) or the
+    ramified normal form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i (m = n/2),
+    2n entries either way.  For the ramified case ``coords_over_uniformizer``
     additionally holds the coordinates of T/varpi, which may carry
     denominator p.  All integer entries are exact representatives of the
     p-adic coordinates modulo p^prec with prec >= k + 2.
@@ -259,46 +283,29 @@ class LocalVectorData:
     coords_over_uniformizer: tuple = field(default=())
     prec: int = 0
 
-    @property
-    def m(self) -> int:
-        """Hyperbolic rank of the attached quadratic lattice."""
-        return self.n if self.case is not Splitting.RAMIFIED else self.n // 2
 
-
-def _min_vp(vec, p: int):
-    vals = [vp(int(c), p) for c in vec]
-    return min(vals)
-
-
-def _split_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> LocalVectorData:
+def _split_coords(T: GlobalVector, F: FieldE, p: int, k: int) -> tuple:
     na, nb = T.a.norm(F), T.b.norm(F)
     prec = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0, k) + 2
-    mod = p ** prec
     # first embedding on the x-block, swapped second embedding on the y-block,
     # so that q(coords) = sigma1(a) sigma2(b) + sigma1(b) sigma2(a) = <T, T>
     t1, (s2a, s2b) = _split_embeddings(T, F, p, prec)
     t2 = (s2b, s2a)
-    k1 = _min_vp(t1, p)
-    k2 = _min_vp(t2, p)
-    q = (t1[0] * t2[0] + t1[1] * t2[1]) % mod
+    q = (t1[0] * t2[0] + t1[1] * t2[1]) % p ** prec
     if k < prec and vp(q, p) != k:
         raise InternalConsistencyError("split local data lost the norm valuation")
-    return LocalVectorData(p=p, case=Splitting.SPLIT, n=n, k=k, k1=int(k1), k2=int(k2),
-                           coords=t1 + t2, prec=prec)
+    return t1 + t2, (), prec
 
 
-def _inert_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> LocalVectorData:
+def _inert_coords(T: GlobalVector, F: FieldE, p: int, k: int) -> tuple:
     # q(a, b) = Tr(a conj(b)) = 2 a0 b0 + a0 b1 + a1 b0 + ((1+D)/2) a1 b1,
     # split over Z_p by the unimodular change of basis M = [[2, 1], [1, (1+D)/2]]
     # on the b-block (det M = D, a unit for p not dividing D).
     x = (T.a.x, T.a.y)
     y = (2 * T.b.x + T.b.y, T.b.x + ((1 + F.D) // 2) * T.b.y)
-    k1 = _min_vp(x + y, p)
-    data = LocalVectorData(p=p, case=Splitting.INERT, n=n, k=k, k1=int(k1), k2=int(k1),
-                           coords=x + y, prec=max(k, 0) + 2)
     if x[0] * y[0] + x[1] * y[1] != norm(T, F):
         raise InternalConsistencyError("inert quadratic coordinates do not carry the norm")
-    return data
+    return x + y, (), k + 2
 
 
 def ramified_unit(F: FieldE, p: int) -> int:
@@ -308,9 +315,9 @@ def ramified_unit(F: FieldE, p: int) -> int:
     return -(F.D // p)
 
 
-def _ramified_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> LocalVectorData:
+def _ramified_coords(T: GlobalVector, F: FieldE, p: int, k: int) -> tuple:
     u = ramified_unit(F, p)
-    prec = max(k, 0) + 4
+    prec = k + 4
     mod = p ** prec
     inv2 = pow(2, -1, mod)
     # rewrite a = x1 + x2 varpi, b = y1 + y2 varpi with varpi = 2 omega - 1
@@ -321,39 +328,32 @@ def _ramified_local_data(T: GlobalVector, F: FieldE, p: int, n: int, k: int) -> 
     # <v, v> = 2 (x1 y1 - p u x2 y2); rescale to q = X1 Y1 + p X2 Y2
     X1, X2 = x1, (-2 * u * x2) % mod
     Y1, Y2 = (2 * y1) % mod, y2
-    coords = (X1, X2, Y1, Y2)
     if (X1 * Y1 + p * X2 * Y2 - norm(T, F)) % mod != 0:
         raise InternalConsistencyError("ramified normal form does not carry the norm")
-    v_unit = _min_vp((X1, Y1), p)
-    v_pblk = _min_vp((X2, Y2), p)
-    k1 = min(v_unit, v_pblk)
-    k2 = min(v_unit, v_pblk + 1)
-    if not (k1 <= k2 <= k1 + 1) or k - k1 - k2 < 0:
-        raise InternalConsistencyError("ramified valuations out of range")
     # T/varpi = (x2 + (x1/(p u)) varpi) c1 + (y2 + (y1/(p u)) varpi) c2: the unit
     # block and p-block swap, with denominators bounded by p; its normal-form
     # coordinates follow the rescaling of T's above
     uinv = pow(u, -1, mod)
     over = (Fraction(x2), -2 * u * Fraction(x1 * uinv % mod, p),
             2 * Fraction(y2), Fraction(y1 * uinv % mod, p))
-    return LocalVectorData(p=p, case=Splitting.RAMIFIED, n=n, k=k, k1=int(k1), k2=int(k2),
-                           coords=coords, coords_over_uniformizer=over, prec=prec)
+    return (X1, X2, Y1, Y2), over, prec
+
+
+_COORDS = {Splitting.SPLIT: _split_coords, Splitting.INERT: _inert_coords,
+           Splitting.RAMIFIED: _ramified_coords}
 
 
 def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> LocalVectorData:
-    """Quadratic-lattice coordinates and valuation data of T at p (n = 2 model).
+    """Quadratic-lattice coordinates of T at p, with the key of :func:`local_key`.
 
-    Requires <T, T> != 0; rank-1 vectors never reach the Siegel engine.
+    The coordinates serve `local`, its oracle check and the functional
+    suite; Q_{T,p} itself needs only the key.  Requires n = 2 (the built-in
+    global model) and <T, T> != 0; rank-1 vectors never reach the Siegel
+    engine.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2; supply LocalVectorData directly")
-    nrm = norm(T, F)
-    if nrm == 0:
-        raise ValidationError("local quadratic data requires <T, T> != 0")
-    k = int(vp(nrm, p))
-    cls = F.splitting(p)
-    if cls is Splitting.SPLIT:
-        return _split_local_data(T, F, p, P.n, k)
-    if cls is Splitting.INERT:
-        return _inert_local_data(T, F, p, P.n, k)
-    return _ramified_local_data(T, F, p, P.n, k)
+    case, k, k1, k2 = local_key(T, F, p)
+    coords, over, prec = _COORDS[case](T, F, p, k)
+    return LocalVectorData(p=p, case=case, n=P.n, k=k, k1=k1, k2=k2, coords=coords,
+                           coords_over_uniformizer=over, prec=prec)

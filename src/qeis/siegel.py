@@ -379,12 +379,12 @@ class SeriesBlock(NamedTuple):
     """One eta of the local series: for r in ``rs``, term r of eta times
     p^(r + power) adds to the coefficient of t^(2r + shift), a negative
     exponent dividing exactly.  ``inv`` is what the closed form reads:
-    (v(eta), v_p(q(eta))) on the split lattice, None for eta outside it,
-    (k1, k2, k) on the ramified one.  ``eta()`` builds the vector itself, which
-    only the oracle check needs; ``name`` says how eta comes from T."""
+    (v(eta), v_p(q(eta))) on the split lattice, (k1, k2, k) on the ramified
+    one.  ``eta()`` builds the vector itself from the coordinates, which only
+    the oracle check needs; ``name`` says how eta comes from T."""
 
     name: str
-    inv: tuple | None
+    inv: tuple
     rs: range
     shift: int
     power: int
@@ -394,48 +394,39 @@ class SeriesBlock(NamedTuple):
 def series_blocks(data: LocalVectorData, n: int):
     """(shape, blocks) of the local series E^T_{2,p}(s), per splitting case.
 
-    Inert: T itself, a single B-series in t^2.  Split: the double sum over
+    Every block's invariants come from the key (k, k1, k2) alone; the
+    coordinates are read only by ``eta()``.  Inert: T itself, a single
+    B-series in t^2 with invariants (k1, k).  Split: the double sum over
     (r1, r2) splits into the diagonal and the wedges r1 < r2, r1 > r2, each a
     shifted B-series of (p^-i T1, T2), i = 0..k1, or (T1, p^-j T2),
-    j = 1..k2, whose invariants are read off T's once: dividing a block by
-    p^i lowers its valuation and v_p(q) by i, and takes eta out of the
-    lattice when the block's valuation is below i.  Ramified: the even part
-    is the C-series of T/varpi, with invariants (k2 - 1, k1, k - 1), and the
-    odd part p^(s-n) times the C-series of T less its r = 0 term.
+    j = 1..k2: dividing a block by p^i lowers its valuation and v_p(q) by i,
+    so block (i, j) has invariants (min(k1 - i, k2 - j), k - i - j).
+    Ramified: the even part is the C-series of T/varpi, with invariants
+    (k2 - 1, k1, k - 1), and the odd part p^(s-n) times the C-series of T
+    less its r = 0 term.
     """
-    p, k, coords = data.p, data.k, data.coords
+    p, k, k1, k2, coords = data.p, data.k, data.k1, data.k2, data.coords
     if data.case is Splitting.RAMIFIED:
-        k1, k2 = data.k1, data.k2
         return ramified_shape(p, n // 2), [
             SeriesBlock("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
                         lambda: data.coords_over_uniformizer),
             SeriesBlock("T", (k1, k2, k), range(1, k + 2), -1, -n, lambda: coords)]
     shape = split_shape(p, n)
-    inv = unramified_invariants(coords, shape)
     if data.case is Splitting.INERT:
-        return shape, [SeriesBlock("T", inv, range(k + 2), 0, 0, lambda: coords)]
+        return shape, [SeriesBlock("T", (k1, k), range(k + 2), 0, 0, lambda: coords)]
     half = len(coords) // 2
-    if inv is not None:
-        v1 = min(vp(int(c), p) for c in coords[:half])
-        v2 = min(vp(int(c), p) for c in coords[half:])
-    blocks = []
-    for i, j in [(i, 0) for i in range(data.k1 + 1)] + [(0, j) for j in range(1, data.k2 + 1)]:
-        blocks.append(SeriesBlock(
-            f"(p^-{i} T1, T2)" if i else f"(T1, p^-{j} T2)" if j else "T",
-            None if inv is None or v1 < i or v2 < j else (min(v1 - i, v2 - j), inv[1] - i - j),
-            range(k - i - j + 2), i + j, n * (i + j),
-            lambda i=i, j=j: tuple(Fraction(c, p ** (i if h < half else j))
-                                   for h, c in enumerate(coords))))
-    return shape, blocks
+    return shape, [SeriesBlock(
+        f"(p^-{i} T1, T2)" if i else f"(T1, p^-{j} T2)" if j else "T",
+        (min(k1 - i, k2 - j), k - i - j), range(k - i - j + 2), i + j, n * (i + j),
+        lambda i=i, j=j: tuple(Fraction(c, p ** (i if h < half else j))
+                               for h, c in enumerate(coords)))
+        for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
-def _closed_terms(inv, rs: range, shape: QuadLatticeShape) -> list:
+def _closed_terms(inv: tuple, rs: range, shape: QuadLatticeShape) -> list:
     """[term_r for r in rs] of an eta with invariants ``inv``, in int arithmetic."""
-    if shape.form == "ramified":
-        return [c_term(r, *inv, shape.m, shape.p) for r in rs]
-    if inv is None:
-        return [0] * len(rs)
-    return [b_term(r, *inv, shape.m, shape.p) for r in rs]
+    term = c_term if shape.form == "ramified" else b_term
+    return [term(r, *inv, shape.m, shape.p) for r in rs]
 
 
 def assemble_series(data: LocalVectorData, P) -> LocalSeries:
@@ -499,7 +490,9 @@ def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
 
 def b_series(eta, shape: QuadLatticeShape, k: int) -> SeriesPoly:
     """B-series of eta in the variable t' = p^(1-2s), truncated at r = k + 1."""
-    return SeriesPoly(_closed_terms(unramified_invariants(eta, shape), range(k + 2), shape))
+    inv = unramified_invariants(eta, shape)
+    return SeriesPoly([0 if inv is None else b_term(r, *inv, shape.m, shape.p)
+                       for r in range(k + 2)])
 
 
 def c_series(k1: int, k2: int, k: int, m: int, p: int) -> SeriesPoly:
@@ -688,23 +681,17 @@ def _check_invariants(data: LocalVectorData, n: int) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
-                          k2: int) -> SqrtPPoly:
+def q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
+                         k2: int) -> SqrtPPoly:
     """Q_{T,p} for every T with local invariants (p, case, n, k, k1, k2).
 
     Both routes read T only through these invariants, so they run once per
-    key, on a canonical representative: x = (p^k1, 0, ...) and
-    y = (p^(k-k1), p^k2, 0, ...) when p is unramified; no coordinates when p
-    is ramified, where both routes read the invariants alone.
+    key, on local data without coordinates.  Callers with a global T read the
+    key off its valuations (:func:`qeis.hermitian.local_key`); :func:`q_poly`
+    first checks a declared key against the coordinates.
     """
     key = f"(p, case, n, k, k1, k2) = ({p}, {case.value}, {n}, {k}, {k1}, {k2})"
-    if case is Splitting.RAMIFIED:
-        coords = ()
-    else:
-        zeros = (0,) * (n - 2)
-        coords = (p ** k1, 0) + zeros + (p ** (k - k1), p ** k2) + zeros
-    data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=coords,
-                           prec=k + 2)
+    data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
     P = Params(n=n, ell=n + 1)  # both routes read only P.n
     closed = q_poly_closed_form(data, P)
     divided = q_poly_from_series(assemble_series(data, P))
@@ -735,4 +722,4 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
             Fraction(c).denominator == 1 for c in data.coords):
         return None
     _check_invariants(data, P.n)
-    return _q_poly_of_invariants(data.p, data.case, P.n, data.k, data.k1, data.k2)
+    return q_poly_of_invariants(data.p, data.case, P.n, data.k, data.k1, data.k2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -54,6 +55,8 @@ def test_local_oracle_split_with_divisible_coordinates(tmp_path):
 
 def test_validation_exit_codes():
     assert main(["local", "--D", "4", "--p", "2", "--T", "1,0,1,0"]) == 2
+    # the global model has n = 2 only; its valuations must not key an n = 6 Q
+    assert main(["coeff", "--D", "3", "--n", "6", "--ell", "8", "--T", "1,0,1,0"]) == 2
     assert main(["local", "--D", "3", "--p", "2", "--T", "1,0"]) == 2
     assert main(["verify", "--suite", "nonsense"]) == 2
     # isotropic vector has no local polynomial
@@ -194,3 +197,36 @@ def test_env_budget_read_only_by_budget_commands(tmp_path, monkeypatch):
     out = tmp_path / "c.json"
     assert main(["coeff", "--D", "3", "--T", "1,0,1,0", "--out", str(out)]) == 0
     assert main(["local", "--D", "3", "--p", "2", "--T", "1,0,1,0", "--out", str(out)]) == 2
+
+
+def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
+    import qeis.siegel as siegel
+    from qeis.arith import SqrtPPoly
+
+    siegel.q_poly_of_invariants.cache_clear()
+    monkeypatch.setattr(siegel, "q_poly_closed_form",
+                        lambda data, P: SqrtPPoly(data.p, [1, 1, 1]))
+    assert main(["coeff", "--D", "3", "--T", "1,0,3,1"]) == 3  # norm 7, split
+    err = capsys.readouterr().err
+    assert "T = [[1, 0], [3, 1]], p = 7:" in err
+    assert "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)" in err
+    assert siegel.q_poly_of_invariants.cache_info().currsize == 0
+
+
+# SHA-256 of `expand --D D --ell 3 --bound 12` JSON without the two scipy floats
+EXPANSION_DIGESTS = {
+    3: "93bfc4789bfe73791b04059bc35cb2b8ef0ed4c6060caa934b3e8724aba400c8",
+    7: "f633bdf493f80f0508372bf22dd372b1dc0d517c20bb93b806ce96c9efe5eae5",
+}
+
+
+@pytest.mark.parametrize("D", sorted(EXPANSION_DIGESTS))
+def test_expansion_bytes_are_pinned(D, tmp_path):
+    out = tmp_path / "t.json"
+    assert main(["expand", "--D", str(D), "--ell", "3", "--bound", "12",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    kept = [line for line in lines
+            if not line.lstrip().startswith(('"numeric":', '"zetaE":'))]
+    assert len(lines) - len(kept) == 2
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == EXPANSION_DIGESTS[D]

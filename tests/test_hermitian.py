@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from qeis.arith import Splitting, vp
 from qeis.errors import ValidationError
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
-                            global_vector, local_quadratic_data, norm,
+                            global_vector, local_key, local_quadratic_data, norm,
                             omega_root_lift, prime_ideal_valuation, quadint,
                             ramified_unit, sqrt_minus_D)
 
@@ -212,3 +212,37 @@ def test_local_data_rejects_isotropic():
 def test_local_data_rejects_other_ranks():
     with pytest.raises(ValidationError):
         local_quadratic_data(global_vector(1, 0, 1, 0), F3, 3, Params(n=6, ell=8))
+
+
+def _key_from_coords(data):
+    """(case, k, k1, k2) read off the quadratic coordinates alone."""
+    from qeis.siegel import ramified_invariants, ramified_shape
+
+    p, coords = data.p, [int(c) for c in data.coords]
+    if data.case is Splitting.RAMIFIED:
+        k1, k2, k = ramified_invariants(coords, ramified_shape(p, 1))
+        return data.case, k, k1, k2
+    k1, k2 = (min(vp(c, p) for c in half) for half in (coords[:2], coords[2:]))
+    if data.case is Splitting.INERT:
+        k1 = k2 = min(k1, k2)
+    return data.case, vp(coords[0] * coords[2] + coords[1] * coords[3], p), k1, k2
+
+
+def test_local_key_matches_the_coordinates():
+    """The key read from T's valuations equals the key its coordinates carry,
+    on every (T, p) of a region, split and inert p = 2 and ramified p included."""
+    from qeis.arith import prime_factors
+    from qeis.fourier import vectors_in_region
+
+    pairs, seen = 0, set()
+    for D in (3, 7, 11, 19, 23):
+        F = FieldE(D)
+        for T in vectors_in_region(F, 26, 1, 24):
+            for p in prime_factors(norm(T, F)):
+                data = local_quadratic_data(T, F, p, P2)
+                assert local_key(T, F, p) == _key_from_coords(data), (D, T, p)
+                pairs += 1
+                seen.add((p, data.case))
+    assert pairs == 9412
+    assert {(2, Splitting.SPLIT), (2, Splitting.INERT), (3, Splitting.RAMIFIED),
+            (7, Splitting.RAMIFIED), (11, Splitting.RAMIFIED)} <= seen

@@ -195,3 +195,9 @@ def test_lift_local_exact_structure():
     q = q_poly(local_quadratic_data(global_vector(1, 0, 1, 0), F3, 2, P), P)
     coeffs = lift_local_exact(q, 12)
     assert coeffs == [Fraction(0), Fraction(1)]   # value = a_2 exactly
+
+
+def test_lift_rejects_ranks_without_a_global_model():
+    """The key carries n, so n = 6 must not be served from n = 2 valuations."""
+    with pytest.raises(ValidationError, match="n = 2"):
+        lift_coefficient(global_vector(1, 0, 1, 0), delta_eigenvalues(10), Params(6, 8), F3)

@@ -274,7 +274,7 @@ def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
     and the error names p, the case, (k, k1, k2), r and eta."""
     import qeis.siegel as siegel
 
-    siegel._q_poly_of_invariants.cache_clear()
+    siegel.q_poly_of_invariants.cache_clear()
     data = _check_data(D, p, T)
     check_against_oracle(data, P2)
     _, blocks = series_blocks(data, 2)
@@ -303,7 +303,7 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
     inert data is checked on T's own coordinates only, k + 2 terms."""
     import qeis.siegel as siegel
 
-    siegel._q_poly_of_invariants.cache_clear()
+    siegel.q_poly_of_invariants.cache_clear()
     data = _check_data(D, p, T)
     calls = []
 
@@ -519,11 +519,10 @@ def _split_series_reference(data, n):
 
 
 def test_eta_family_invariants_match_the_rescaled_vectors():
-    """The (v, v_p(q)) the split blocks read off T equal those of the
-    rescaled vectors themselves, also when k1 or k2 is declared one too
-    deep, which puts the last vector outside the lattice; each block's own
-    eta is that rescaled vector."""
-    checked = outside = 0
+    """The (v, v_p(q)) the split blocks read off T's key equal those of the
+    rescaled vectors themselves; each block's own eta is that rescaled
+    vector."""
+    checked = 0
     for D, p in ((7, 2), (3, 7), (3, 13), (11, 5)):
         F = FieldE(D)
         sh = split_shape(p, 2)
@@ -531,20 +530,17 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
             data = local_quadratic_data(global_vector(*T), F, p, P2)
             assert data.case is Splitting.SPLIT
             t1, t2 = list(data.coords[:2]), list(data.coords[2:])
-            for dk1, dk2 in ((0, 0), (1, 0), (0, 1)):
-                deep = dataclasses.replace(data, k1=data.k1 + dk1, k2=data.k2 + dk2)
-                etas = [(i, [Fraction(c, p ** i) for c in t1] + t2)
-                        for i in range(deep.k1 + 1)]
-                etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
-                         for j in range(1, deep.k2 + 1)]
-                expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
-                shape, blocks = series_blocks(deep, 2)
-                assert shape == sh
-                assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T, dk1, dk2)
-                assert [list(b.eta()) for b in blocks] == [eta for _, eta in etas]
-                checked += len(expected)
-                outside += sum(inv is None for _, inv in expected)
-    assert (checked, outside) == (96, 24)
+            etas = [(i, [Fraction(c, p ** i) for c in t1] + t2)
+                    for i in range(data.k1 + 1)]
+            etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
+                     for j in range(1, data.k2 + 1)]
+            expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
+            shape, blocks = series_blocks(data, 2)
+            assert shape == sh
+            assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T)
+            assert [list(b.eta()) for b in blocks] == [eta for _, eta in etas]
+            checked += len(expected)
+    assert checked == 24
 
 
 def test_deep_split_key_both_routes_agree():
@@ -694,7 +690,7 @@ def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
 def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
     import qeis.siegel as siegel
 
-    siegel._q_poly_of_invariants.cache_clear()
+    siegel.q_poly_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
                         lambda data, P: SqrtPPoly(data.p, [1, 1, 1]))
     data = local_quadratic_data(global_vector(1, 0, 3, 1), F3, 7, P2)  # norm 7, split
@@ -702,7 +698,7 @@ def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
         with pytest.raises(InternalConsistencyError) as err:
             q_poly(data, P2)
         assert "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)" in str(err.value)
-    assert siegel._q_poly_of_invariants.cache_info().currsize == 0
+    assert siegel.q_poly_of_invariants.cache_info().currsize == 0
 
 
 def test_q_poly_key_is_sufficient():
