@@ -6,7 +6,7 @@ engine with its lattice-count oracle, the archimedean checkers, the global
 Fourier assembly, and the candidate Saito-Kurokawa lifts.
 """
 
-from .arith import (IntPoly, Rational, SeriesPoly, Splitting, SqrtPPoly,
+from .arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
                     bernoulli, hyp2f1_terminating, kronecker_symbol,
                     ramanujan_sum, splitting_class, sqrtp_eval_halfint)
 from .archimedean import (PiRational, WhittakerEval, arch_constant,
@@ -22,7 +22,7 @@ from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       rank1_coefficient, rank2_coefficient, sigma_E)
 from .hermitian import (FieldE, GlobalVector, LocalVectorData, Params,
                         QuadInt, global_vector, local_key, local_quadratic_data,
-                        norm, prime_ideal_valuation, quadint)
+                        norm, quadint)
 from .lift import (EigenformData, SatakeParam, delta_eigenvalues,
                    lift_coefficient, lift_coefficient_numeric,
                    satake_from_eigenvalue, standard_L_factors)

@@ -19,8 +19,6 @@ from functools import lru_cache
 
 from .errors import InternalConsistencyError, ValidationError
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers

@@ -25,8 +25,7 @@ from scipy.special import zeta
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
                     sigma_k, sqrtp_eval_halfint)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
-from .hermitian import (FieldE, GlobalVector, Params, QuadInt, local_key, norm,
-                        prime_ideal_valuation)
+from .hermitian import FieldE, GlobalVector, Params, QuadInt, local_key, norm
 from .siegel import q_poly_of_invariants
 from .archimedean import WhittakerEval, whittaker_at
 
@@ -39,7 +38,12 @@ MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetErr
 # ---------------------------------------------------------------------------
 
 def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
-    """prod over prime ideals of sum_{i=0}^{v_p(T)} q^(i l), q the residue size."""
+    """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
+
+    At each p dividing the content, (case, k1, k2) of :func:`local_key` give
+    the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
+    Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
+    """
     if not T:
         raise ValidationError("sigma_E of the zero vector")
     na = T.a.norm(F) if T.a else 0
@@ -47,16 +51,14 @@ def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
     content = math.gcd(na, nb)
     total = 1
     for p in prime_factors(content):
-        cls = F.splitting(p)
-        vals = prime_ideal_valuation(T, F, p)
-        if cls is Splitting.SPLIT:
-            v1, v2 = vals
-            total *= sum(p ** (i * ell) for i in range(v1 + 1))
-            total *= sum(p ** (i * ell) for i in range(v2 + 1))
-        elif cls is Splitting.INERT:
-            total *= sum(p ** (2 * i * ell) for i in range(vals + 1))
+        case, _, k1, k2 = local_key(T, F, p)
+        if case is Splitting.SPLIT:
+            total *= sum(p ** (i * ell) for i in range(k1 + 1))
+            total *= sum(p ** (i * ell) for i in range(k2 + 1))
+        elif case is Splitting.INERT:
+            total *= sum(p ** (2 * i * ell) for i in range(k1 + 1))
         else:
-            total *= sum(p ** (i * ell) for i in range(vals + 1))
+            total *= sum(p ** (i * ell) for i in range(k1 + k2 + 1))
     return total
 
 
@@ -133,7 +135,7 @@ def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
         raise ValidationError("rank-2 coefficients need <T, T> > 0")
     two_e = 2 * P.ell - P.n + 1
     local = local_polynomials(T, P, F)
-    prod = Fraction(1)
+    prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, two_e)
     rational = d_nl(P, F) * prod * Fraction(nu_scale) ** (P.n - P.ell)
@@ -142,7 +144,13 @@ def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
 
 
 def coefficient(T: GlobalVector, P: Params, F: FieldE, **kw) -> FourierCoefficient:
-    """Dispatch on the sign of the norm (negative norms have zero coefficient)."""
+    """Dispatch on the sign of the norm (negative norms have zero coefficient).
+
+    The global model has n = 2 only, so other n raise ValidationError for
+    every T, isotropic and negative-norm ones included.
+    """
+    if P.n != 2:
+        raise ValidationError("the built-in global model has n = 2")
     nrm = norm(T, F)
     if nrm < 0:
         return FourierCoefficient(T=T, rank=2, rational=Fraction(0))

@@ -7,14 +7,16 @@ For n = 2 mod 4 with n > 2 no integral model is constructed; the Siegel
 engine accepts hand-built :class:`LocalVectorData` for those ranks.
 
 The ring of integers is Z[omega] with omega = (1 + sqrt(-D))/2, minimal
-polynomial X^2 - X + (1+D)/4.  At a split prime the two embeddings into Z_p
-are obtained by Hensel-lifting the two roots of that polynomial; at a
-ramified odd prime the uniformizer is pinned to sqrt(-D) = 2 omega - 1
+polynomial X^2 - X + (1+D)/4.  At a split prime the valuations of T come
+from N(z) and a root of that polynomial mod p; the two embeddings into Z_p,
+which only the quadratic coordinates need, are obtained by Hensel-lifting
+the two roots.  At a ramified odd prime the uniformizer is pinned to sqrt(-D) = 2 omega - 1
 itself, which has trace 0 and square -D = p * unit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,13 +79,8 @@ class QuadInt:
     def trace(self) -> int:
         return 2 * self.x + self.y
 
-    def scale(self, c: int) -> "QuadInt":
-        return QuadInt(c * self.x, c * self.y)
-
     def complex_embed(self, F: FieldE) -> complex:
         """Image under the fixed embedding omega -> (1 + i sqrt(D))/2."""
-        import math
-
         w = complex(0.5, math.sqrt(F.D) / 2.0)
         return self.x + self.y * w
 
@@ -180,78 +177,43 @@ def omega_root_lift(F: FieldE, p: int, prec: int) -> int:
     return r
 
 
-def _split_embeddings(T: GlobalVector, F: FieldE, p: int, prec: int) -> tuple:
-    """(sigma1(a), sigma1(b)) and (sigma2(a), sigma2(b)) mod p^prec.
-
-    sigma1 sends omega to the Hensel-lifted root r, sigma2 to the conjugate
-    root 1 - r (the roots sum to 1).
-    """
-    mod = p ** prec
-    r = omega_root_lift(F, p, prec)
-    return tuple(((T.a.x + T.a.y * root) % mod, (T.b.x + T.b.y * root) % mod)
-                 for root in (r, 1 - r))
-
-
 # ---------------------------------------------------------------------------
-# Per-prime-ideal valuations
+# The local key
 # ---------------------------------------------------------------------------
-
-def _split_vals(T: GlobalVector, F: FieldE, p: int) -> tuple:
-    """(v_p1(T), v_p2(T)) via the Hensel-lifted root embeddings."""
-    na = T.a.norm(F)
-    nb = T.b.norm(F)
-    prec = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0) + 2
-    vals = []
-    for images in _split_embeddings(T, F, p, prec):
-        # a coordinate's image is known mod p^prec; 0 there means v >= prec
-        nonzero = [s for s, z in zip(images, (T.a, T.b)) if z]
-        if 0 in nonzero:
-            raise InternalConsistencyError("split valuation exceeded precision cap")
-        vals.append(min(vp(s, p) for s in nonzero))
-    return vals[0], vals[1]
-
-
-def prime_ideal_valuation(T: GlobalVector, F: FieldE, p: int):
-    """Valuation data of T at the primes above p.
-
-    Split p: a pair (v_p1, v_p2).  Inert p: the single integer
-    min over coordinates of v_p(N(.))/2.  Ramified p: min over coordinates
-    of v_p(N(.)).
-    """
-    if not T:
-        raise ValidationError("prime_ideal_valuation of the zero vector")
-    cls = F.splitting(p)
-    if cls is Splitting.SPLIT:
-        return _split_vals(T, F, p)
-    coords = [z for z in (T.a, T.b) if z]
-    if cls is Splitting.INERT:
-        vals = [vp(z.norm(F), p) for z in coords]
-        if any(v % 2 for v in vals):
-            raise InternalConsistencyError("odd norm valuation at an inert prime")
-        return min(v // 2 for v in vals)
-    return min(vp(z.norm(F), p) for z in coords)
-
 
 def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
-    """(case, k, k1, k2) of T at p, read off the prime-ideal valuations.
+    """(case, k, k1, k2) of T at p, read off its prime-ideal valuations.
 
-    k = v_p(<T, T>) always; split p: (k1, k2) = (v_p1(T), v_p2(T)); inert p:
-    k1 = k2 = v_p(T); ramified p: k1 = floor(v_varpi(T)/2) and
-    k2 = ceil(v_varpi(T)/2).  With p and n this is the key Q_{T,p} depends on.
-    Requires <T, T> != 0.
+    This is the one reader of T's valuations at p.  k = v_p(<T, T>), +inf for
+    isotropic T.  Split p: (k1, k2) = (v_P1(T), v_P2(T)) with P1 = (p, omega - r)
+    and P2 = (p, omega - (1 - r)), r the root of :func:`_omega_root_mod_p`.
+    Writing z = p^c z' with z' primitive, z' lies in at most one of P1, P2, so
+    v_P(z) = v_p(N(z)) - c when z' = 0 mod P and c otherwise; no lift is
+    needed.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified p:
+    k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2), with v_varpi(T) the
+    least v_p(N(z)).  With p and n this is the key Q_{T,p} depends on.
     """
-    nrm = norm(T, F)
-    if nrm == 0:
-        raise ValidationError("the local key requires <T, T> != 0")
+    if not T:
+        raise ValidationError("local key of the zero vector")
     case = F.splitting(p)
-    vals = prime_ideal_valuation(T, F, p)
+    coords = [z for z in (T.a, T.b) if z]
+    k = vp(norm(T, F), p)
     if case is Splitting.SPLIT:
-        k1, k2 = vals
-    elif case is Splitting.INERT:
-        k1 = k2 = vals
-    else:
-        k1, k2 = vals // 2, (vals + 1) // 2
-    return case, vp(nrm, p), k1, k2
+        r = _omega_root_mod_p(F, p)
+        k1 = k2 = math.inf
+        for z in coords:
+            c = min(vp(z.x, p), vp(z.y, p))
+            full = vp(z.norm(F), p) - c
+            v1, v2 = (full, c) if (z.x + z.y * r) % p ** (c + 1) == 0 else (c, full)
+            k1, k2 = min(k1, v1), min(k2, v2)
+        return case, k, k1, k2
+    vals = [vp(z.norm(F), p) for z in coords]
+    v = min(vals)
+    if case is Splitting.INERT:
+        if any(x % 2 for x in vals):
+            raise InternalConsistencyError("odd norm valuation at an inert prime")
+        return case, k, v // 2, v // 2
+    return case, k, v // 2, (v + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +224,16 @@ def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
 class LocalVectorData:
     """Per-prime data feeding the Siegel-series engine.
 
-    Q_{T,p} reads only the key (p, case, n, k, k1, k2).  ``coords`` holds the
-    quadratic-lattice coordinates of T, read by the oracle check and by
+    Q_{T,p} reads only the key (p, case, n, k, k1, k2); ``n`` is the one rank
+    the engine reads, and ``coords`` must have 2n entries.  ``coords`` holds
+    the quadratic-lattice coordinates of T, read by the oracle check and by
     :func:`qeis.siegel.q_poly`'s check of the key, in the split normal form
     Sum x_i y_i (case split/inert, layout x-block then y-block) or the
-    ramified normal form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i (m = n/2),
-    2n entries either way.  For the ramified case ``coords_over_uniformizer``
-    additionally holds the coordinates of T/varpi, which may carry
-    denominator p.  All integer entries are exact representatives of the
-    p-adic coordinates modulo p^prec with prec >= k + 2.
+    ramified normal form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i (m = n/2).
+    For the ramified case ``coords_over_uniformizer`` additionally holds the
+    coordinates of T/varpi, which may carry denominator p.  All integer
+    entries are exact representatives of the p-adic coordinates modulo
+    p^prec with prec >= k + 2.
     """
 
     p: int
@@ -287,11 +250,14 @@ class LocalVectorData:
 def _split_coords(T: GlobalVector, F: FieldE, p: int, k: int) -> tuple:
     na, nb = T.a.norm(F), T.b.norm(F)
     prec = max(vp(na, p) if na else 0, vp(nb, p) if nb else 0, k) + 2
-    # first embedding on the x-block, swapped second embedding on the y-block,
-    # so that q(coords) = sigma1(a) sigma2(b) + sigma1(b) sigma2(a) = <T, T>
-    t1, (s2a, s2b) = _split_embeddings(T, F, p, prec)
-    t2 = (s2b, s2a)
-    q = (t1[0] * t2[0] + t1[1] * t2[1]) % p ** prec
+    mod = p ** prec
+    r = omega_root_lift(F, p, prec)
+    # sigma1 sends omega to the lifted root r, sigma2 to the conjugate root 1 - r;
+    # sigma1 on the x-block and swapped sigma2 on the y-block, so that
+    # q(coords) = sigma1(a) sigma2(b) + sigma1(b) sigma2(a) = <T, T>
+    t1 = ((T.a.x + T.a.y * r) % mod, (T.b.x + T.b.y * r) % mod)
+    t2 = ((T.b.x + T.b.y * (1 - r)) % mod, (T.a.x + T.a.y * (1 - r)) % mod)
+    q = (t1[0] * t2[0] + t1[1] * t2[1]) % mod
     if k < prec and vp(q, p) != k:
         raise InternalConsistencyError("split local data lost the norm valuation")
     return t1 + t2, (), prec
@@ -354,6 +320,8 @@ def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> Local
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2; supply LocalVectorData directly")
     case, k, k1, k2 = local_key(T, F, p)
+    if k == math.inf:
+        raise ValidationError("local quadratic data requires <T, T> != 0")
     coords, over, prec = _COORDS[case](T, F, p, k)
     return LocalVectorData(p=p, case=case, n=P.n, k=k, k1=k1, k2=k2, coords=coords,
                            coords_over_uniformizer=over, prec=prec)

@@ -20,11 +20,12 @@ The series is a sum of blocks (:func:`series_blocks`), one per eta: its
 invariants, its r range, and where each term lands.  The series assembly,
 the oracle check (:func:`check_against_oracle`, which recounts each term of
 each block) and, at unramified p, the closed-form Q walk the same blocks.
+Every function reads the rank n from its :class:`LocalVectorData`.
 
 The first-range numerator of the ramified closed form is implemented as
-p^(r(2m-1)) - 1 (geometric-sum reading); the alternative literal reading
-p^(r(2m-1)-1) is kept behind ``first_range="literal"`` purely so the test
-suite can demonstrate that it fails the extraction cross-check.
+p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
+shows that the literal reading p^(r(2m-1)-1) fails the extraction
+cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .arith import IntPoly, SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum_vp, vp
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
-from .hermitian import LocalVectorData, Params
+from .hermitian import LocalVectorData
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -391,12 +392,12 @@ class SeriesBlock(NamedTuple):
     eta: Callable[[], tuple]
 
 
-def series_blocks(data: LocalVectorData, n: int):
+def series_blocks(data: LocalVectorData):
     """(shape, blocks) of the local series E^T_{2,p}(s), per splitting case.
 
-    Every block's invariants come from the key (k, k1, k2) alone; the
-    coordinates are read only by ``eta()``.  Inert: T itself, a single
-    B-series in t^2 with invariants (k1, k).  Split: the double sum over
+    Every block's invariants come from the key (n, k, k1, k2) of ``data``
+    alone; the coordinates are read only by ``eta()``.  Inert: T itself, a
+    single B-series in t^2 with invariants (k1, k).  Split: the double sum over
     (r1, r2) splits into the diagonal and the wedges r1 < r2, r1 > r2, each a
     shifted B-series of (p^-i T1, T2), i = 0..k1, or (T1, p^-j T2),
     j = 1..k2: dividing a block by p^i lowers its valuation and v_p(q) by i,
@@ -405,7 +406,7 @@ def series_blocks(data: LocalVectorData, n: int):
     (k2 - 1, k1, k - 1), and the odd part p^(s-n) times the C-series of T
     less its r = 0 term.
     """
-    p, k, k1, k2, coords = data.p, data.k, data.k1, data.k2, data.coords
+    p, n, k, k1, k2, coords = data.p, data.n, data.k, data.k1, data.k2, data.coords
     if data.case is Splitting.RAMIFIED:
         return ramified_shape(p, n // 2), [
             SeriesBlock("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
@@ -429,10 +430,10 @@ def _closed_terms(inv: tuple, rs: range, shape: QuadLatticeShape) -> list:
     return [term(r, *inv, shape.m, shape.p) for r in rs]
 
 
-def assemble_series(data: LocalVectorData, P) -> LocalSeries:
+def assemble_series(data: LocalVectorData) -> LocalSeries:
     """Exact truncated local series at p, the sum of :func:`series_blocks`, in Python ints."""
     p, k = data.p, data.k
-    shape, blocks = series_blocks(data, P.n)
+    shape, blocks = series_blocks(data)
     coeffs = [0] * (2 * k + 3)
     for b in blocks:
         for r, term in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
@@ -442,17 +443,17 @@ def assemble_series(data: LocalVectorData, P) -> LocalSeries:
                 if rest:
                     raise InternalConsistencyError("assembled local series has non-integral term")
             coeffs[2 * r + b.shift] += term * p ** max(e, 0)
-    return LocalSeries(p=p, case=data.case, n=P.n, k=k, terms=SeriesPoly(coeffs))
+    return LocalSeries(p=p, case=data.case, n=data.n, k=k, terms=SeriesPoly(coeffs))
 
 
-def check_against_oracle(data: LocalVectorData, P, budget: int | None = None) -> None:
+def check_against_oracle(data: LocalVectorData, budget: int | None = None) -> None:
     """Recount every term of the assembled local series with :func:`term_oracle`.
 
     Walks the blocks that :func:`assemble_series` sums, one term at a time; a
     closed-form term the oracle disagrees with raises InternalConsistencyError
     naming p, the case, (k, k1, k2), r and eta.
     """
-    shape, blocks = series_blocks(data, P.n)
+    shape, blocks = series_blocks(data)
     for b in blocks:
         eta = b.eta()
         for r, closed in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
@@ -506,41 +507,22 @@ def _geo(p: int, m: int, a: int) -> int:
     return (step ** max(a, 0) - 1) // (step - 1)
 
 
-def R_closed_form(k1: int, k2: int, k: int, m: int, p: int,
-                  first_range: str = "adopted"):
+def R_closed_form(k1: int, k2: int, k: int, m: int, p: int) -> IntPoly:
     """The degree-k polynomial R of the ramified term theorem.
 
     Coefficient of X^r (r = 1..k), all scaled by p^m:
       r <= k2:            (p^(r(2m-1)) - 1)/(p^(2m-1) - 1)      [adopted reading]
       k2 < r <= k2 + k':  (p^((k1+1)(2m-1)) - 1)/(p^(2m-1) - 1)
       k2 + k' < r <= k:   (p^((k-r+1)(2m-1)) - 1)/(p^(2m-1) - 1)
-
-    ``first_range="literal"`` instead uses the numerator p^(r(2m-1)-1) in the
-    first range, returning Fraction coefficients; it exists only so the
-    arbitration test can exhibit its failure.
     """
     if k2 < 0 or k1 < -1 or k2 not in (k1, k1 + 1) or k - k1 - k2 < 0:
         raise ValidationError(f"inconsistent ramified invariants {(k1, k2, k)}")
-    if first_range not in ("adopted", "literal"):
-        raise ValidationError("first_range must be 'adopted' or 'literal'")
     kp = k - k1 - k2
-    coeffs = [Fraction(0)] * (k + 1)
-    pm = p ** m
+    coeffs = [0] * (k + 1)
     for r in range(1, k + 1):
-        if r <= k2:
-            if first_range == "adopted":
-                coeffs[r] = Fraction(pm * _geo(p, m, r))
-            else:
-                coeffs[r] = Fraction(pm) * Fraction(p ** (r * (2 * m - 1) - 1),
-                                                    p ** (2 * m - 1) - 1)
-        elif r <= k2 + kp:
-            coeffs[r] = Fraction(pm * _geo(p, m, k1 + 1))
-        else:
-            coeffs[r] = Fraction(pm * _geo(p, m, k - r + 1))
-    if first_range == "literal":
-        return coeffs
-    ints = [c.numerator for c in coeffs]
-    return IntPoly(ints)
+        a = r if r <= k2 else k1 + 1 if r <= k2 + kp else k - r + 1
+        coeffs[r] = p ** m * _geo(p, m, a)
+    return IntPoly(coeffs)
 
 
 def extract_R(series: SeriesPoly, k1: int, k2: int, k: int, m: int, p: int):
@@ -550,7 +532,7 @@ def extract_R(series: SeriesPoly, k1: int, k2: int, k: int, m: int, p: int):
                      + sum_{r=0}^{k2} (p^(4m-1) t')^r
                      - p^(3m-1) t' sum_{r=0}^{k1} (p^(4m-1) t')^r.
     Returns the coefficient list of R (Fractions; integrality is the
-    caller's check, so the literal-reading arbitration can see failures).
+    caller's check).
     """
     extra = [Fraction(0)] * (k + 3)
     for r in range(k2 + 1):
@@ -590,7 +572,7 @@ def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     return out
 
 
-def q_poly_closed_form(data: LocalVectorData, P) -> SqrtPPoly:
+def q_poly_closed_form(data: LocalVectorData) -> SqrtPPoly:
     """Q_{T,p} assembled from the closed forms, case by case.
 
     Split: Q(X) = P_T(X^2) + Sum_i p^(i(n-1)/2) X^i P_{(p^-i T1, T2)}(X^2)
@@ -601,10 +583,10 @@ def q_poly_closed_form(data: LocalVectorData, P) -> SqrtPPoly:
     Each P is extracted from the B-series of one block of
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
     """
-    p, n, k = data.p, P.n, data.k
+    p, n, k = data.p, data.n, data.k
     d = [0] * (2 * k + 1)
     if data.case in (Splitting.SPLIT, Splitting.INERT):
-        shape, blocks = series_blocks(data, n)
+        shape, blocks = series_blocks(data)
         for b in blocks:
             poly = extract_P(SeriesPoly(_closed_terms(b.inv, b.rs, shape)), n, p)
             i = b.shift
@@ -655,13 +637,13 @@ def q_poly_from_series(series: LocalSeries) -> SqrtPPoly:
     return SqrtPPoly(p, d)
 
 
-def _check_invariants(data: LocalVectorData, n: int) -> None:
-    """Reject local data whose coordinates do not carry its declared (k, k1, k2).
+def _check_invariants(data: LocalVectorData) -> None:
+    """Reject local data whose coordinates do not carry its declared (n, k, k1, k2).
 
     Q is served by invariant key, so a wrong field would silently return the
     polynomial of another key.  Coordinates must be integral here.
     """
-    p = data.p
+    p, n = data.p, data.n
     if len(data.coords) != 2 * n:
         raise ValidationError(
             f"local data at p={p} has {len(data.coords)} coordinates; n={n} needs {2 * n}")
@@ -692,9 +674,8 @@ def q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
     """
     key = f"(p, case, n, k, k1, k2) = ({p}, {case.value}, {n}, {k}, {k1}, {k2})"
     data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
-    P = Params(n=n, ell=n + 1)  # both routes read only P.n
-    closed = q_poly_closed_form(data, P)
-    divided = q_poly_from_series(assemble_series(data, P))
+    closed = q_poly_closed_form(data)
+    divided = q_poly_from_series(assemble_series(data))
     if closed != divided:
         raise InternalConsistencyError(
             f"Q paths disagree at {key}: closed {closed.d} vs series {divided.d}")
@@ -713,13 +694,17 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
     the result is monic of degree 2k and palindromic, with integer even
     coefficients and sqrt(p)-integral odd coefficients by construction.
     Q depends on T only through the key (p, case, n, k, k1, k2), so the
-    checked polynomial is computed once per key and shared.  Returns None
-    (the zero marker) when T lies outside the local lattice, and raises
-    ValidationError when the declared k, k1 or k2 disagree with the
-    coordinates.
+    checked polynomial is computed once per key and shared.  The rank is
+    ``data.n``; ``P`` only declares it, and ValidationError is raised when
+    ``P.n`` differs.  Returns None (the zero marker) when T lies outside the
+    local lattice, and raises ValidationError when the declared k, k1 or k2
+    disagree with the coordinates.
     """
+    if P.n != data.n:
+        raise ValidationError(
+            f"local data at p={data.p} has n = {data.n}, but P declares n = {P.n}")
     if data.k1 < 0 or data.k2 < 0 or not all(
             Fraction(c).denominator == 1 for c in data.coords):
         return None
-    _check_invariants(data, P.n)
-    return q_poly_of_invariants(data.p, data.case, P.n, data.k, data.k1, data.k2)
+    _check_invariants(data)
+    return q_poly_of_invariants(data.p, data.case, data.n, data.k, data.k1, data.k2)

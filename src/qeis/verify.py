@@ -195,8 +195,10 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
 def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
     """Adopted vs literal first-range reading of the ramified R polynomial.
 
-    For every shape the adopted reading must match the extraction from the
-    true C-series; the literal reading must fail somewhere.  Returns a dict
+    The adopted reading is :func:`qeis.siegel.R_closed_form`, with first-range
+    numerator p^(r(2m-1)) - 1; the literal one uses p^(r(2m-1)-1) there.  For
+    every shape the adopted reading must match the extraction from the true
+    C-series; the literal reading must fail somewhere.  Returns a dict
     with both outcomes recorded.
     """
     adopted_ok = True
@@ -214,8 +216,9 @@ def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
                     series = c_series(k1, k2, k, m, p)
                     extracted = _pad(extract_R(series, k1, k2, k, m, p), k + 1)
                     adopted = _pad(R_closed_form(k1, k2, k, m, p).coeffs, k + 1)
-                    literal = _pad(R_closed_form(k1, k2, k, m, p,
-                                                 first_range="literal"), k + 1)
+                    literal = [Fraction(p ** m * p ** (r * (2 * m - 1) - 1),
+                                        p ** (2 * m - 1) - 1) if 1 <= r <= k2 else c
+                               for r, c in enumerate(adopted)]
                     if adopted != extracted:
                         adopted_ok = False
                     if literal != extracted:

@@ -57,6 +57,9 @@ def test_validation_exit_codes():
     assert main(["local", "--D", "4", "--p", "2", "--T", "1,0,1,0"]) == 2
     # the global model has n = 2 only; its valuations must not key an n = 6 Q
     assert main(["coeff", "--D", "3", "--n", "6", "--ell", "8", "--T", "1,0,1,0"]) == 2
+    # ... whatever the sign of <T, T>: isotropic and negative-norm T too
+    assert main(["coeff", "--D", "3", "--n", "6", "--ell", "8", "--T", "1,0,0,0"]) == 2
+    assert main(["coeff", "--D", "3", "--n", "6", "--ell", "8", "--T", "1,0,-1,0"]) == 2
     assert main(["local", "--D", "3", "--p", "2", "--T", "1,0"]) == 2
     assert main(["verify", "--suite", "nonsense"]) == 2
     # isotropic vector has no local polynomial
@@ -205,7 +208,7 @@ def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
 
     siegel.q_poly_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
-                        lambda data, P: SqrtPPoly(data.p, [1, 1, 1]))
+                        lambda data: SqrtPPoly(data.p, [1, 1, 1]))
     assert main(["coeff", "--D", "3", "--T", "1,0,3,1"]) == 3  # norm 7, split
     err = capsys.readouterr().err
     assert "T = [[1, 0], [3, 1]], p = 7:" in err

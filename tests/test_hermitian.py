@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from qeis.arith import Splitting, vp
 from qeis.errors import ValidationError
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
                             global_vector, local_key, local_quadratic_data, norm,
-                            omega_root_lift, prime_ideal_valuation, quadint,
+                            omega_root_lift, quadint,
                             ramified_unit, sqrt_minus_D)
 
 F3 = FieldE(3)
@@ -78,17 +79,17 @@ def test_params_validation():
 # Prime ideal valuations
 # ---------------------------------------------------------------------------
 
-def test_prime_ideal_valuation_examples():
-    T = GlobalVector(quadint(1), QuadInt(-1, 2))  # (1, sqrt(-3))
-    assert prime_ideal_valuation(T, F3, 3) == 0
+def test_local_key_examples():
+    T = GlobalVector(quadint(1), QuadInt(-1, 2))  # (1, sqrt(-3)), isotropic
+    assert local_key(T, F3, 3) == (Splitting.RAMIFIED, math.inf, 0, 0)
     T2 = GlobalVector(quadint(2), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
-    assert prime_ideal_valuation(T2, F3, 2) == 1
-    assert prime_ideal_valuation(global_vector(1, 0, 1, 0), F3, 5) in (0, (0, 0))
+    assert local_key(T2, F3, 2) == (Splitting.INERT, math.inf, 1, 1)
+    assert local_key(global_vector(1, 0, 1, 0), F3, 5) == (Splitting.INERT, 0, 0, 0)
 
 
-def test_prime_ideal_valuation_zero_vector():
+def test_local_key_zero_vector():
     with pytest.raises(ValidationError):
-        prime_ideal_valuation(global_vector(0, 0, 0, 0), F3, 2)
+        local_key(global_vector(0, 0, 0, 0), F3, 2)
 
 
 def test_split_valuations_sum_to_norm_valuation():
@@ -102,7 +103,7 @@ def test_split_valuations_sum_to_norm_valuation():
             if F.splitting(p) is not Splitting.SPLIT:
                 continue
             T = GlobalVector(z, quadint(1))
-            v1, v2 = prime_ideal_valuation(GlobalVector(z, z), F, p)
+            _, _, v1, v2 = local_key(GlobalVector(z, z), F, p)
             assert v1 + v2 == vp(z.norm(F), p), (z, D, p)
 
 
@@ -246,3 +247,40 @@ def test_local_key_matches_the_coordinates():
     assert pairs == 9412
     assert {(2, Splitting.SPLIT), (2, Splitting.INERT), (3, Splitting.RAMIFIED),
             (7, Splitting.RAMIFIED), (11, Splitting.RAMIFIED)} <= seen
+
+
+def test_local_key_matches_the_coordinates_at_deep_valuations():
+    """Keys of seeded T = (p^e1 a0, p^e2 b0) with e1, e2 <= 20, the depth of
+    the `deep` benchmark requests: the key read off the valuations equals the
+    key of the Hensel-lifted coordinates.  At split p, a0 and b0 are often
+    multiplied by a power of omega - r or omega - (1 - r), so their primitive
+    parts lie deep in one prime above p."""
+    from qeis.hermitian import _omega_root_mod_p
+
+    rng = random.Random(8)
+    pairs, deepest, seen = 0, 0, set()
+    for D in (3, 7, 11, 19, 23):
+        F = FieldE(D)
+        for p in (2, 3, 5, 7, 11, 13):
+            case = F.splitting(p)
+            root = _omega_root_mod_p(F, p) if case is Splitting.SPLIT else None
+            for _ in range(24):
+                coords = []
+                for _ in range(2):
+                    z = QuadInt(rng.randint(-9, 9), rng.randint(-9, 9))
+                    if root is not None and rng.random() < 0.6:
+                        factor = QuadInt(-rng.choice((root, 1 - root)), 1)
+                        for _ in range(rng.randint(1, 6)):
+                            z = z.mul(factor, F)
+                    e = rng.randint(0, 20)
+                    coords.append(QuadInt(p ** e * z.x, p ** e * z.y))
+                T = GlobalVector(*coords)
+                if not T or norm(T, F) == 0:
+                    continue
+                data = local_quadratic_data(T, F, p, P2)
+                assert local_key(T, F, p) == _key_from_coords(data), (D, T, p)
+                pairs += 1
+                deepest = max(deepest, data.k)
+                seen.add(case)
+    assert pairs == 711 and deepest >= 40
+    assert seen == set(Splitting)

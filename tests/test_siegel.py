@@ -16,10 +16,10 @@ from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series,
                          c_series, c_term, c_term_gauss, check_against_oracle,
                          extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
-                         ramified_invariants, ramified_shape, series_blocks,
+                         q_poly_of_invariants, ramified_invariants, ramified_shape, series_blocks,
                          split_shape, term_oracle, term_ramified, term_unramified,
                          unramified_invariants)
-from qeis.verify import sample_ramified_vectors
+from qeis.verify import r_arbitration, sample_ramified_vectors
 
 F3 = FieldE(3)
 P2 = Params(n=2, ell=3)
@@ -276,8 +276,8 @@ def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
 
     siegel.q_poly_of_invariants.cache_clear()
     data = _check_data(D, p, T)
-    check_against_oracle(data, P2)
-    _, blocks = series_blocks(data, 2)
+    check_against_oracle(data)
+    _, blocks = series_blocks(data)
     target = blocks[-1]
     r = target.rs[-1]
     assert sum(b.inv == target.inv for b in blocks) == 1
@@ -289,7 +289,7 @@ def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
 
     monkeypatch.setattr(siegel, name, off_by_one)
     with pytest.raises(InternalConsistencyError) as err:
-        check_against_oracle(data, P2)
+        check_against_oracle(data)
     message = str(err.value)
     assert f"p={p}, case {data.case.value}," in message
     assert f"(k, k1, k2) = {(data.k, data.k1, data.k2)}, r = {r}," in message
@@ -313,14 +313,14 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
         return value
 
     monkeypatch.setattr(siegel, "term_oracle", recording)
-    check_against_oracle(data, P2)
-    _, blocks = series_blocks(data, 2)
+    check_against_oracle(data)
+    _, blocks = series_blocks(data)
     placed = [(b, r) for b in blocks for r in b.rs]
     assert [(r, tuple(b.eta())) for b, r in placed] == [c[:2] for c in calls]
     rebuilt = [Fraction(0)] * (2 * data.k + 3)
     for (b, r), (_, _, value) in zip(placed, calls):
         rebuilt[2 * r + b.shift] += value * Fraction(p) ** (r + b.power)
-    assert SeriesPoly(rebuilt) == assemble_series(data, P2).terms
+    assert SeriesPoly(rebuilt) == assemble_series(data).terms
     if data.case is Splitting.INERT:
         assert data.k == 4 and len(calls) == data.k + 2
         assert all(eta == data.coords for _, eta, _ in calls)
@@ -331,7 +331,7 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
 # ---------------------------------------------------------------------------
 
 def _series_for(T, p):
-    return assemble_series(local_quadratic_data(T, F3, p, P2), P2)
+    return assemble_series(local_quadratic_data(T, F3, p, P2))
 
 
 def test_unit_norm_corollaries():
@@ -482,7 +482,7 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
     for data in (local_quadratic_data(global_vector(7, 0, 21, 7), F3, 7, P2),  # split, k = 3
                  local_quadratic_data(global_vector(2, 0, 4, 0), F3, 2, P2),   # inert, k = 4
                  ramified):
-        local = assemble_series(data, P2)
+        local = assemble_series(data)
         assert all(isinstance(c, int) for c in local.terms.coeffs)
         q_poly_from_series(local)
         for i in range(len(local.terms.coeffs)):
@@ -498,7 +498,7 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
     # a ramified C-term that p^(n - r) does not divide
     monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
     with pytest.raises(InternalConsistencyError, match="non-integral term"):
-        assemble_series(ramified, P2)
+        assemble_series(ramified)
 
 
 def _split_series_reference(data, n):
@@ -535,7 +535,7 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
             etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
                      for j in range(1, data.k2 + 1)]
             expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
-            shape, blocks = series_blocks(data, 2)
+            shape, blocks = series_blocks(data)
             assert shape == sh
             assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T)
             assert [list(b.eta()) for b in blocks] == [eta for _, eta in etas]
@@ -548,9 +548,9 @@ def test_deep_split_key_both_routes_agree():
     reference, and both routes give the same monic palindromic Q of degree 80."""
     data = LocalVectorData(p=13, case=Splitting.SPLIT, n=2, k=40, k1=13, k2=7,
                            coords=(13 ** 13, 0, 13 ** 27, 13 ** 7), prec=42)
-    series = assemble_series(data, P2)
+    series = assemble_series(data)
     assert series.terms == _split_series_reference(data, 2)
-    closed = q_poly_closed_form(data, P2)
+    closed = q_poly_closed_form(data)
     assert closed == q_poly_from_series(series)
     assert closed.degree == 80 and closed.is_monic() and closed.is_palindromic()
     assert closed == q_poly(data, P2)
@@ -580,8 +580,11 @@ def test_R_extraction_matches_closed_form():
 
 
 def test_R_literal_reading_fails():
-    coeffs = R_closed_form(0, 1, 1, 1, 3, first_range="literal")
-    assert any(c.denominator != 1 for c in coeffs)
+    arb = r_arbitration(m_cap=1, k_cap=1, p=3)
+    assert arb["adopted_matches_extraction"]
+    assert not arb["literal_matches_extraction"]
+    assert arb["literal_witness"]["k"] == [0, 1, 1]
+    assert any(Fraction(c).denominator != 1 for c in arb["literal_witness"]["literal"])
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +616,8 @@ def test_q_poly_dual_paths_agree_on_sweep():
             if vp(nrm, p) == 0:
                 continue
             data = local_quadratic_data(T, F3, p, P2)
-            a = q_poly_closed_form(data, P2)
-            b = q_poly_from_series(assemble_series(data, P2))
+            a = q_poly_closed_form(data)
+            b = q_poly_from_series(assemble_series(data))
             assert a == b, (T, p)
             assert a.is_monic() and a.degree == 2 * data.k and a.is_palindromic()
             count += 1
@@ -687,12 +690,23 @@ def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
         q_poly(data, P6)
 
 
+def test_q_poly_rejects_a_declared_n_that_differs_from_the_data():
+    """The rank is data.n; an n = 6 key must not be served as n = 2."""
+    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=2, k1=1, k2=0,
+                           coords=(5, 0, 5, 1), prec=4)
+    with pytest.raises(ValidationError, match="n = 6"):
+        q_poly(data, P2)
+    split = Splitting.SPLIT
+    assert q_poly_of_invariants(5, split, 6, 2, 1, 0) == SqrtPPoly(5, [1, 25, 1, 25, 1])
+    assert q_poly_of_invariants(5, split, 2, 2, 1, 0) == SqrtPPoly(5, [1, 1, 1, 1, 1])
+
+
 def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
     import qeis.siegel as siegel
 
     siegel.q_poly_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
-                        lambda data, P: SqrtPPoly(data.p, [1, 1, 1]))
+                        lambda data: SqrtPPoly(data.p, [1, 1, 1]))
     data = local_quadratic_data(global_vector(1, 0, 3, 1), F3, 7, P2)  # norm 7, split
     for _ in range(2):
         with pytest.raises(InternalConsistencyError) as err:
@@ -716,7 +730,7 @@ def test_q_poly_key_is_sufficient():
         for T in vectors_in_region(F, 16, 1, 12):
             for p in prime_factors(norm(T, F)):
                 data = local_quadratic_data(T, F, p, P2)
-                assert q_poly_closed_form(data, P2) == q_poly(data, P2), (D, T, p)
+                assert q_poly_closed_form(data) == q_poly(data, P2), (D, T, p)
                 seen.add((p, data.case))
     assert {(2, Splitting.SPLIT), (2, Splitting.INERT), (3, Splitting.RAMIFIED),
             (7, Splitting.RAMIFIED), (11, Splitting.RAMIFIED)} <= seen
@@ -743,9 +757,9 @@ def test_q_poly_hand_supplied_higher_rank_ramified():
     # deeper shape, k = 3 with k2 = k1 + 1
     data = LocalVectorData(p=3, case=Splitting.RAMIFIED, n=6, k=3, k1=1, k2=1,
                            coords=(), prec=5)
-    q = q_poly_closed_form(data, P6)
+    q = q_poly_closed_form(data)
     assert q.degree == 6 and q.is_monic() and q.is_palindromic()
-    assert q == q_poly_from_series(assemble_series(data, P6))
+    assert q == q_poly_from_series(assemble_series(data))
 
 
 def test_ramified_invariants_of_synthetic_vectors():
