@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from scipy import integrate
 
@@ -182,13 +183,25 @@ def f0_double_sum(Av: float, Bv: float, ell: int) -> float:
     return math.pi ** (-2 * ell) * total
 
 
+@lru_cache(maxsize=None)
+def _besselk_50(v: int, x: float):
+    """K_v(x) at 50 digits, computed once per (v, x) and process."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        return mp.besselk(v, mp.mpf(x))
+
+
 def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
     """Telescoping K-Bessel sum: S_l = (-1)^l C^(2l)/(l!)^2 K_0(2C).
 
     The alternating sum cancels about 2l log10(1/C) + log10(K_2l/K_0) digits
     (15 at l = 6, C = 0.5), so meeting the stated relative tolerance needs
     working precision well past binary64; the sum is therefore evaluated at
-    50 digits with an independent arbitrary-precision Bessel.
+    50 digits with an independent arbitrary-precision Bessel.  Both sides
+    read K_v(2C) from :func:`_besselk_50`, which evaluates each (v, 2C) once
+    per process: a sweep over l <= L at a fixed C costs 2L + 1 Bessel
+    evaluations (orders 0..2L), not (L + 1)(L + 4)/2.
     """
     import mpmath as mp
 
@@ -196,11 +209,11 @@ def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
         raise ValidationError("C outside the checked window [0.1, 10]")
     with mp.workdps(50):
         Cm = mp.mpf(C)
-        lhs = mp.fsum((-1) ** k * Cm ** (ell + k) * mp.besselk(ell + k, 2 * Cm)
+        lhs = mp.fsum((-1) ** k * Cm ** (ell + k) * _besselk_50(ell + k, 2 * C)
                       / (mp.factorial(k) ** 2 * mp.factorial(ell - k))
                       for k in range(ell + 1))
         rhs = (-1) ** ell * Cm ** (2 * ell) / mp.factorial(ell) ** 2 \
-            * mp.besselk(0, 2 * Cm)
+            * _besselk_50(0, 2 * C)
         ok = abs(lhs - rhs) <= rel_tol * abs(rhs)
     # anchor the binary64 Bessel to the same identity where it can resolve it
     if ell <= 1:

@@ -358,6 +358,12 @@ def prime_factors(n: int) -> list:
     return out
 
 
+def validate_prime(p: int) -> None:
+    """A p supplied from outside must be a (positive) prime; ValidationError otherwise."""
+    if prime_factors(p) != [p]:
+        raise ValidationError(f"p = {p} is not a prime")
+
+
 def sigma_k(n: int, k: int) -> int:
     """Divisor power sum sigma_k(n) = sum_{d | n} d^k for n >= 1."""
     if n < 1:

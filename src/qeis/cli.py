@@ -167,8 +167,16 @@ def _table_doc(table: ExpansionTable, F: FieldE) -> dict:
 def cmd_lift(args) -> int:
     F = FieldE(args.D)
     P = Params(n=args.n, ell=args.ell)
-    with open(args.eigenvalues) as fh:
-        h = EigenformData.from_json(fh.read())
+    try:
+        with open(args.eigenvalues, errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read eigenvalue file {args.eigenvalues!r}: "
+                              f"{exc.strerror}") from None
+    try:
+        h = EigenformData.from_json(text)
+    except ValidationError as exc:
+        raise ValidationError(f"eigenvalue file {args.eigenvalues!r}: {exc}") from None
     T = _parse_T(args.T)
     value = lift_coefficient(T, h, P, F)
     doc = {
@@ -191,7 +199,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ps = (args.p,) if args.p else None
+    ps = None if args.p is None else (args.p,)
     reports = run_suite(args.suite, budget=args.budget, ps=ps)
     ok = all(r["ok"] for r in reports)
     _emit({"ok": ok, "reports": reports}, args.out)
@@ -260,8 +268,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "budget" in vars(args) and args.budget is None:
-            args.budget = enumeration_budget()
+        if "budget" in vars(args):
+            args.budget = enumeration_budget(args.budget)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

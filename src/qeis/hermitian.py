@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Splitting, splitting_class, validate_D, vp
+from .arith import Splitting, splitting_class, validate_D, validate_prime, vp
 from .errors import InternalConsistencyError, ValidationError
 
 
@@ -314,11 +314,12 @@ def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> Local
 
     The coordinates serve `local`, its oracle check and the functional
     suite; Q_{T,p} itself needs only the key.  Requires n = 2 (the built-in
-    global model) and <T, T> != 0; rank-1 vectors never reach the Siegel
-    engine.
+    global model), a prime p and <T, T> != 0; rank-1 vectors never reach the
+    Siegel engine.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2; supply LocalVectorData directly")
+    validate_prime(p)
     case, k, k1, k2 = local_key(T, F, p)
     if k == math.inf:
         raise ValidationError("local quadratic data requires <T, T> != 0")

@@ -48,9 +48,18 @@ class EigenformData:
 
     @classmethod
     def from_json(cls, text: str) -> "EigenformData":
-        obj = json.loads(text)
-        return cls(weight=int(obj["weight"]),
-                   ap={int(p): int(a) for p, a in obj["ap"].items()})
+        """Parse {"weight": w, "ap": {"2": a_2, ...}}; ValidationError if malformed."""
+        try:
+            obj = json.loads(text)
+            return cls(weight=int(obj["weight"]),
+                       ap={int(p): int(a) for p, a in obj["ap"].items()})
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON: {exc}") from None
+        except KeyError as exc:
+            raise ValidationError(f"missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError):
+            raise ValidationError('expected {"weight": w, "ap": {"2": a_2, ...}} '
+                                  "with integer values") from None
 
     def to_json(self) -> str:
         return json.dumps({"weight": self.weight,

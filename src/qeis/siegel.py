@@ -46,20 +46,25 @@ from .hermitian import LocalVectorData
 DEFAULT_BUDGET = 10 ** 8
 
 
-def enumeration_budget() -> int:
-    """The oracle budget from QEIS_BUDGET, DEFAULT_BUDGET when it is unset or empty.
+def enumeration_budget(given: int | None = None) -> int:
+    """The oracle budget: ``given`` (the --budget flag) when it is not None,
+    else QEIS_BUDGET, else DEFAULT_BUDGET when that is unset or empty.
 
-    A value that is not a positive integer raises ValidationError.
+    A value that is not a positive integer, from either source, raises
+    ValidationError.
     """
-    env = os.environ.get("QEIS_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
+    if given is not None:
+        source, text = "--budget", str(given)
+    else:
+        source, text = "QEIS_BUDGET", os.environ.get("QEIS_BUDGET")
+        if not text:
+            return DEFAULT_BUDGET
     try:
-        budget = int(env)
+        budget = int(text)
     except ValueError:
-        raise ValidationError(f"QEIS_BUDGET = {env!r} is not an integer") from None
+        raise ValidationError(f"{source} = {text!r} is not an integer") from None
     if budget <= 0:
-        raise ValidationError(f"QEIS_BUDGET = {env!r} is not positive")
+        raise ValidationError(f"{source} = {text!r} is not positive")
     return budget
 
 

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import archimedean as arch
-from .arith import Splitting, prime_factors, vp
+from .arith import Splitting, prime_factors, validate_prime, vp
 from .errors import ValidationError
 from .fourier import (d_nl, denominator_bound_check, full_expansion,
                       vectors_in_region)
@@ -316,11 +316,16 @@ def suite_denominators(D: int = 3, ells=(3, 4, 5), bound: int = 12) -> dict:
 
 
 def run_suite(name: str, budget: int | None = None, ps=None) -> list:
+    """Run one suite, or all of them; ``ps`` replaces the oracle suite's primes."""
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
+    if ps is None:
+        ps = ORACLE_PRIMES
+    for p in ps:
+        validate_prime(p)
     reports = []
     if name in ("oracle", "all"):
-        reports.append(suite_oracle(ps=ps or ORACLE_PRIMES, budget=budget))
+        reports.append(suite_oracle(ps=ps, budget=budget))
     if name in ("functional", "all"):
         reports.append(suite_functional())
     if name in ("identities", "all"):

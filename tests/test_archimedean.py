@@ -131,6 +131,41 @@ def test_bessel_sum_sweep():
             assert bessel_sum_check(ell, C), (ell, C)
 
 
+def test_identity_battery_evaluates_each_bessel_value_once(monkeypatch):
+    """The l <= 6, C in {0.5, 1, 2} sweep needs K_0..K_12 at x = 1, 2, 4."""
+    import mpmath
+
+    from qeis import archimedean
+    from qeis.verify import suite_identities
+
+    calls = []
+    besselk = mpmath.besselk
+
+    def counting(v, x):
+        calls.append((v, x))
+        return besselk(v, x)
+
+    monkeypatch.setattr(mpmath, "besselk", counting)
+    archimedean._besselk_50.cache_clear()
+    try:
+        rep = suite_identities()
+    finally:
+        archimedean._besselk_50.cache_clear()
+    assert rep["ok"] and rep["checks"] == 208
+    assert len(calls) == 39 == len(set(calls))
+
+
+def test_bessel_sum_check_reads_the_cached_values(monkeypatch):
+    from qeis import archimedean
+
+    cached = archimedean._besselk_50
+    monkeypatch.setattr(archimedean, "_besselk_50",
+                        lambda v, x: cached(v, x) * (1 + 1e-8) if v == 3 else cached(v, x))
+    assert bessel_sum_check(1, 1.0)  # orders 0, 1, 2
+    assert not bessel_sum_check(2, 1.0)  # orders 0, 2, 3, 4
+    assert not bessel_sum_check(3, 0.5)  # orders 0, 3, ..., 6
+
+
 def test_rank1_vanishing_examples():
     # (ell = 2, j = 1): integral = pi 1! 2! / 4! = pi / 12
     closed = math.pi * math.factorial(1) * math.factorial(2) / math.factorial(4)

@@ -66,6 +66,42 @@ def test_validation_exit_codes():
     assert main(["local", "--D", "3", "--p", "2", "--T=1,0,-1,2"]) == 2
 
 
+def test_non_prime_p_is_a_validation_error(capsys):
+    # p = 1 looped forever in the p-adic valuation; run it with a time limit
+    proc = subprocess.run(RUN + ["local", "--D", "3", "--p", "1", "--T", "1,0,1,0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "p = 1 is not a prime" in proc.stderr
+    for D, p, T in ((3, 0, "1,0,1,0"), (7, 9, "9,0,9,0"), (7, 4, "4,0,4,0"),
+                    (3, -2, "2,0,2,0")):
+        assert main(["local", "--D", str(D), "--p", str(p), "--T", T]) == 2, p
+        assert f"p = {p} is not a prime" in capsys.readouterr().err
+    for p in (4, 9, 1, -3, 0):
+        assert main(["verify", "--suite", "oracle", "--p", str(p)]) == 2, p
+        assert f"p = {p} is not a prime" in capsys.readouterr().err
+
+
+def test_non_positive_budget_flag_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for argv in (["local", "--D", "3", "--p", "2", "--T", "2,0,2,0", "--oracle"],
+                 ["verify", "--suite", "oracle"]):
+        for value in ("0", "-5"):
+            assert main(argv + ["--budget", value, "--out", str(out)]) == 2, argv
+            assert f"--budget = {value!r} is not positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_eigenvalue_file_is_a_validation_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text('{"weight": 12, "ap": ')
+    no_ap = tmp_path / "no_ap.json"
+    no_ap.write_text(json.dumps({"weight": 12}))
+    for path in (missing, not_json, no_ap):
+        assert main(["lift", "--D", "3", "--ell", "6", "--T", "1,0,1,0",
+                     "--eigenvalues", str(path)]) == 2, path.name
+        assert f"eigenvalue file {str(path)!r}" in capsys.readouterr().err
+
+
 def test_usage_exit_code():
     proc = run_cli("definitely-not-a-command")
     assert proc.returncode == 1
