@@ -48,11 +48,19 @@ class EigenformData:
 
     @classmethod
     def from_json(cls, text: str) -> "EigenformData":
-        """Parse {"weight": w, "ap": {"2": a_2, ...}}; ValidationError if malformed."""
+        """Parse {"weight": w, "ap": {"2": a_2, ...}}; ValidationError if malformed.
+
+        A JSON float or boolean value is rejected, not truncated to an int.
+        """
+        def integer(x, what):
+            if isinstance(x, (bool, float)):
+                raise ValidationError(f"{what} = {json.dumps(x)} is not an integer")
+            return int(x)
+
         try:
             obj = json.loads(text)
-            return cls(weight=int(obj["weight"]),
-                       ap={int(p): int(a) for p, a in obj["ap"].items()})
+            return cls(weight=integer(obj["weight"], "weight"),
+                       ap={int(p): integer(a, f"a_{p}") for p, a in obj["ap"].items()})
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from None
         except KeyError as exc:

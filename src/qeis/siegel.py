@@ -20,7 +20,9 @@ The series is a sum of blocks (:func:`series_blocks`), one per eta: its
 invariants, its r range, and where each term lands.  The series assembly,
 the oracle check (:func:`check_against_oracle`, which recounts each term of
 each block) and, at unramified p, the closed-form Q walk the same blocks.
-Every function reads the rank n from its :class:`LocalVectorData`.
+:func:`closed_blocks` pairs each block with its closed-form terms; both
+routes of Q read the lists it builds once per key.  Every function reads
+the rank n from its :class:`LocalVectorData`.
 
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
@@ -213,16 +215,31 @@ def b_term(r: int, v, kq, m: int, p: int) -> int:
                   + Sum_{j=0}^{min(r-1, v)} p^{m(r+j)} c_{p^{r-j}}(q(eta)/p^{2j}) )
 
     with c the unit Ramanujan sum, which reads q(eta)/p^{2j} only through its
-    valuation kq - 2j; the value is always an integer.
+    valuation kq - 2j; the value is always an integer.  The sum stops at
+    top = min(r - 1, v, kq - r + 1), past which c vanishes, and has two cases:
+
+      j <= kq - r:      c = (p - 1) p^(r-j-1), so these terms are the one
+                        geometric series (p - 1) p^(mr+r-1) Sum_{j<=g} p^((m-1)j)
+                        with g = min(top, kq - r);
+      j = kq - r + 1:   c = -p^(r-j-1), a single term p^(m(r+j)+r-j-1)
+                        subtracted when j <= top.
+
+    Either valuation may be +inf; every exponent stays a finite int.
     """
     if r < 0:
         raise ValidationError("term index r must be >= 0")
     if r == 0:
         return 1
     total = p ** (2 * m * r) if v >= r else 0
-    # c_{p^(r-j)} vanishes once kq - 2j < r - j - 1, i.e. for j > kq - r + 1
-    for j in range(min(r - 1, v, kq - r + 1) + 1):
-        total += p ** (m * (r + j)) * ramanujan_sum_vp(p, r - j, kq - 2 * j)
+    top = min(r - 1, v, kq - r + 1)
+    g = min(top, kq - r)
+    if g >= 0:
+        step = p ** (m - 1)
+        geo = (step ** (g + 1) - 1) // (step - 1) if m > 1 else g + 1
+        total += (p - 1) * p ** (m * r + r - 1) * geo
+    j = kq - r + 1
+    if 0 <= j <= top:
+        total -= p ** (m * (r + j) + r - j - 1)
     quot, rest = divmod(total, p ** r)
     if rest:
         raise InternalConsistencyError("non-integral unramified term")
@@ -429,19 +446,29 @@ def series_blocks(data: LocalVectorData):
         for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
-def _closed_terms(inv: tuple, rs: range, shape: QuadLatticeShape) -> list:
-    """[term_r for r in rs] of an eta with invariants ``inv``, in int arithmetic."""
-    term = c_term if shape.form == "ramified" else b_term
-    return [term(r, *inv, shape.m, shape.p) for r in rs]
+def closed_blocks(data: LocalVectorData):
+    """(shape, [(block, terms)]): :func:`series_blocks` with each block's
+    closed-form terms [term_r for r in block.rs], in int arithmetic.
 
-
-def assemble_series(data: LocalVectorData) -> LocalSeries:
-    """Exact truncated local series at p, the sum of :func:`series_blocks`, in Python ints."""
-    p, k = data.p, data.k
+    The series assembly and the closed-form Q of one key read the same lists.
+    """
     shape, blocks = series_blocks(data)
+    term = c_term if shape.form == "ramified" else b_term
+    return shape, [(b, [term(r, *b.inv, shape.m, shape.p) for r in b.rs]) for b in blocks]
+
+
+def assemble_series(data: LocalVectorData, blocks=None) -> LocalSeries:
+    """Exact truncated local series at p, the sum of :func:`series_blocks`, in Python ints.
+
+    ``blocks`` is the (block, terms) list of :func:`closed_blocks`, built
+    here when None.
+    """
+    p, k = data.p, data.k
+    if blocks is None:
+        _, blocks = closed_blocks(data)
     coeffs = [0] * (2 * k + 3)
-    for b in blocks:
-        for r, term in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
+    for b, terms in blocks:
+        for r, term in zip(b.rs, terms):
             e = r + b.power
             if e < 0:
                 term, rest = divmod(term, p ** -e)
@@ -458,10 +485,10 @@ def check_against_oracle(data: LocalVectorData, budget: int | None = None) -> No
     closed-form term the oracle disagrees with raises InternalConsistencyError
     naming p, the case, (k, k1, k2), r and eta.
     """
-    shape, blocks = series_blocks(data)
-    for b in blocks:
+    shape, blocks = closed_blocks(data)
+    for b, terms in blocks:
         eta = b.eta()
-        for r, closed in zip(b.rs, _closed_terms(b.inv, b.rs, shape)):
+        for r, closed in zip(b.rs, terms):
             oracle = term_oracle(r, eta, shape, budget=budget)
             if oracle != closed:
                 raise InternalConsistencyError(
@@ -577,7 +604,7 @@ def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     return out
 
 
-def q_poly_closed_form(data: LocalVectorData) -> SqrtPPoly:
+def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
     """Q_{T,p} assembled from the closed forms, case by case.
 
     Split: Q(X) = P_T(X^2) + Sum_i p^(i(n-1)/2) X^i P_{(p^-i T1, T2)}(X^2)
@@ -587,13 +614,16 @@ def q_poly_closed_form(data: LocalVectorData) -> SqrtPPoly:
                     + p^(1/2-m) X^-1 R_T(X^2).
     Each P is extracted from the B-series of one block of
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
+    ``blocks`` is the (block, terms) list of :func:`closed_blocks`, built
+    here when None; the ramified case reads only (k, k1, k2).
     """
     p, n, k = data.p, data.n, data.k
     d = [0] * (2 * k + 1)
     if data.case in (Splitting.SPLIT, Splitting.INERT):
-        shape, blocks = series_blocks(data)
-        for b in blocks:
-            poly = extract_P(SeriesPoly(_closed_terms(b.inv, b.rs, shape)), n, p)
+        if blocks is None:
+            _, blocks = closed_blocks(data)
+        for b, terms in blocks:
+            poly = extract_P(SeriesPoly(terms), n, p)
             i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
@@ -679,8 +709,9 @@ def q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
     """
     key = f"(p, case, n, k, k1, k2) = ({p}, {case.value}, {n}, {k}, {k1}, {k2})"
     data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
-    closed = q_poly_closed_form(data)
-    divided = q_poly_from_series(assemble_series(data))
+    _, blocks = closed_blocks(data)
+    closed = q_poly_closed_form(data, blocks)
+    divided = q_poly_from_series(assemble_series(data, blocks))
     if closed != divided:
         raise InternalConsistencyError(
             f"Q paths disagree at {key}: closed {closed.d} vs series {divided.d}")

@@ -102,6 +102,18 @@ def test_bad_eigenvalue_file_is_a_validation_error(tmp_path, capsys):
         assert f"eigenvalue file {str(path)!r}" in capsys.readouterr().err
 
 
+def test_float_eigenvalue_file_exits_2_instead_of_truncating(tmp_path, capsys):
+    """int() would read weight 12.9 as 12 and a_2 = -24.7 as -24 and exit 0."""
+    path = tmp_path / "floats.json"
+    path.write_text('{"weight": 12.9, "ap": {"2": -24.7, "3": 252}}')
+    out = tmp_path / "lift.json"
+    assert main(["lift", "--D", "3", "--ell", "6", "--T", "1,0,1,0",
+                 "--eigenvalues", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"eigenvalue file {str(path)!r}: weight = 12.9 is not an integer" in err
+    assert not out.exists()
+
+
 def test_usage_exit_code():
     proc = run_cli("definitely-not-a-command")
     assert proc.returncode == 1
@@ -244,7 +256,7 @@ def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
 
     siegel.q_poly_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
-                        lambda data: SqrtPPoly(data.p, [1, 1, 1]))
+                        lambda data, blocks=None: SqrtPPoly(data.p, [1, 1, 1]))
     assert main(["coeff", "--D", "3", "--T", "1,0,3,1"]) == 3  # norm 7, split
     err = capsys.readouterr().err
     assert "T = [[1, 0], [3, 1]], p = 7:" in err

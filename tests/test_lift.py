@@ -50,6 +50,18 @@ def test_eigenform_json_roundtrip():
         h.eigenvalue(5)
 
 
+@pytest.mark.parametrize("text", ['{"weight": 12.9, "ap": {"2": -24, "3": 252}}',
+                                  '{"weight": 12, "ap": {"2": -24.7, "3": 252}}',
+                                  '{"weight": 12.0, "ap": {"2": -24, "3": 252}}',
+                                  '{"weight": 12, "ap": {"2": true, "3": 252}}',
+                                  '{"weight": true, "ap": {"2": -24}}'])
+def test_eigenform_json_rejects_floats_and_booleans(text):
+    """A JSON float or boolean is not an integer, even when it is integral;
+    int() would truncate 12.9 to 12 and -24.7 to -24."""
+    with pytest.raises(ValidationError, match="is not an integer"):
+        EigenformData.from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # Lift coefficients
 # ---------------------------------------------------------------------------

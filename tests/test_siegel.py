@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, vp
+from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, ramanujan_sum_vp, vp
 from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
-from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series,
+from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series, b_term,
                          c_series, c_term, c_term_gauss, check_against_oracle,
                          extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
@@ -99,6 +99,36 @@ def test_term_unramified_matches_reference_on_every_valuation_pair():
                             assert term_unramified(r, bad, sh) == 0, (p, m, v, kq, r, bad)
                             outside += 1
     assert (inside, outside) == (6720, 13440)
+
+
+def _b_term_reference(r, v, kq, m, p):
+    """B_{r,eta} from (v(eta), v_p(q(eta))), summing the Gauss-sum formula
+    term by term over j <= min(r - 1, v, kq - r + 1)."""
+    if r == 0:
+        return 1
+    total = p ** (2 * m * r) if v >= r else 0
+    for j in range(min(r - 1, v, kq - r + 1) + 1):
+        total += p ** (m * (r + j)) * ramanujan_sum_vp(p, r - j, kq - 2 * j)
+    quot, rest = divmod(total, p ** r)
+    assert not rest
+    return quot
+
+
+def test_b_term_closed_form_matches_the_term_by_term_sum():
+    """The geometric-series form of b_term against the j-sum, exhaustively:
+    p in {2, 3, 5, 7, 11}, m in {1, 2, 3, 5}, r = 0..24, every v <= 25 with
+    2v <= k_q <= 51 or k_q = inf, and v = k_q = inf: 364,500 terms."""
+    inf = math.inf
+    pairs = [(v, kq) for v in range(26) for kq in [*range(2 * v, 52), inf]] + [(inf, inf)]
+    rs = range(25)
+    checked = 0
+    for p in (2, 3, 5, 7, 11):
+        for m in (1, 2, 3, 5):
+            for v, kq in pairs:
+                got = [b_term(r, v, kq, m, p) for r in rs]
+                assert got == [_b_term_reference(r, v, kq, m, p) for r in rs], (p, m, v, kq)
+                checked += len(rs)
+    assert checked == 364_500
 
 
 def test_term_ramified_examples():
@@ -556,6 +586,35 @@ def test_deep_split_key_both_routes_agree():
     assert closed == q_poly(data, P2)
 
 
+# (key, pinned Q): a split key with four blocks and an inert key
+COLD_KEYS = (((3, Splitting.SPLIT, 2, 4, 1, 2), [1, 2, 7, 5, 7, 5, 7, 2, 1]),
+             ((2, Splitting.INERT, 2, 4, 1, 1), [1, 0, 3, 0, 3, 0, 3, 0, 1]))
+
+
+@pytest.mark.parametrize("key, pinned", COLD_KEYS)
+def test_cold_key_builds_each_term_list_once(key, pinned, monkeypatch):
+    """Both routes of a cold key read one list of B-terms per block, so
+    b_term runs once per term of series_blocks, not once per route."""
+    import qeis.siegel as siegel
+
+    calls = []
+    original = siegel.b_term
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(siegel, "b_term", counting)
+    siegel.q_poly_of_invariants.cache_clear()
+    q = q_poly_of_invariants(*key)
+    siegel.q_poly_of_invariants.cache_clear()
+    p, case, n, k, k1, k2 = key
+    data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
+    _, blocks = series_blocks(data)
+    assert len(calls) == sum(len(b.rs) for b in blocks)
+    assert q == SqrtPPoly(p, pinned)
+
+
 def test_R_closed_form_examples():
     assert R_closed_form(0, 0, 0, 1, 3).is_zero()
     assert list(R_closed_form(0, 1, 1, 1, 3).coeffs) == [0, 3]
@@ -706,7 +765,7 @@ def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
 
     siegel.q_poly_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
-                        lambda data: SqrtPPoly(data.p, [1, 1, 1]))
+                        lambda data, blocks=None: SqrtPPoly(data.p, [1, 1, 1]))
     data = local_quadratic_data(global_vector(1, 0, 3, 1), F3, 7, P2)  # norm 7, split
     for _ in range(2):
         with pytest.raises(InternalConsistencyError) as err:
