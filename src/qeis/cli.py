@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .arith import prime_factors
 from .errors import (InternalConsistencyError, ResourceBudgetError,
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rat(x: Fraction) -> str:
-    x = Fraction(x)
+    """An exact rational (a Fraction or an int) as "n" or "n/d"."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -55,10 +56,15 @@ def _parse_T(text: str) -> GlobalVector:
 
 
 def _emit(doc, out_path, fmt: str = "json"):
-    if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+    """Render doc and write it to out_path, or to stdout: the one writer of both.
+
+    An :class:`ExpansionTable` is rendered by :func:`_table_json` or
+    :func:`_table_csv` as fmt says; any other doc as json.dumps(indent=2).
+    """
+    if isinstance(doc, ExpansionTable):
+        text = _table_json(doc) if fmt == "json" else _table_csv(doc)
     else:
-        text = _to_csv(doc)
+        text = json.dumps(doc, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -66,16 +72,52 @@ def _emit(doc, out_path, fmt: str = "json"):
         sys.stdout.write(text)
 
 
-def _to_csv(doc) -> str:
+def _table_csv(table: ExpansionTable) -> str:
     """CSV projection: the entries of an expansion table, one row per coefficient."""
-    entries = doc.get("entries", [])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ax", "ay", "bx", "by", "norm", "rank", "rational"])
-    for e in entries:
-        (ax, ay), (bx, by) = e["T"]
-        writer.writerow([ax, ay, bx, by, e["norm"], e["rank"], e["rational"]])
+    for e in table.entries:
+        a, b = e.T.a, e.T.b
+        writer.writerow([a.x, a.y, b.x, b.y, e.norm, e.rank, _rat(e.rational)])
     return buf.getvalue()
+
+
+# One table entry exactly as json.dumps(indent=2) lays it out at depth 2,
+# where entries sit: ints go into %d slots, strings through the JSON encoder.
+_ENTRY = ('    {\n      "T": [\n        [\n          %d,\n          %d\n        ],\n'
+          '        [\n          %d,\n          %d\n        ]\n      ],\n'
+          '      "norm": %d,\n      "rank": %d,\n      "rational": %s')
+_SIGMA = ',\n      "sigma": %d'
+_LOCAL_Q = ',\n      "localQ": {\n%s\n      }'
+_Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never empty
+
+
+def _entry_json(e) -> str:
+    """json.dumps(_entry_doc(e), indent=2) re-indented to depth 2, without the dict."""
+    a, b = e.T.a, e.T.b
+    text = _ENTRY % (a.x, a.y, b.x, b.y, e.norm, e.rank,
+                     encode_basestring_ascii(_rat(e.rational)))
+    if e.rank == 1:
+        text += _SIGMA % e.sigma
+    elif e.local_q:
+        text += _LOCAL_Q % ",\n".join(_Q_ITEM % (p, ",\n          ".join(map(str, q.d)))
+                                       for p, q in sorted(e.local_q.items()))
+    return text + "\n    }"
+
+
+def _table_json(table: ExpansionTable) -> str:
+    """The bytes of json.dumps(doc, indent=2) + "\\n" for the table's document.
+
+    The document is the header of :func:`_table_header` followed by
+    "entries", one :func:`_entry_doc` per entry.  Only the header goes
+    through json.dumps; each entry is filled into a fixed template, with
+    no per-entry dict.
+    """
+    head = json.dumps(_table_header(table), indent=2)[:-2]  # without the closing "\n}"
+    entries = ",\n".join(map(_entry_json, table.entries))
+    body = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{head},\n  "entries": {body}\n}}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +150,14 @@ def cmd_coeff(args) -> int:
     F = FieldE(args.D)
     P = Params(n=args.n, ell=args.ell)
     T = _parse_T(args.T)
-    entry = coefficient(T, P, F)
-    doc = _entry_doc(entry, F)
-    _emit(doc, args.out)
+    _emit(_entry_doc(coefficient(T, P, F)), args.out)
     return EXIT_OK
 
 
-def _entry_doc(entry, F) -> dict:
+def _entry_doc(entry) -> dict:
     doc = {
         "T": entry.T.as_list(),
-        "norm": norm(entry.T, F),
+        "norm": entry.norm,
         "rank": entry.rank,
         "rational": _rat(entry.rational),
     }
@@ -131,13 +171,12 @@ def _entry_doc(entry, F) -> dict:
 def cmd_expand(args) -> int:
     F = FieldE(args.D)
     P = Params(n=args.n, ell=args.ell)
-    table = full_expansion(P, F, args.bound)
-    doc = _table_doc(table, F)
-    _emit(doc, args.out, fmt=args.format)
+    _emit(full_expansion(P, F, args.bound), args.out, fmt=args.format)
     return EXIT_OK
 
 
-def _table_doc(table: ExpansionTable, F: FieldE) -> dict:
+def _table_header(table: ExpansionTable) -> dict:
+    """Every key of a table's JSON document but the last, "entries"."""
     P = table.params
     ct = table.constant
     return {
@@ -159,8 +198,7 @@ def _table_doc(table: ExpansionTable, F: FieldE) -> dict:
             "zetaE": ct.zeta_E,
         },
         "C_ell": _rat(c_ell(P.ell)),
-        "D_nl": _rat(d_nl(P, F)),
-        "entries": [_entry_doc(e, F) for e in table.entries],
+        "D_nl": _rat(d_nl(P, FieldE(table.D))),
     }
 
 

@@ -37,12 +37,13 @@ MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetErr
 # Rank-1: the ideal divisor sum
 # ---------------------------------------------------------------------------
 
-def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
+def sigma_E(T: GlobalVector, ell: int, F: FieldE, nrm: int | None = None) -> int:
     """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
 
     At each p dividing the content, (case, k1, k2) of :func:`local_key` give
     the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
-    Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
+    Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).  ``nrm``, when
+    given, is <T, T>, passed on to :func:`local_key`.
     """
     if not T:
         raise ValidationError("sigma_E of the zero vector")
@@ -51,7 +52,7 @@ def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
     content = math.gcd(na, nb)
     total = 1
     for p in prime_factors(content):
-        case, _, k1, k2 = local_key(T, F, p)
+        case, _, k1, k2 = local_key(T, F, p, nrm)
         if case is Splitting.SPLIT:
             total *= sum(p ** (i * ell) for i in range(k1 + 1))
             total *= sum(p ** (i * ell) for i in range(k2 + 1))
@@ -86,35 +87,46 @@ class FourierCoefficient:
     T: GlobalVector
     rank: int
     rational: Fraction
+    norm: int  # <T, T>
     sigma: int | None = None
     local_q: dict = field(default_factory=dict)
     whittaker: WhittakerEval | None = None
 
 
 def rank1_coefficient(T: GlobalVector, P: Params, F: FieldE,
-                      with_whittaker: bool = False) -> FourierCoefficient:
-    """Coefficient of an isotropic nonzero T: C_l * sigma_{E,l}(T)."""
-    if norm(T, F) != 0 or not T:
+                      with_whittaker: bool = False,
+                      nrm: int | None = None) -> FourierCoefficient:
+    """Coefficient of an isotropic nonzero T: C_l * sigma_{E,l}(T).
+
+    ``nrm``, when given, is <T, T>, so that it is computed once per T.
+    """
+    if nrm is None:
+        nrm = norm(T, F)
+    if nrm != 0 or not T:
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
-    sigma = sigma_E(T, P.ell, F)
+    sigma = sigma_E(T, P.ell, F, nrm)
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
-    return FourierCoefficient(T=T, rank=1, rational=c_ell(P.ell) * sigma,
+    return FourierCoefficient(T=T, rank=1, rational=c_ell(P.ell) * sigma, norm=nrm,
                               sigma=sigma, whittaker=w)
 
 
-def local_polynomials(T: GlobalVector, P: Params, F: FieldE) -> dict:
+def local_polynomials(T: GlobalVector, P: Params, F: FieldE,
+                      nrm: int | None = None) -> dict:
     """{p: Q_{T,p}} over the primes p dividing <T, T>.
 
     Each Q is served by its key (p, case, n, k, k1, k2), with (case, k, k1, k2)
     read once from T's valuations by :func:`local_key`; no coordinates are
     built.  The global model has n = 2 only, so other n raise ValidationError.
     A failed consistency check of a Q build is re-raised naming T and p.
+    ``nrm``, when given, is <T, T>.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
+    if nrm is None:
+        nrm = norm(T, F)
     local = {}
-    for p in prime_factors(norm(T, F)):
-        case, k, k1, k2 = local_key(T, F, p)
+    for p in prime_factors(nrm):
+        case, k, k1, k2 = local_key(T, F, p, nrm)
         try:
             local[p] = q_poly_of_invariants(p, case, P.n, k, k1, k2)
         except InternalConsistencyError as exc:
@@ -124,23 +136,29 @@ def local_polynomials(T: GlobalVector, P: Params, F: FieldE) -> dict:
 
 def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
                       nu_scale: Fraction = Fraction(1),
-                      with_whittaker: bool = False) -> FourierCoefficient:
+                      with_whittaker: bool = False,
+                      nrm: int | None = None) -> FourierCoefficient:
     """Coefficient of an anisotropic T with positive norm.
 
     rational = D_{n,l} * prod_{p | <T,T>} Q_{T,p}(p^(l-(n-1)/2)), scaled by
     |nu(m)|^(n-l) when a finite M-translation with |nu(m)| = nu_scale is
-    applied.
+    applied.  ``nrm``, when given, is <T, T>.
     """
-    if norm(T, F) <= 0:
+    if nrm is None:
+        nrm = norm(T, F)
+    if nrm <= 0:
         raise ValidationError("rank-2 coefficients need <T, T> > 0")
     two_e = 2 * P.ell - P.n + 1
-    local = local_polynomials(T, P, F)
+    local = local_polynomials(T, P, F, nrm)
     prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, two_e)
-    rational = d_nl(P, F) * prod * Fraction(nu_scale) ** (P.n - P.ell)
+    rational = d_nl(P, F) * prod
+    if nu_scale != 1:
+        rational *= Fraction(nu_scale) ** (P.n - P.ell)
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
-    return FourierCoefficient(T=T, rank=2, rational=rational, local_q=local, whittaker=w)
+    return FourierCoefficient(T=T, rank=2, rational=rational, norm=nrm, local_q=local,
+                              whittaker=w)
 
 
 def coefficient(T: GlobalVector, P: Params, F: FieldE, **kw) -> FourierCoefficient:
@@ -153,10 +171,10 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE, **kw) -> FourierCoefficie
         raise ValidationError("the built-in global model has n = 2")
     nrm = norm(T, F)
     if nrm < 0:
-        return FourierCoefficient(T=T, rank=2, rational=Fraction(0))
+        return FourierCoefficient(T=T, rank=2, rational=Fraction(0), norm=nrm)
     if nrm == 0:
-        return rank1_coefficient(T, P, F, **kw)
-    return rank2_coefficient(T, P, F, **kw)
+        return rank1_coefficient(T, P, F, nrm=nrm, **kw)
+    return rank2_coefficient(T, P, F, nrm=nrm, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +227,28 @@ class ExpansionTable:
     entries: tuple
 
 
-def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int) -> list:
-    """Nonzero T with N(a), N(b) <= cap and lo <= <T, T> <= hi, by (norm, coordinates)."""
+def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
+                      limit: int | None = None) -> list:
+    """Nonzero T with N(a), N(b) <= cap and lo <= <T, T> <= hi, by (norm, coordinates).
+
+    With ``limit`` given, more than ``limit`` such T raise ResourceBudgetError
+    as soon as the count passes it (checked once per a), not after the whole
+    region is enumerated.
+    """
     ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1
     disc = [z for x in range(-cap - 1, cap + 2) for y in range(-ymax, ymax + 1)
             if (z := QuadInt(x, y)).norm(F) <= cap]
-    vectors = []
+    found = []
     for a in disc:
         for b in disc:
             T = GlobalVector(a, b)
-            if T and lo <= norm(T, F) <= hi:
-                vectors.append(T)
-    vectors.sort(key=lambda T: (norm(T, F), T.a.x, T.a.y, T.b.x, T.b.y))
-    return vectors
+            if T and lo <= (nrm := norm(T, F)) <= hi:
+                found.append((nrm, a.x, a.y, b.x, b.y, T))
+        if limit is not None and len(found) > limit:
+            raise ResourceBudgetError(f"the region holds more than {limit} vectors, "
+                                      "which exceed the table budget")
+    found.sort()  # (norm, coordinates) are distinct, so T is never compared
+    return [row[5] for row in found]
 
 
 def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
@@ -238,9 +265,7 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
     if bound < 0:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
-    vectors = vectors_in_region(F, cap, 0, bound)
-    if len(vectors) > MAX_TABLE_VECTORS:
-        raise ResourceBudgetError(f"{len(vectors)} vectors exceed the table budget")
+    vectors = vectors_in_region(F, cap, 0, bound, limit=MAX_TABLE_VECTORS)
     return ExpansionTable(D=F.D, params=P, bound=bound, region_norm_cap=cap,
                           constant=constant_term(P, F),
                           entries=tuple(coefficient(T, P, F) for T in vectors))

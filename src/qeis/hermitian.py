@@ -181,7 +181,7 @@ def omega_root_lift(F: FieldE, p: int, prec: int) -> int:
 # The local key
 # ---------------------------------------------------------------------------
 
-def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
+def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int | None = None) -> tuple:
     """(case, k, k1, k2) of T at p, read off its prime-ideal valuations.
 
     This is the one reader of T's valuations at p.  k = v_p(<T, T>), +inf for
@@ -192,12 +192,13 @@ def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
     needed.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified p:
     k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2), with v_varpi(T) the
     least v_p(N(z)).  With p and n this is the key Q_{T,p} depends on.
+    ``nrm``, when given, is <T, T>, so a caller that has it does not recompute it.
     """
     if not T:
         raise ValidationError("local key of the zero vector")
     case = F.splitting(p)
     coords = [z for z in (T.a, T.b) if z]
-    k = vp(norm(T, F), p)
+    k = vp(norm(T, F) if nrm is None else nrm, p)
     if case is Splitting.SPLIT:
         r = _omega_root_mod_p(F, p)
         k1 = k2 = math.inf

@@ -51,16 +51,32 @@ class EigenformData:
         """Parse {"weight": w, "ap": {"2": a_2, ...}}; ValidationError if malformed.
 
         A JSON float or boolean value is rejected, not truncated to an int.
+        Each prime is written once, in plain decimal: a repeated key, or a key
+        with leading zeros, a sign or spaces ("02", "+2", " 2"), would let two
+        keys name one prime and the later one silently win.
         """
         def integer(x, what):
             if isinstance(x, (bool, float)):
                 raise ValidationError(f"{what} = {json.dumps(x)} is not an integer")
             return int(x)
 
+        def prime(key):
+            if not (key.isascii() and key.isdigit() and key == str(int(key))):
+                raise ValidationError(f"a_p key {key!r} is not written in plain decimal")
+            return int(key)
+
+        def unique_keys(pairs):
+            obj = dict(pairs)
+            if len(obj) < len(pairs):
+                keys = [key for key, _ in pairs]
+                raise ValidationError(
+                    f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+            return obj
+
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=unique_keys)
             return cls(weight=integer(obj["weight"], "weight"),
-                       ap={int(p): integer(a, f"a_{p}") for p, a in obj["ap"].items()})
+                       ap={prime(p): integer(a, f"a_{p}") for p, a in obj["ap"].items()})
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from None
         except KeyError as exc:

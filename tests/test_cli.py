@@ -114,6 +114,17 @@ def test_float_eigenvalue_file_exits_2_instead_of_truncating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ambiguous_prime_key_exits_2_instead_of_dropping_a_value(tmp_path, capsys):
+    """With "2" and "02" both read as p = 2, the later a_2 = 5 silently won."""
+    path = tmp_path / "dup.json"
+    path.write_text('{"weight": 12, "ap": {"2": -24, "02": 5, "3": 252}}')
+    out = tmp_path / "lift.json"
+    assert main(["lift", "--D", "3", "--ell", "6", "--T", "1,0,1,0",
+                 "--eigenvalues", str(path), "--out", str(out)]) == 2
+    assert "a_p key '02' is not written in plain decimal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_exit_code():
     proc = run_cli("definitely-not-a-command")
     assert proc.returncode == 1
@@ -148,7 +159,8 @@ def test_table_budget_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(fourier, "MAX_TABLE_VECTORS", 5)
     assert main(["expand", "--D", "3", "--bound", "2"]) == 4
-    assert "exceed the table budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "more than 5 vectors" in err and "exceed the table budget" in err
 
 
 def test_unknown_suite_is_a_validation_error(capsys):
@@ -281,3 +293,76 @@ def test_expansion_bytes_are_pinned(D, tmp_path):
             if not line.lstrip().startswith(('"numeric":', '"zetaE":'))]
     assert len(lines) - len(kept) == 2
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == EXPANSION_DIGESTS[D]
+
+
+# ---------------------------------------------------------------------------
+# The expansion-table writer against json.dumps
+# ---------------------------------------------------------------------------
+
+def _reference_json(table) -> str:
+    """The table document built as dicts, each entry laid out as `coeff` lays
+    it out, and written by json.dumps(indent=2)."""
+    from qeis.cli import _entry_doc, _table_header
+
+    entries = [_entry_doc(e) for e in table.entries]
+    return json.dumps({**_table_header(table), "entries": entries}, indent=2) + "\n"
+
+
+def _emitted(table, tmp_path, fmt="json") -> bytes:
+    from qeis.cli import _emit
+
+    out = tmp_path / "t.out"
+    _emit(table, str(out), fmt)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("D, ell, bound", [(D, ell, bound) for D in (3, 7) for ell in (3, 5)
+                                           for bound in (0, 1, 2, 5, 12)] + [(3, 3, 24)])
+def test_table_writer_matches_json_dumps(D, ell, bound, tmp_path):
+    from qeis.fourier import full_expansion
+    from qeis.hermitian import FieldE, Params
+
+    table = full_expansion(Params(n=2, ell=ell), FieldE(D), bound)
+    assert _emitted(table, tmp_path) == _reference_json(table).encode()
+
+
+def test_table_writer_matches_json_dumps_on_hand_made_entries(tmp_path):
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from qeis.arith import SqrtPPoly
+    from qeis.fourier import FourierCoefficient, full_expansion
+    from qeis.hermitian import FieldE, Params, global_vector
+
+    big = 10 ** 29 + 7
+    entries = (
+        FourierCoefficient(T=global_vector(1, 0, 0, 0), rank=1, rational=Fraction(-32, 9),
+                           norm=0, sigma=1),
+        FourierCoefficient(T=global_vector(1, 0, 1, -1), rank=2, rational=Fraction(432),
+                           norm=1),
+        FourierCoefficient(T=global_vector(-big, 3, 10 * big, -5), rank=2,
+                           rational=Fraction(-7, 3 * big), norm=-big * big,
+                           local_q={5: SqrtPPoly(5, [1, -big, 0, big, 1]),
+                                    2: SqrtPPoly(2, [1])}),
+        FourierCoefficient(T=global_vector(0, -big, 0, 0), rank=1, rational=Fraction(-big),
+                           norm=0, sigma=-big),
+    )
+    table = full_expansion(Params(n=2, ell=3), FieldE(3), 0)
+    for case in (entries, ()):
+        made = replace(table, entries=case)
+        assert _emitted(made, tmp_path) == _reference_json(made).encode()
+
+
+# SHA-256 of `expand --D D --ell 3 --bound 6 --format csv`
+CSV_DIGESTS = {
+    3: "f3ea39a8817e85d4135e2b395688751af3965ecabdfd1a2ef16bbf102ea20dde",
+    7: "fc8c1fcf716723ad43416b6997c479ff2f05a7adbf6104e69949959fd92c13e7",
+}
+
+
+@pytest.mark.parametrize("D", sorted(CSV_DIGESTS))
+def test_expansion_csv_bytes_are_pinned(D, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["expand", "--D", str(D), "--ell", "3", "--bound", "6", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[D]

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from qeis.arith import bernoulli, sigma_k
-from qeis.errors import ValidationError
+from qeis.errors import ResourceBudgetError, ValidationError
 from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
                           d_nl, denominator_bound_check, full_expansion,
                           rank1_coefficient, rank2_coefficient, sigma_E)
@@ -203,6 +203,46 @@ def test_coefficient_dispatch():
     T_neg = global_vector(1, 0, -1, 0)
     assert norm(T_neg, F3) < 0
     assert coefficient(T_neg, P3, F3).rational == 0
+
+
+def test_coefficient_computes_the_norm_once(monkeypatch):
+    """<T, T> is computed once per coefficient and carried on the result."""
+    import qeis.fourier as fourier
+    import qeis.hermitian as hermitian
+
+    calls = []
+
+    def counted(T, F):
+        calls.append(T)
+        return norm(T, F)
+
+    monkeypatch.setattr(fourier, "norm", counted)
+    monkeypatch.setattr(hermitian, "norm", counted)
+    # norm 7 * 2^2 * 3 (split, inert and ramified primes), isotropic, negative
+    for T, nrm in ((global_vector(6, 0, 7, 0), 84), (global_vector(3, 0, 0, 0), 0),
+                   (global_vector(1, 0, -1, 0), -2)):
+        calls.clear()
+        c = coefficient(T, P3, F3)
+        assert c.norm == nrm and len(calls) == 1, (T, calls)
+
+
+def test_vectors_in_region_stops_at_the_limit(monkeypatch):
+    """A region over the limit raises before it is enumerated to the end."""
+    import qeis.fourier as fourier
+
+    calls = []
+
+    def counted(T, F):
+        calls.append(T)
+        return norm(T, F)
+
+    monkeypatch.setattr(fourier, "norm", counted)
+    assert len(fourier.vectors_in_region(F3, 26, 0, 12, limit=2454)) == 2454
+    full = len(calls)
+    calls.clear()
+    with pytest.raises(ResourceBudgetError, match="more than 5 vectors"):
+        fourier.vectors_in_region(F3, 26, 0, 12, limit=5)
+    assert 10 * len(calls) < full
 
 
 def test_coefficient_with_whittaker_payload():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,21 @@ def test_eigenform_json_rejects_floats_and_booleans(text):
     """A JSON float or boolean is not an integer, even when it is integral;
     int() would truncate 12.9 to 12 and -24.7 to -24."""
     with pytest.raises(ValidationError, match="is not an integer"):
+        EigenformData.from_json(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"weight": 12, "ap": {"2": -24, "02": 5, "3": 252}}', "a_p key '02'"),
+    ('{"weight": 12, "ap": {"+2": -24, "3": 252}}', "a_p key '+2'"),
+    ('{"weight": 12, "ap": {" 2": -24, "3": 252}}', "a_p key ' 2'"),
+    ('{"weight": 12, "ap": {"-2": -24, "3": 252}}', "a_p key '-2'"),
+    ('{"weight": 12, "ap": {"2": -24, "2": 5, "3": 252}}', "duplicate key '2'"),
+    ('{"weight": 12, "weight": 10, "ap": {"2": -24}}', "duplicate key 'weight'"),
+])
+def test_eigenform_json_rejects_ambiguous_keys(text, message):
+    """int() reads "2" and "02" as one prime, and json.loads keeps the last of
+    two equal keys: either way a value would be dropped without a word."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
         EigenformData.from_json(text)
 
 
