@@ -16,6 +16,7 @@ determinism of the listing are the contracts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -186,8 +187,12 @@ def _zeta_E(s: int, D: int) -> float:
 
     L(s, chi_{-D}) = D^-s Sum_{a=1}^{D-1} chi_{-D}(a) zeta(s, a/D); scipy's
     zeta and Hurwitz zeta keep the product within a few ulps (relative error
-    below 1e-14 for D < 400 and s <= 15).
+    below 1e-14 for D < 400 and s <= 15).  D^s past the largest double
+    raises ValidationError: the Hurwitz values would overflow with it.
     """
+    if D ** s > sys.float_info.max:
+        raise ValidationError(f"zeta_E({s}) at D = {D} leaves the binary64 range "
+                              f"(D^s > 1.8e308); lower ell")
     chi_sum = math.fsum(kronecker_symbol(-D, a) * zeta(s, a / D) for a in range(1, D))
     return float(zeta(s)) * chi_sum / D ** s
 
@@ -233,11 +238,20 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
 
     With ``limit`` given, more than ``limit`` such T raise ResourceBudgetError
     as soon as the count passes it (checked once per a), not after the whole
-    region is enumerated.
+    region is enumerated.  When lo <= 0 <= hi every disc point z gives the
+    norm-0 vectors (z, 0) and (0, z), so a disc of more than limit // 2 + 1
+    points raises while it is built (checked once per x).
     """
-    ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1
-    disc = [z for x in range(-cap - 1, cap + 2) for y in range(-ymax, ymax + 1)
-            if (z := QuadInt(x, y)).norm(F) <= cap]
+    over = ResourceBudgetError(f"the region holds more than {limit} vectors, "
+                               "which exceed the table budget")
+    disc_limit = limit // 2 + 1 if limit is not None and lo <= 0 <= hi else None
+    xmax = math.isqrt(max(cap * (1 + F.D) // F.D, 0)) + 1  # N(x + y omega) >= x^2 D/(1+D)
+    ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1  # N(x + y omega) >= y^2 D/4
+    disc = []
+    for x in range(-xmax, xmax + 1):
+        disc.extend(z for y in range(-ymax, ymax + 1) if (z := QuadInt(x, y)).norm(F) <= cap)
+        if disc_limit is not None and len(disc) > disc_limit:
+            raise over
     found = []
     for a in disc:
         for b in disc:
@@ -245,8 +259,7 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
             if T and lo <= (nrm := norm(T, F)) <= hi:
                 found.append((nrm, a.x, a.y, b.x, b.y, T))
         if limit is not None and len(found) > limit:
-            raise ResourceBudgetError(f"the region holds more than {limit} vectors, "
-                                      "which exceed the table budget")
+            raise over
     found.sort()  # (norm, coordinates) are distinct, so T is never compared
     return [row[5] for row in found]
 

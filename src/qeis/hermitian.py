@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .arith import Splitting, splitting_class, validate_D, validate_prime, vp
 from .errors import InternalConsistencyError, ValidationError
@@ -103,7 +104,14 @@ def sqrt_minus_D() -> QuadInt:
 
 @dataclass(frozen=True)
 class Params:
-    """Hermitian-space rank parameter n and weight ell, with ell > n."""
+    """Hermitian-space rank parameter n and weight ell, with n < ell <= ELL_MAX.
+
+    Above ELL_MAX the binary64 fields give out: pi^(2l+1) in the constant
+    term overflows from l = 310 on, and at l = 800 the rational of
+    T = (1, 1) has more than the 4300 digits Python turns into a string.
+    """
+
+    ELL_MAX: ClassVar[int] = 300
 
     n: int
     ell: int
@@ -113,6 +121,9 @@ class Params:
             raise ValidationError(f"n = {self.n} must be positive and = 2 mod 4")
         if self.ell <= self.n:
             raise ValidationError(f"ell = {self.ell} must exceed n = {self.n}")
+        if self.ell > self.ELL_MAX:
+            raise ValidationError(f"ell = {self.ell} exceeds the supported maximum "
+                                  f"{self.ELL_MAX}")
 
 
 @dataclass(frozen=True)

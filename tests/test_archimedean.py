@@ -131,28 +131,42 @@ def test_bessel_sum_sweep():
             assert bessel_sum_check(ell, C), (ell, C)
 
 
+def test_besselk_series_matches_mpmath_to_1e_45():
+    """The DLMF 10.31.1 series against mpmath.besselk at 50 digits: n = 0..24
+    at fixed x from 0.2 to 20 and at 20 seeded random x in [0.2, 20]."""
+    import mpmath
+
+    from qeis.archimedean import _besselk_50
+
+    rng = random.Random(31)
+    xs = [0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0] + [rng.uniform(0.2, 20.0) for _ in range(20)]
+    with mpmath.workdps(50):
+        for n in range(25):
+            for x in xs:
+                want = mpmath.besselk(n, mpmath.mpf(x))
+                assert abs(_besselk_50(n, x) - want) <= 1e-45 * abs(want), (n, x)
+
+
 def test_identity_battery_evaluates_each_bessel_value_once(monkeypatch):
-    """The l <= 6, C in {0.5, 1, 2} sweep needs K_0..K_12 at x = 1, 2, 4."""
+    """The l <= 6, C in {0.5, 1, 2} sweep needs K_0..K_12 at x = 1, 2, 4, each
+    summed once from its own series; mpmath.besselk is never called."""
     import mpmath
 
     from qeis import archimedean
     from qeis.verify import suite_identities
 
-    calls = []
-    besselk = mpmath.besselk
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity battery called mpmath.besselk")
 
-    def counting(v, x):
-        calls.append((v, x))
-        return besselk(v, x)
-
-    monkeypatch.setattr(mpmath, "besselk", counting)
+    monkeypatch.setattr(mpmath, "besselk", refuse)
     archimedean._besselk_50.cache_clear()
     try:
         rep = suite_identities()
+        info = archimedean._besselk_50.cache_info()
     finally:
         archimedean._besselk_50.cache_clear()
     assert rep["ok"] and rep["checks"] == 208
-    assert len(calls) == 39 == len(set(calls))
+    assert info.misses == 39
 
 
 def test_bessel_sum_check_reads_the_cached_values(monkeypatch):

@@ -163,6 +163,41 @@ def test_table_budget_exit_code(monkeypatch, capsys):
     assert "more than 5 vectors" in err and "exceed the table budget" in err
 
 
+def test_ell_range_edges(capsys):
+    """l = Params.ELL_MAX runs to the end; l above it exits 2 before any work."""
+    assert main(["expand", "--D", "3", "--ell", "300", "--bound", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["ell"] == 300 and 0 < doc["constant_term"]["numeric"] < 1e-290
+    assert main(["coeff", "--D", "3", "--ell", "300", "--T", "1,0,1,0"]) == 0
+    capsys.readouterr()
+    for argv in (["expand", "--D", "3", "--ell", "301", "--bound", "2"],
+                 ["expand", "--D", "3", "--ell", "400", "--bound", "2"],
+                 ["coeff", "--D", "3", "--ell", "800", "--T", "1,0,1,0"]):
+        assert main(argv) == 2, argv
+        assert "exceeds the supported maximum 300" in capsys.readouterr().err
+
+
+def test_zeta_E_out_of_binary64_range_exits_2(capsys):
+    """zeta_E(l+1) needs D^(l+1) within binary64: at D = 11 that is l <= 295."""
+    assert main(["expand", "--D", "11", "--ell", "295", "--bound", "0"]) == 0
+    capsys.readouterr()
+    assert main(["expand", "--D", "11", "--ell", "296", "--bound", "0"]) == 2
+    assert "zeta_E(297) at D = 11 leaves the binary64 range" in capsys.readouterr().err
+
+
+def test_huge_table_bound_exits_4_while_the_disc_is_built(monkeypatch, capsys):
+    """At bound 10^6 the disc passes MAX_TABLE_VECTORS // 2 + 1 points long
+    before it is complete, and no pair of disc points is formed."""
+    from qeis import fourier
+
+    def no_pairs(T, F):
+        raise AssertionError("a pair was formed")
+
+    monkeypatch.setattr(fourier, "norm", no_pairs)
+    assert main(["expand", "--D", "3", "--bound", "1000000"]) == 4
+    assert "more than 200000 vectors" in capsys.readouterr().err
+
+
 def test_unknown_suite_is_a_validation_error(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     assert "unknown suite 'bogus'" in capsys.readouterr().err

@@ -175,6 +175,46 @@ def test_c_term_four_ranges_match_gauss_route():
                                 c_term_gauss(r, k1, k2, k, m, p), (m, p, k1, k2, k, r)
 
 
+def _c_term_reference(r, k1, k2, k, m, p):
+    """C_{r,eta} by the four-range case analysis, summing each band term by term."""
+    if k2 < 0:
+        return 0
+    if k1 == -1:
+        return 1 if r == 0 else 0
+    if r == 0:
+        return 1
+
+    def band(top):  # Sum_{j < top} p^((2r+2j+1)m - j) - p^((2r+2j+1)m - j - 1)
+        return sum(p ** ((2 * r + 2 * j + 1) * m - j - 1) * (p - 1) for j in range(top))
+
+    if r <= k2:
+        return p ** (r * (4 * m - 1)) + band(r)
+    if r <= k - k1:
+        return band(k1 + 1)
+    if r <= k + 1:
+        return band(k - r + 1) - p ** ((2 * k + 3) * m + r - k - 2)
+    return 0
+
+
+def test_c_term_closed_form_matches_the_term_by_term_sum():
+    """The geometric-series bands of c_term against the j-sum, exhaustively:
+    odd p <= 11, m in {1, 2, 3, 5}, r = 0..24 and every consistent (k1, k2, k)
+    with k <= 25: k2 in {k1, k1 + 1} and k >= k1 + k2, for k1 >= -2 (the
+    dual k1 = -1 and the vanishing k2 < 0 included)."""
+    keys = [(k1, k2, k) for k1 in range(-2, 13) for k2 in (k1, k1 + 1)
+            for k in range(k1 + k2, 26)]
+    rs = range(25)
+    checked = 0
+    for p in (3, 5, 7, 11):
+        for m in (1, 2, 3, 5):
+            for k1, k2, k in keys:
+                got = [c_term(r, k1, k2, k, m, p) for r in rs]
+                assert got == [_c_term_reference(r, k1, k2, k, m, p) for r in rs], \
+                    (p, m, k1, k2, k)
+                checked += len(rs)
+    assert checked == 16 * 25 * len(keys) == 186_000
+
+
 def test_c_term_dual_and_zero_cases():
     assert c_term(0, -1, 0, -1, 1, 3) == 1
     assert c_term(1, -1, 0, -1, 1, 3) == 0
