@@ -18,8 +18,7 @@ from .errors import (InternalConsistencyError, NumericError, QeisError,
                      ResourceBudgetError, ValidationError)
 from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       coefficient, constant_term, d_nl,
-                      denominator_bound_check, full_expansion,
-                      rank1_coefficient, rank2_coefficient, sigma_E)
+                      denominator_bound_check, full_expansion, sigma_E)
 from .hermitian import (FieldE, GlobalVector, LocalVectorData, Params,
                         QuadInt, global_vector, local_key, local_quadratic_data,
                         norm, quadint)

@@ -21,7 +21,8 @@ from json.encoder import encode_basestring_ascii
 from .arith import prime_factors
 from .errors import (InternalConsistencyError, ResourceBudgetError,
                      ValidationError)
-from .fourier import ExpansionTable, c_ell, coefficient, d_nl, full_expansion
+from .fourier import (ExpansionTable, FourierCoefficient, c_ell, coefficient, d_nl,
+                      full_expansion)
 from .hermitian import (FieldE, GlobalVector, Params, global_vector,
                         local_quadratic_data, norm)
 from .lift import EigenformData, lift_coefficient, standard_L_factors
@@ -59,12 +60,24 @@ def _emit(doc, out_path, fmt: str = "json"):
     """Render doc and write it to out_path, or to stdout: the one writer of both.
 
     An :class:`ExpansionTable` is rendered by :func:`_table_json` or
-    :func:`_table_csv` as fmt says; any other doc as json.dumps(indent=2).
+    :func:`_table_csv` as fmt says, a :class:`FourierCoefficient` as its
+    :func:`_entry_json` at depth 0, any other doc by json.dumps(indent=2)
+    with :func:`_rat` for Fractions.  Exact values outgrow Python's int-to-str
+    digit limit at large ell, so the limit is lifted while rendering only.
     """
-    if isinstance(doc, ExpansionTable):
-        text = _table_json(doc) if fmt == "json" else _table_csv(doc)
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (Python < 3.10.7)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if isinstance(doc, ExpansionTable):
+            text = _table_json(doc) if fmt == "json" else _table_csv(doc)
+        elif isinstance(doc, FourierCoefficient):
+            text = _entry_json(doc).replace("\n    ", "\n")[4:] + "\n"  # depth 2 to 0
+        else:
+            text = json.dumps(doc, indent=2, default=_rat) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -94,7 +107,11 @@ _Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never 
 
 
 def _entry_json(e) -> str:
-    """json.dumps(_entry_doc(e), indent=2) re-indented to depth 2, without the dict."""
+    """A coefficient's entry as json.dumps(indent=2) lays it out at depth 2.
+
+    The entry document has "T", "norm", "rank" and "rational", then "sigma"
+    at rank 1 or a non-empty "localQ" ({p: Q_{T,p}} by p) at rank 2.
+    """
     a, b = e.T.a, e.T.b
     text = _ENTRY % (a.x, a.y, b.x, b.y, e.norm, e.rank,
                      encode_basestring_ascii(_rat(e.rational)))
@@ -110,7 +127,7 @@ def _table_json(table: ExpansionTable) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n" for the table's document.
 
     The document is the header of :func:`_table_header` followed by
-    "entries", one :func:`_entry_doc` per entry.  Only the header goes
+    "entries", one :func:`_entry_json` per entry.  Only the header goes
     through json.dumps; each entry is filled into a fixed template, with
     no per-entry dict.
     """
@@ -150,22 +167,8 @@ def cmd_coeff(args) -> int:
     F = FieldE(args.D)
     P = Params(n=args.n, ell=args.ell)
     T = _parse_T(args.T)
-    _emit(_entry_doc(coefficient(T, P, F)), args.out)
+    _emit(coefficient(T, P, F), args.out)
     return EXIT_OK
-
-
-def _entry_doc(entry) -> dict:
-    doc = {
-        "T": entry.T.as_list(),
-        "norm": entry.norm,
-        "rank": entry.rank,
-        "rational": _rat(entry.rational),
-    }
-    if entry.rank == 1:
-        doc["sigma"] = entry.sigma
-    if entry.rank == 2 and entry.local_q:
-        doc["localQ"] = {str(p): list(q.d) for p, q in sorted(entry.local_q.items())}
-    return doc
 
 
 def cmd_expand(args) -> int:
@@ -216,15 +219,15 @@ def cmd_lift(args) -> int:
     except ValidationError as exc:
         raise ValidationError(f"eigenvalue file {args.eigenvalues!r}: {exc}") from None
     T = _parse_T(args.T)
-    value = lift_coefficient(T, h, P, F)
+    nrm = norm(T, F)
     doc = {
         "T": T.as_list(),
-        "norm": norm(T, F),
+        "norm": nrm,
         "weight": h.weight,
-        "lift_coefficient": _rat(value),
+        "lift_coefficient": lift_coefficient(T, h, P, F),
         "euler_factors": {},
     }
-    for p in prime_factors(norm(T, F)):
+    for p in prime_factors(nrm):
         desc = standard_L_factors(p, h, P, F)
         doc["euler_factors"][str(p)] = {
             "splitting": desc.splitting,

@@ -24,7 +24,7 @@ from functools import lru_cache
 from scipy.special import zeta
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
-                    sigma_k, sqrtp_eval_halfint)
+                    sigma_k, sqrtp_eval_halfint, vp)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import FieldE, GlobalVector, Params, QuadInt, local_key, norm
 from .siegel import q_poly_of_invariants
@@ -38,13 +38,12 @@ MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetErr
 # Rank-1: the ideal divisor sum
 # ---------------------------------------------------------------------------
 
-def sigma_E(T: GlobalVector, ell: int, F: FieldE, nrm: int | None = None) -> int:
+def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
     """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
 
     At each p dividing the content, (case, k1, k2) of :func:`local_key` give
     the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
-    Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).  ``nrm``, when
-    given, is <T, T>, passed on to :func:`local_key`.
+    Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
     """
     if not T:
         raise ValidationError("sigma_E of the zero vector")
@@ -53,7 +52,7 @@ def sigma_E(T: GlobalVector, ell: int, F: FieldE, nrm: int | None = None) -> int
     content = math.gcd(na, nb)
     total = 1
     for p in prime_factors(content):
-        case, _, k1, k2 = local_key(T, F, p, nrm)
+        case, k1, k2 = local_key(T, F, p)
         if case is Splitting.SPLIT:
             total *= sum(p ** (i * ell) for i in range(k1 + 1))
             total *= sum(p ** (i * ell) for i in range(k2 + 1))
@@ -68,15 +67,18 @@ def c_ell(ell: int) -> Fraction:
     return Fraction((-1) ** ell * 2 ** (2 * ell + 1), math.factorial(ell) ** 2)
 
 
+def _denominator_multiplier(P: Params, D: int) -> Fraction:
+    """(l!)^2 |B_{2l-n+2}| sigma_{l+1-n/2}(D), the denominator of D_{n,l}."""
+    return (Fraction(math.factorial(P.ell) ** 2) * abs(bernoulli(2 * P.ell - P.n + 2))
+            * sigma_k(D, P.ell + 1 - P.n // 2))
+
+
 @lru_cache
 def d_nl(P: Params, F: FieldE) -> Fraction:
     """The rank-2 normalizing constant D_{n,l}, computed once per (P, F)."""
     n, ell = P.n, P.ell
-    w = 2 * ell - n + 2
-    half = ell + 1 - n // 2
-    num = Fraction(2 ** (2 * n + 2) * w * F.D ** half)
-    den = Fraction(math.factorial(ell) ** 2) * abs(bernoulli(w)) * sigma_k(F.D, half)
-    return num / den
+    num = Fraction(2 ** (2 * n + 2) * (2 * ell - n + 2) * F.D ** (ell + 1 - n // 2))
+    return num / _denominator_multiplier(P, F.D)
 
 
 # ---------------------------------------------------------------------------
@@ -94,88 +96,56 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
-def rank1_coefficient(T: GlobalVector, P: Params, F: FieldE,
-                      with_whittaker: bool = False,
-                      nrm: int | None = None) -> FourierCoefficient:
-    """Coefficient of an isotropic nonzero T: C_l * sigma_{E,l}(T).
+def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
+    """{p: Q_{T,p}} over the primes p dividing nrm = <T, T>.
 
-    ``nrm``, when given, is <T, T>, so that it is computed once per T.
-    """
-    if nrm is None:
-        nrm = norm(T, F)
-    if nrm != 0 or not T:
-        raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
-    sigma = sigma_E(T, P.ell, F, nrm)
-    w = whittaker_at(T, P.ell, F) if with_whittaker else None
-    return FourierCoefficient(T=T, rank=1, rational=c_ell(P.ell) * sigma, norm=nrm,
-                              sigma=sigma, whittaker=w)
-
-
-def local_polynomials(T: GlobalVector, P: Params, F: FieldE,
-                      nrm: int | None = None) -> dict:
-    """{p: Q_{T,p}} over the primes p dividing <T, T>.
-
-    Each Q is served by its key (p, case, n, k, k1, k2), with (case, k, k1, k2)
-    read once from T's valuations by :func:`local_key`; no coordinates are
-    built.  The global model has n = 2 only, so other n raise ValidationError.
-    A failed consistency check of a Q build is re-raised naming T and p.
-    ``nrm``, when given, is <T, T>.
+    Each Q is served by its key (p, case, n, k, k1, k2): k = v_p(nrm), and
+    (case, k1, k2) are read from T's valuations by :func:`local_key`; no
+    coordinates are built.  The global model has n = 2 only, so other n raise
+    ValidationError.  A failed consistency check of a Q build is re-raised
+    naming T and p.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
-    if nrm is None:
-        nrm = norm(T, F)
     local = {}
     for p in prime_factors(nrm):
-        case, k, k1, k2 = local_key(T, F, p, nrm)
+        case, k1, k2 = local_key(T, F, p)
         try:
-            local[p] = q_poly_of_invariants(p, case, P.n, k, k1, k2)
+            local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
         except InternalConsistencyError as exc:
             raise InternalConsistencyError(f"T = {T.as_list()}, p = {p}: {exc}") from exc
     return local
 
 
-def rank2_coefficient(T: GlobalVector, P: Params, F: FieldE,
-                      nu_scale: Fraction = Fraction(1),
-                      with_whittaker: bool = False,
-                      nrm: int | None = None) -> FourierCoefficient:
-    """Coefficient of an anisotropic T with positive norm.
+def coefficient(T: GlobalVector, P: Params, F: FieldE,
+                with_whittaker: bool = False) -> FourierCoefficient:
+    """The Fourier coefficient of T, by the sign of <T, T>.
 
-    rational = D_{n,l} * prod_{p | <T,T>} Q_{T,p}(p^(l-(n-1)/2)), scaled by
-    |nu(m)|^(n-l) when a finite M-translation with |nu(m)| = nu_scale is
-    applied.  ``nrm``, when given, is <T, T>.
-    """
-    if nrm is None:
-        nrm = norm(T, F)
-    if nrm <= 0:
-        raise ValidationError("rank-2 coefficients need <T, T> > 0")
-    two_e = 2 * P.ell - P.n + 1
-    local = local_polynomials(T, P, F, nrm)
-    prod = 1
-    for q in local.values():
-        prod *= sqrtp_eval_halfint(q, two_e)
-    rational = d_nl(P, F) * prod
-    if nu_scale != 1:
-        rational *= Fraction(nu_scale) ** (P.n - P.ell)
-    w = whittaker_at(T, P.ell, F) if with_whittaker else None
-    return FourierCoefficient(T=T, rank=2, rational=rational, norm=nrm, local_q=local,
-                              whittaker=w)
-
-
-def coefficient(T: GlobalVector, P: Params, F: FieldE, **kw) -> FourierCoefficient:
-    """Dispatch on the sign of the norm (negative norms have zero coefficient).
-
-    The global model has n = 2 only, so other n raise ValidationError for
-    every T, isotropic and negative-norm ones included.
+    Negative norm: zero.  Norm 0 (T != 0): C_l * sigma_{E,l}(T).  Positive
+    norm: D_{n,l} * prod_{p | <T,T>} Q_{T,p}(p^(l-(n-1)/2)).  <T, T> is
+    computed once.  The global model has n = 2 only, so other n raise
+    ValidationError for every T, isotropic and negative-norm ones included.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
+    if not T:
+        raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
     if nrm < 0:
         return FourierCoefficient(T=T, rank=2, rational=Fraction(0), norm=nrm)
+    sigma, local = None, {}
     if nrm == 0:
-        return rank1_coefficient(T, P, F, nrm=nrm, **kw)
-    return rank2_coefficient(T, P, F, nrm=nrm, **kw)
+        sigma = sigma_E(T, P.ell, F)
+        rank, rational = 1, c_ell(P.ell) * sigma
+    else:
+        local = local_polynomials(T, P, F, nrm)
+        prod = 1
+        for q in local.values():
+            prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
+        rank, rational = 2, d_nl(P, F) * prod
+    w = whittaker_at(T, P.ell, F) if with_whittaker else None
+    return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
+                              local_q=local, whittaker=w)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +259,7 @@ def denominator_bound_check(table: ExpansionTable):
 
     Returns (True, None) or (False, offending coefficient).
     """
-    P = table.params
-    w = 2 * P.ell - P.n + 2
-    mult = (Fraction(math.factorial(P.ell) ** 2) * abs(bernoulli(w))
-            * sigma_k(table.D, P.ell + 1 - P.n // 2))
+    mult = _denominator_multiplier(table.params, table.D)
     for entry in table.entries:
         if entry.rank != 2:
             continue

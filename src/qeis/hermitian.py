@@ -192,24 +192,23 @@ def omega_root_lift(F: FieldE, p: int, prec: int) -> int:
 # The local key
 # ---------------------------------------------------------------------------
 
-def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int | None = None) -> tuple:
-    """(case, k, k1, k2) of T at p, read off its prime-ideal valuations.
+def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
+    """(case, k1, k2) of T at p, read off its prime-ideal valuations.
 
-    This is the one reader of T's valuations at p.  k = v_p(<T, T>), +inf for
-    isotropic T.  Split p: (k1, k2) = (v_P1(T), v_P2(T)) with P1 = (p, omega - r)
-    and P2 = (p, omega - (1 - r)), r the root of :func:`_omega_root_mod_p`.
-    Writing z = p^c z' with z' primitive, z' lies in at most one of P1, P2, so
-    v_P(z) = v_p(N(z)) - c when z' = 0 mod P and c otherwise; no lift is
-    needed.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified p:
-    k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2), with v_varpi(T) the
-    least v_p(N(z)).  With p and n this is the key Q_{T,p} depends on.
-    ``nrm``, when given, is <T, T>, so a caller that has it does not recompute it.
+    This is the one reader of T's valuations at p; with p, n and
+    k = v_p(<T, T>), which the caller takes from the norm it holds, it is the
+    key Q_{T,p} depends on.  Split p: (k1, k2) = (v_P1(T), v_P2(T)) with
+    P1 = (p, omega - r) and P2 = (p, omega - (1 - r)), r the root of
+    :func:`_omega_root_mod_p`.  Writing z = p^c z' with z' primitive, z' lies
+    in at most one of P1, P2, so v_P(z) = v_p(N(z)) - c when z' = 0 mod P and
+    c otherwise; no lift is needed.  Inert p: k1 = k2 = v_p(T), half the least
+    v_p(N(z)).  Ramified p: k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2),
+    with v_varpi(T) the least v_p(N(z)).
     """
     if not T:
         raise ValidationError("local key of the zero vector")
     case = F.splitting(p)
     coords = [z for z in (T.a, T.b) if z]
-    k = vp(norm(T, F) if nrm is None else nrm, p)
     if case is Splitting.SPLIT:
         r = _omega_root_mod_p(F, p)
         k1 = k2 = math.inf
@@ -218,14 +217,14 @@ def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int | None = None) -> tup
             full = vp(z.norm(F), p) - c
             v1, v2 = (full, c) if (z.x + z.y * r) % p ** (c + 1) == 0 else (c, full)
             k1, k2 = min(k1, v1), min(k2, v2)
-        return case, k, k1, k2
+        return case, k1, k2
     vals = [vp(z.norm(F), p) for z in coords]
     v = min(vals)
     if case is Splitting.INERT:
         if any(x % 2 for x in vals):
             raise InternalConsistencyError("odd norm valuation at an inert prime")
-        return case, k, v // 2, v // 2
-    return case, k, v // 2, (v + 1) // 2
+        return case, v // 2, v // 2
+    return case, v // 2, (v + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,8 @@ def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> Local
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2; supply LocalVectorData directly")
     validate_prime(p)
-    case, k, k1, k2 = local_key(T, F, p)
+    case, k1, k2 = local_key(T, F, p)
+    k = vp(norm(T, F), p)
     if k == math.inf:
         raise ValidationError("local quadratic data requires <T, T> != 0")
     coords, over, prec = _COORDS[case](T, F, p, k)

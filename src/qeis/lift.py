@@ -186,7 +186,7 @@ def lift_coefficient(T: GlobalVector, h: EigenformData, P: Params, F: FieldE):
     if nrm <= 0:
         raise ValidationError("lift coefficients need <T, T> > 0")
     total = Fraction(1)
-    for p, q in local_polynomials(T, P, F).items():
+    for p, q in local_polynomials(T, P, F, nrm).items():
         a_p = h.eigenvalue(p)
         coeffs = lift_local_exact(q, h.weight)
         total *= sum(c * Fraction(a_p) ** m for m, c in enumerate(coeffs))
@@ -200,7 +200,7 @@ def lift_coefficient_numeric(T: GlobalVector, satake: dict, P: Params, F: FieldE
         raise ValidationError("lift coefficients need <T, T> > 0")
     e = P.ell - (P.n - 1) / 2.0
     total = complex(nrm ** e)
-    for p, q in local_polynomials(T, P, F).items():
+    for p, q in local_polynomials(T, P, F, nrm).items():
         k = q.degree // 2
         alpha = satake[p] if isinstance(satake[p], complex) else satake[p].alpha
         val = 0j

@@ -270,8 +270,7 @@ def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
         return 1
 
     def band(top):  # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1), a geometric series
-        q = p ** (2 * m - 1)  # q > 1, since m >= 1
-        return (p - 1) * p ** ((2 * r + 1) * m - 1) * ((q ** top - 1) // (q - 1))
+        return (p - 1) * p ** ((2 * r + 1) * m - 1) * _geo(p, m, top)
 
     if r <= k2:
         return p ** (r * (4 * m - 1)) + band(r)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from qeis.arith import Splitting, vp
-from qeis.fourier import c_ell, d_nl, rank2_coefficient
+from qeis.fourier import c_ell, coefficient, d_nl
 from qeis.hermitian import FieldE, Params, global_vector, local_quadratic_data, norm
 from qeis.lift import delta_eigenvalues, lift_coefficient, lift_coefficient_numeric, satake_from_eigenvalue
 from qeis.siegel import (assemble_series, q_poly, q_poly_closed_form,
@@ -143,7 +143,7 @@ def test_criterion_06_integrality_and_denominators():
 def test_criterion_07_forced_values():
     ok = d_nl(P3, F3) == 432
     ok = ok and c_ell(3) == Fraction(-32, 9)
-    c = rank2_coefficient(global_vector(1, 0, 1, 0), P3, F3)
+    c = coefficient(global_vector(1, 0, 1, 0), P3, F3)
     ok = ok and c.rational == 14256
     # the local factor 33 = Q(2^(5/2)) confirmed by enumeration at p = 2:
     # B-series of the inert datum, every term re-derived by lattice counting

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -245,6 +246,20 @@ def test_coeff_command(tmp_path):
     assert json.loads(out.read_text())["rational"] == "14256"
 
 
+def test_coeff_writes_rationals_past_the_int_digit_limit(capsys):
+    """A 9550-digit rational is written out (the parser's digit limit applies
+    only to input, so a --T coordinate past it still exits 2)."""
+    assert main(["coeff", "--D", "3", "--ell", "300", "--T", "1099511627776,0,1,0"]) == 0
+    rational = json.loads(capsys.readouterr().out)["rational"]
+    assert len(rational) == 9550 and re.fullmatch(r"[1-9]\d*/[1-9]\d*", rational)
+    assert main(["coeff", "--D", "3", "--T", "1" * 4301 + ",0,1,0"]) == 2
+    assert "cannot parse T coordinates" in capsys.readouterr().err
+    x = "1" + "0" * 3000  # <T, T> = -2 * 10^6000
+    assert main(["coeff", "--D", "3", "--T", f"{x},0,-{x},0"]) == 0
+    out = capsys.readouterr().out
+    assert f'"norm": -2{"0" * 6000},' in out and '"rational": "0"' in out
+
+
 def test_lift_command(tmp_path):
     eig = tmp_path / "delta.json"
     eig.write_text(json.dumps({"weight": 12, "ap": {"2": -24, "3": 252}}))
@@ -334,20 +349,37 @@ def test_expansion_bytes_are_pinned(D, tmp_path):
 # The expansion-table writer against json.dumps
 # ---------------------------------------------------------------------------
 
+def _entry_doc(entry) -> dict:
+    """One coefficient as a dict: the document of a table entry and of `coeff`."""
+    from qeis.cli import _rat
+
+    doc = {
+        "T": entry.T.as_list(),
+        "norm": entry.norm,
+        "rank": entry.rank,
+        "rational": _rat(entry.rational),
+    }
+    if entry.rank == 1:
+        doc["sigma"] = entry.sigma
+    if entry.rank == 2 and entry.local_q:
+        doc["localQ"] = {str(p): list(q.d) for p, q in sorted(entry.local_q.items())}
+    return doc
+
+
 def _reference_json(table) -> str:
-    """The table document built as dicts, each entry laid out as `coeff` lays
-    it out, and written by json.dumps(indent=2)."""
-    from qeis.cli import _entry_doc, _table_header
+    """The table document built as dicts, one :func:`_entry_doc` per entry,
+    and written by json.dumps(indent=2)."""
+    from qeis.cli import _table_header
 
     entries = [_entry_doc(e) for e in table.entries]
     return json.dumps({**_table_header(table), "entries": entries}, indent=2) + "\n"
 
 
-def _emitted(table, tmp_path, fmt="json") -> bytes:
+def _emitted(doc, tmp_path, fmt="json") -> bytes:
     from qeis.cli import _emit
 
     out = tmp_path / "t.out"
-    _emit(table, str(out), fmt)
+    _emit(doc, str(out), fmt)
     return out.read_bytes()
 
 
@@ -386,6 +418,9 @@ def test_table_writer_matches_json_dumps_on_hand_made_entries(tmp_path):
     for case in (entries, ()):
         made = replace(table, entries=case)
         assert _emitted(made, tmp_path) == _reference_json(made).encode()
+    for entry in entries:  # `coeff` writes the same entry at depth 0
+        reference = json.dumps(_entry_doc(entry), indent=2) + "\n"
+        assert _emitted(entry, tmp_path) == reference.encode()
 
 
 # SHA-256 of `expand --D D --ell 3 --bound 6 --format csv`

@@ -8,8 +8,7 @@ import pytest
 from qeis.arith import bernoulli, sigma_k
 from qeis.errors import ResourceBudgetError, ValidationError
 from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
-                          d_nl, denominator_bound_check, full_expansion,
-                          rank1_coefficient, rank2_coefficient, sigma_E)
+                          d_nl, denominator_bound_check, full_expansion, sigma_E)
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
                             global_vector, norm, quadint)
 
@@ -44,11 +43,12 @@ def test_sigma_E_split_prime():
 def test_rank1_coefficient_examples():
     assert c_ell(3) == Fraction(-32, 9)
     T = GlobalVector(quadint(1), QuadInt(-1, 2))
-    assert rank1_coefficient(T, P3, F3).rational == Fraction(-32, 9)
+    c = coefficient(T, P3, F3)
+    assert (c.rank, c.rational, c.sigma) == (1, Fraction(-32, 9), 1)
     T2 = GlobalVector(quadint(2), QuadInt(-2, 4))
-    assert rank1_coefficient(T2, P3, F3).rational == Fraction(-2080, 9)
-    with pytest.raises(ValidationError):
-        rank1_coefficient(global_vector(1, 0, 1, 0), P3, F3)
+    assert coefficient(T2, P3, F3).rational == Fraction(-2080, 9)
+    with pytest.raises(ValidationError, match="need <T, T> = 0, T != 0"):
+        coefficient(global_vector(0, 0, 0, 0), P3, F3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +62,14 @@ def test_d_nl_value():
 
 
 def test_rank2_forced_value():
-    c = rank2_coefficient(global_vector(1, 0, 1, 0), P3, F3)
-    assert c.rational == 14256
+    c = coefficient(global_vector(1, 0, 1, 0), P3, F3)
+    assert (c.rank, c.rational, c.sigma) == (2, 14256, None)
     assert list(c.local_q[2].d) == [1, 0, 1]
     # unit norm: empty product
     T_unit = global_vector(1, 0, 1, -1)   # norm 2*1 + (-1) = 1
     assert norm(T_unit, F3) == 1
-    assert rank2_coefficient(T_unit, P3, F3).rational == 432
-    with pytest.raises(ValidationError):
-        rank2_coefficient(GlobalVector(quadint(1), QuadInt(-1, 2)), P3, F3)
+    assert coefficient(T_unit, P3, F3).rational == 432
+    assert coefficient(GlobalVector(quadint(1), QuadInt(-1, 2)), P3, F3).rank == 1
 
 
 def test_rank2_local_product_positive_integer():
@@ -81,7 +80,7 @@ def test_rank2_local_product_positive_integer():
                           rng.randint(-8, 8), rng.randint(-8, 8))
         if norm(T, F3) <= 0:
             continue
-        c = rank2_coefficient(T, P3, F3)
+        c = coefficient(T, P3, F3)
         prod = c.rational / d_nl(P3, F3)
         assert prod.denominator == 1 and prod > 0, T
         seen += 1
@@ -96,22 +95,14 @@ def test_rank2_invariance_under_lattice_isometries():
                           rng.randint(-6, 6), rng.randint(-6, 6))
         if norm(T, F3) <= 0:
             continue
-        base = rank2_coefficient(T, P3, F3).rational
-        swap = rank2_coefficient(GlobalVector(T.b, T.a), P3, F3).rational
-        neg = rank2_coefficient(GlobalVector(T.a.neg(), T.b.neg()), P3, F3).rational
+        base = coefficient(T, P3, F3).rational
+        swap = coefficient(GlobalVector(T.b, T.a), P3, F3).rational
+        neg = coefficient(GlobalVector(T.a.neg(), T.b.neg()), P3, F3).rational
         omega = QuadInt(0, 1)   # unit for D = 3: N(omega) = 1
         Tw = GlobalVector(T.a.mul(omega, F3), T.b.mul(omega, F3))
-        scaled = rank2_coefficient(Tw, P3, F3).rational
+        scaled = coefficient(Tw, P3, F3).rational
         assert base == swap == neg == scaled, T
         seen += 1
-
-
-def test_rank2_nu_scaling_factor():
-    T = global_vector(1, 0, 1, 0)
-    base = rank2_coefficient(T, P3, F3).rational
-    scaled = rank2_coefficient(T, P3, F3, nu_scale=Fraction(1, 4)).rational
-    assert scaled == base * Fraction(1, 4) ** (2 - 3)
-    assert scaled == base * 4
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,18 @@ def test_params_validation():
 # Prime ideal valuations
 # ---------------------------------------------------------------------------
 
+def _full_key(T, F, p):
+    """(case, k, k1, k2): :func:`local_key` with k = v_p(<T, T>), the key Q_{T,p} reads."""
+    case, k1, k2 = local_key(T, F, p)
+    return case, vp(norm(T, F), p), k1, k2
+
+
 def test_local_key_examples():
     T = GlobalVector(quadint(1), QuadInt(-1, 2))  # (1, sqrt(-3)), isotropic
-    assert local_key(T, F3, 3) == (Splitting.RAMIFIED, math.inf, 0, 0)
+    assert _full_key(T, F3, 3) == (Splitting.RAMIFIED, math.inf, 0, 0)
     T2 = GlobalVector(quadint(2), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
-    assert local_key(T2, F3, 2) == (Splitting.INERT, math.inf, 1, 1)
-    assert local_key(global_vector(1, 0, 1, 0), F3, 5) == (Splitting.INERT, 0, 0, 0)
+    assert _full_key(T2, F3, 2) == (Splitting.INERT, math.inf, 1, 1)
+    assert _full_key(global_vector(1, 0, 1, 0), F3, 5) == (Splitting.INERT, 0, 0, 0)
 
 
 def test_local_key_zero_vector():
@@ -103,7 +109,7 @@ def test_split_valuations_sum_to_norm_valuation():
             if F.splitting(p) is not Splitting.SPLIT:
                 continue
             T = GlobalVector(z, quadint(1))
-            _, _, v1, v2 = local_key(GlobalVector(z, z), F, p)
+            _, v1, v2 = local_key(GlobalVector(z, z), F, p)
             assert v1 + v2 == vp(z.norm(F), p), (z, D, p)
 
 
@@ -241,7 +247,7 @@ def test_local_key_matches_the_coordinates():
         for T in vectors_in_region(F, 26, 1, 24):
             for p in prime_factors(norm(T, F)):
                 data = local_quadratic_data(T, F, p, P2)
-                assert local_key(T, F, p) == _key_from_coords(data), (D, T, p)
+                assert _full_key(T, F, p) == _key_from_coords(data), (D, T, p)
                 pairs += 1
                 seen.add((p, data.case))
     assert pairs == 9412
@@ -278,7 +284,7 @@ def test_local_key_matches_the_coordinates_at_deep_valuations():
                 if not T or norm(T, F) == 0:
                     continue
                 data = local_quadratic_data(T, F, p, P2)
-                assert local_key(T, F, p) == _key_from_coords(data), (D, T, p)
+                assert _full_key(T, F, p) == _key_from_coords(data), (D, T, p)
                 pairs += 1
                 deepest = max(deepest, data.k)
                 seen.add(case)

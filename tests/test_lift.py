@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qeis.errors import ValidationError
-from qeis.fourier import d_nl, rank2_coefficient
+from qeis.fourier import coefficient, d_nl
 from qeis.hermitian import FieldE, Params, global_vector, norm
 from qeis.lift import (EigenformData, delta_eigenvalues, lift_coefficient,
                        lift_coefficient_numeric, lift_local_exact,
@@ -172,7 +172,7 @@ def test_lift_exact_specializes_to_eisenstein():
         if any(p > 13 for p in prime_factors(nrm)):
             continue
         lhs = lift_coefficient(T, hs, P, F3)
-        rhs = rank2_coefficient(T, P, F3).rational / d_nl(P, F3)
+        rhs = coefficient(T, P, F3).rational / d_nl(P, F3)
         assert lhs == rhs, T
         seen += 1
 
