@@ -9,7 +9,7 @@ terms with the exact lattice-count oracle.
 
 from qeis import (FieldE, Params, assemble_series, global_vector,
                   local_quadratic_data, norm, q_poly, sqrtp_eval_halfint)
-from qeis.siegel import split_shape, term_oracle
+from qeis.siegel import split_shape, term_closed, term_oracle
 
 F = FieldE(3)
 P = Params(n=2, ell=3)
@@ -21,7 +21,7 @@ def show(T, p):
     series = assemble_series(data)
     print(f"T = {T.as_list()}   <T,T> = {norm(T, F)}   p = {p} ({data.case.value})")
     print(f"  k = {data.k}, k1 = {data.k1}, k2 = {data.k2}")
-    print(f"  local series in t = p^-s: {[str(c) for c in series.terms.coeffs]}")
+    print(f"  local series in t = p^-s: {[str(c) for c in series.coeffs]}")
     print(f"  Q d-vector (coeff of X^i is d_i sqrt(p)^(i mod 2)): {list(q.d)}")
     print(f"  Q(p^(l - (n-1)/2)) = Q(p^(5/2)) = {sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)}")
     print()
@@ -43,8 +43,6 @@ show(global_vector(1, 0, 4, 1), 3)
 eta = (3, 0, 3, 0)
 sh = split_shape(3, 2)
 print("lattice-count oracle on the split rank-4 lattice at p = 3:")
-from qeis.siegel import term_unramified
-
 for r in range(3):
-    print(f"  r = {r}: closed form {term_unramified(r, eta, sh):6d}"
+    print(f"  r = {r}: closed form {term_closed(r, eta, sh):6d}"
           f"   lattice count {term_oracle(r, eta, sh):6d}")

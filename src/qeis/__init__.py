@@ -25,9 +25,8 @@ from .hermitian import (FieldE, GlobalVector, LocalVectorData, Params,
 from .lift import (EigenformData, SatakeParam, delta_eigenvalues,
                    lift_coefficient, lift_coefficient_numeric,
                    satake_from_eigenvalue, standard_L_factors)
-from .siegel import (LocalSeries, QuadLatticeShape, R_closed_form,
-                     assemble_series, extract_P, q_poly, ramified_shape,
-                     split_shape, term_oracle, term_ramified,
-                     term_unramified)
+from .siegel import (QuadLatticeShape, R_closed_form, assemble_series,
+                     extract_P, q_poly, ramified_shape, split_shape,
+                     term_closed, term_oracle)
 
 __version__ = "0.1.0"

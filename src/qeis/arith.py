@@ -358,6 +358,30 @@ def prime_factors(n: int) -> list:
     return out
 
 
+def sqrt_mod_p(a: int, p: int) -> int | None:
+    """A square root of a mod an odd prime p by Tonelli-Shanks, None unless a
+    is a nonzero square mod p."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    x, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return x
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # the least non-square
+        z += 1
+    c = pow(z, q, p)
+    while t != 1:  # x^2 = a t, with t of order 2^i < 2^e
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
 def validate_prime(p: int) -> None:
     """A p supplied from outside must be a (positive) prime; ValidationError otherwise."""
     if prime_factors(p) != [p]:

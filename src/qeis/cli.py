@@ -26,12 +26,12 @@ from .fourier import (ExpansionTable, FourierCoefficient, c_ell, coefficient, d_
 from .hermitian import (FieldE, GlobalVector, Params, global_vector,
                         local_quadratic_data, norm)
 from .lift import EigenformData, lift_coefficient, standard_L_factors
-from .siegel import check_against_oracle, enumeration_budget, q_poly
+from .siegel import DEFAULT_BUDGET, check_against_oracle, q_poly
 from .verify import run_suite
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INTERNAL, EXIT_BUDGET = 0, 1, 2, 3, 4
 BUDGET_HELP = ("largest p^(r*rank), the size of the lattice an oracle term counts "
-               "(not the work done); default QEIS_BUDGET or 10^8")
+               "(not the work done); a positive integer, default 10^8")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,7 +276,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("local", help="one local polynomial Q_{T,p}")
     common(sp, T=True, p=True)
-    sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     sp.add_argument("--oracle", action="store_true",
                     help="re-derive every series term by the exact lattice-count oracle")
     sp.set_defaults(func=cmd_local)
@@ -300,7 +300,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", required=True)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -309,8 +309,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "budget" in vars(args):
-            args.budget = enumeration_budget(args.budget)
+        if vars(args).get("budget", 1) <= 0:
+            raise ValidationError(f"--budget = {str(args.budget)!r} is not positive")
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

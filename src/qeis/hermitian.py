@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-from .arith import Splitting, splitting_class, validate_D, validate_prime, vp
+from .arith import (Splitting, splitting_class, sqrt_mod_p, validate_D,
+                    validate_prime, vp)
 from .errors import InternalConsistencyError, ValidationError
 
 
@@ -159,12 +160,15 @@ def norm(T: GlobalVector, F: FieldE) -> int:
 # ---------------------------------------------------------------------------
 
 def _omega_root_mod_p(F: FieldE, p: int) -> int:
-    """A root of X^2 - X + (1+D)/4 mod p (exists iff p splits)."""
-    c = F.omega_norm
-    for r in range(p):
-        if (r * r - r + c) % p == 0:
-            return r
-    raise ValidationError(f"p = {p} is not split in Q(sqrt(-{F.D}))")
+    """The least root of X^2 - X + (1+D)/4 mod p, which exists iff p splits:
+    (1 +- s)/2 with s^2 = -D mod p at odd p, 0 and 1 at p = 2 when D = 7 mod 8."""
+    if p == 2 and F.D % 8 == 7:
+        return 0
+    s = sqrt_mod_p(-F.D, p) if p > 2 else None
+    if s is None:
+        raise ValidationError(f"p = {p} is not split in Q(sqrt(-{F.D}))")
+    half = (p + 1) // 2
+    return min((1 + s) * half % p, (1 - s) * half % p)
 
 
 def omega_root_lift(F: FieldE, p: int, prec: int) -> int:

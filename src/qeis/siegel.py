@@ -2,9 +2,14 @@
 
 Three ingredients, all exact:
 
-* closed-form term sequences for the two quadratic lattice shapes that occur
-  (a split hyperbolic lattice of rank 2m, and the ramified normal form of
-  rank 4m with quadratic form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i);
+* closed-form terms for the two quadratic lattice shapes that occur (a
+  split hyperbolic lattice of rank 2m, and the ramified normal form of rank
+  4m with quadratic form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i).  A term
+  reads eta only through its invariants: :meth:`QuadLatticeShape.invariants`
+  reads them, and :meth:`QuadLatticeShape.term` picks the closed form,
+  B_{r,eta} (:func:`b_term`) on the split shape or C_{r,eta}
+  (:func:`c_term`) on the ramified one.  :func:`term_closed` takes eta
+  itself, as the oracle does;
 * a lattice-count oracle that recomputes any single term from the points
   of (Z/p^r)^rank; q and the character argument are sums over the
   hyperbolic pairs, so their joint count is a cyclic convolution of one
@@ -33,7 +38,6 @@ cross-check.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -46,28 +50,6 @@ from .errors import InternalConsistencyError, ResourceBudgetError, ValidationErr
 from .hermitian import LocalVectorData
 
 DEFAULT_BUDGET = 10 ** 8
-
-
-def enumeration_budget(given: int | None = None) -> int:
-    """The oracle budget: ``given`` (the --budget flag) when it is not None,
-    else QEIS_BUDGET, else DEFAULT_BUDGET when that is unset or empty.
-
-    A value that is not a positive integer, from either source, raises
-    ValidationError.
-    """
-    if given is not None:
-        source, text = "--budget", str(given)
-    else:
-        source, text = "QEIS_BUDGET", os.environ.get("QEIS_BUDGET")
-        if not text:
-            return DEFAULT_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        raise ValidationError(f"{source} = {text!r} is not an integer") from None
-    if budget <= 0:
-        raise ValidationError(f"{source} = {text!r} is not positive")
-    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +114,25 @@ class QuadLatticeShape:
     def in_lattice(self, vec) -> bool:
         return all(Fraction(c).denominator == 1 for c in vec)
 
+    def invariants(self, eta):
+        """All the closed form reads of eta.
+
+        Split: (v(eta), v_p(q(eta))), None outside the lattice; both are +inf
+        for the zero vector, and v_p(q(eta)) is +inf when eta is isotropic.
+        Ramified: (k1, k2, k) of :func:`ramified_invariants`.
+        """
+        if self.form == "ramified":
+            return ramified_invariants(eta, self)
+        if not self.in_lattice(eta):
+            return None
+        eta = [int(c) for c in eta]
+        return min(vp(c, self.p) for c in eta), vp(self.quad_form(eta), self.p)
+
+    def term(self, r: int, inv) -> int:
+        """Term r at invariants ``inv``: :func:`b_term` on the split lattice,
+        :func:`c_term` on the ramified one."""
+        return (c_term if self.form == "ramified" else b_term)(r, *inv, self.m, self.p)
+
 
 def split_shape(p: int, m: int) -> QuadLatticeShape:
     return QuadLatticeShape(p, m, "split")
@@ -177,33 +178,16 @@ def _vp_frac(x, p: int):
 # Closed-form terms
 # ---------------------------------------------------------------------------
 
-def unramified_invariants(eta, shape: QuadLatticeShape):
-    """(v(eta), v_p(q(eta))) of a vector of the split lattice, None outside it.
+def term_closed(r: int, eta, shape: QuadLatticeShape) -> int:
+    """Term r of eta by the closed form of its shape, as :func:`term_oracle` counts it.
 
-    Both are +inf for the zero vector, and v_p(q(eta)) is +inf when eta is
-    isotropic.
-    """
-    if shape.form != "split":
-        raise ValidationError("unramified invariants need a split shape")
-    if not shape.in_lattice(eta):
-        return None
-    eta = [int(c) for c in eta]
-    p = shape.p
-    return min(vp(c, p) for c in eta), vp(shape.quad_form(eta), p)
-
-
-def term_unramified(r: int, eta, shape: QuadLatticeShape) -> int:
-    """B_{r,eta} for the split hyperbolic lattice of rank 2m.
-
-    B reads eta only through (v(eta), v_p(q(eta))); see :func:`b_term`.  For
-    eta outside the lattice every term vanishes.
+    B_{r,eta} on the split lattice, 0 for eta outside it; C_{r,eta} on the
+    ramified one.
     """
     if r < 0:
         raise ValidationError("term index r must be >= 0")
-    inv = unramified_invariants(eta, shape)
-    if inv is None:
-        return 0
-    return b_term(r, *inv, shape.m, shape.p)
+    inv = shape.invariants(eta)
+    return 0 if inv is None else shape.term(r, inv)
 
 
 def b_term(r: int, v, kq, m: int, p: int) -> int:
@@ -244,12 +228,6 @@ def b_term(r: int, v, kq, m: int, p: int) -> int:
     if rest:
         raise InternalConsistencyError("non-integral unramified term")
     return quot
-
-
-def term_ramified(r: int, eta, shape: QuadLatticeShape) -> int:
-    """C_{r,eta} for the rank-4m ramified lattice, via the four-range closed form."""
-    k1, k2, k = ramified_invariants(eta, shape)
-    return c_term(r, k1, k2, k, shape.m, shape.p)
 
 
 def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
@@ -330,7 +308,7 @@ def _convolve(hist_a, hist_b):
     return part[idx[:, None], diff].sum(axis=0)
 
 
-def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int | None = None):
+def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int = DEFAULT_BUDGET):
     """Independent exact count of a single Siegel-series term.
 
     Counts points y of L/p^r L with q(y) = 0 mod p^r by the residue level of
@@ -343,8 +321,6 @@ def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int | None = None)
     """
     if r < 0:
         raise ValidationError("term index r must be >= 0")
-    if budget is None:
-        budget = enumeration_budget()
     if not shape.in_dual(eta):
         return 0
     if r == 0:
@@ -387,24 +363,13 @@ def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int | None = None)
 # Local series assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalSeries:
-    """Truncated E^T_{2,p}(s) as an exact polynomial in t = p^(-s)."""
-
-    p: int
-    case: Splitting
-    n: int
-    k: int
-    terms: SeriesPoly
-
-
 class SeriesBlock(NamedTuple):
     """One eta of the local series: for r in ``rs``, term r of eta times
     p^(r + power) adds to the coefficient of t^(2r + shift), a negative
-    exponent dividing exactly.  ``inv`` is what the closed form reads:
-    (v(eta), v_p(q(eta))) on the split lattice, (k1, k2, k) on the ramified
-    one.  ``eta()`` builds the vector itself from the coordinates, which only
-    the oracle check needs; ``name`` says how eta comes from T."""
+    exponent dividing exactly.  ``inv`` is what the closed form reads, as
+    :meth:`QuadLatticeShape.invariants` gives it.  ``eta()`` builds the
+    vector itself from the coordinates, which only the oracle check needs;
+    ``name`` says how eta comes from T."""
 
     name: str
     inv: tuple
@@ -453,12 +418,12 @@ def closed_blocks(data: LocalVectorData):
     The series assembly and the closed-form Q of one key read the same lists.
     """
     shape, blocks = series_blocks(data)
-    term = c_term if shape.form == "ramified" else b_term
-    return shape, [(b, [term(r, *b.inv, shape.m, shape.p) for r in b.rs]) for b in blocks]
+    return shape, [(b, [shape.term(r, b.inv) for r in b.rs]) for b in blocks]
 
 
-def assemble_series(data: LocalVectorData, blocks=None) -> LocalSeries:
-    """Exact truncated local series at p, the sum of :func:`series_blocks`, in Python ints.
+def assemble_series(data: LocalVectorData, blocks=None) -> SeriesPoly:
+    """The truncated local series E^T_{2,p}(s) as an exact polynomial in
+    t = p^(-s): the sum of :func:`series_blocks`, in Python ints.
 
     ``blocks`` is the (block, terms) list of :func:`closed_blocks`, built
     here when None.
@@ -475,10 +440,10 @@ def assemble_series(data: LocalVectorData, blocks=None) -> LocalSeries:
                 if rest:
                     raise InternalConsistencyError("assembled local series has non-integral term")
             coeffs[2 * r + b.shift] += term * p ** max(e, 0)
-    return LocalSeries(p=p, case=data.case, n=data.n, k=k, terms=SeriesPoly(coeffs))
+    return SeriesPoly(coeffs)
 
 
-def check_against_oracle(data: LocalVectorData, budget: int | None = None) -> None:
+def check_against_oracle(data: LocalVectorData, budget: int = DEFAULT_BUDGET) -> None:
     """Recount every term of the assembled local series with :func:`term_oracle`.
 
     Walks the blocks that :func:`assemble_series` sums, one term at a time; a
@@ -519,18 +484,6 @@ def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
     if not poly.is_monic():
         raise InternalConsistencyError(f"extracted P = {poly} is not monic")
     return poly
-
-
-def b_series(eta, shape: QuadLatticeShape, k: int) -> SeriesPoly:
-    """B-series of eta in the variable t' = p^(1-2s), truncated at r = k + 1."""
-    inv = unramified_invariants(eta, shape)
-    return SeriesPoly([0 if inv is None else b_term(r, *inv, shape.m, shape.p)
-                       for r in range(k + 2)])
-
-
-def c_series(k1: int, k2: int, k: int, m: int, p: int) -> SeriesPoly:
-    """C-series sum_r C_r t'^r in t' = p^(-s), truncated at r = k + 1."""
-    return SeriesPoly([c_term(r, k1, k2, k, m, p) for r in range(k + 2)])
 
 
 def _geo(p: int, m: int, a: int) -> int:
@@ -578,30 +531,14 @@ def extract_R(series: SeriesPoly, k1: int, k2: int, k: int, m: int, p: int):
 
 def _q1_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Odd-part polynomial Q1, coefficient of X^(2r+1) for r = 0..k-1."""
-    kp = k - k1 - k2
-    out = [0] * k
-    for r in range(k):
-        if r <= k2 - 1:
-            out[r] = _geo(p, m, r + 1)
-        elif r < k1 + kp:
-            out[r] = _geo(p, m, k2)
-        else:
-            out[r] = _geo(p, m, k - r)
-    return out
+    return [_geo(p, m, r + 1 if r <= k2 - 1 else k2 if r < k - k2 else k - r)
+            for r in range(k)]
 
 
 def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Even-part polynomial Q2, coefficient of X^(2r) for r = 0..k."""
-    kp = k - k1 - k2
-    out = [0] * (k + 1)
-    for r in range(k + 1):
-        if r <= k1:
-            out[r] = _geo(p, m, r + 1)
-        elif r < k2 + kp:
-            out[r] = _geo(p, m, k1 + 1)
-        else:
-            out[r] = _geo(p, m, k - r + 1)
-    return out
+    return [_geo(p, m, r + 1 if r <= k1 else k1 + 1 if r < k - k1 else k - r + 1)
+            for r in range(k + 1)]
 
 
 def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
@@ -649,19 +586,19 @@ def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
     return SqrtPPoly(p, d)
 
 
-def q_poly_from_series(series: LocalSeries) -> SqrtPPoly:
-    """Q_{T,p} by exact division of the assembled local series.
+def q_poly_from_series(data: LocalVectorData, series: SeriesPoly) -> SqrtPPoly:
+    """Q_{T,p} by exact division of the local series assembled from ``data``.
 
     Unramified: E(t) = (1 - p^n t^2) Q(p^((n+1)/2) t);
     ramified:   E(t) = (1 - p^(n/2) t) Q(p^((n+1)/2) t).
     An integer series is divided in Python ints, and a nonzero remainder of
     the division or of a rescaling raises InternalConsistencyError.
     """
-    p, n = series.p, series.n
-    if series.case is Splitting.RAMIFIED:
-        quot = series.terms.divide_exact(p ** (n // 2), 1)
+    p, n = data.p, data.n
+    if data.case is Splitting.RAMIFIED:
+        quot = series.divide_exact(p ** (n // 2), 1)
     else:
-        quot = series.terms.divide_exact(p ** n, 2)
+        quot = series.divide_exact(p ** n, 2)
     d = []
     for i, c in enumerate(quot.coeffs):
         e = (i * (n + 1) + (i % 2)) // 2
@@ -711,7 +648,7 @@ def q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
     data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
     _, blocks = closed_blocks(data)
     closed = q_poly_closed_form(data, blocks)
-    divided = q_poly_from_series(assemble_series(data, blocks))
+    divided = q_poly_from_series(data, assemble_series(data, blocks))
     if closed != divided:
         raise InternalConsistencyError(
             f"Q paths disagree at {key}: closed {closed.d} vs series {divided.d}")

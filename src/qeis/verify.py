@@ -13,15 +13,14 @@ import random
 from fractions import Fraction
 
 from . import archimedean as arch
-from .arith import Splitting, prime_factors, validate_prime, vp
+from .arith import SeriesPoly, Splitting, prime_factors, validate_prime, vp
 from .errors import ValidationError
 from .fourier import (d_nl, denominator_bound_check, full_expansion,
                       vectors_in_region)
 from .hermitian import FieldE, Params, local_quadratic_data, norm
-from .siegel import (b_series, c_series, c_term_gauss, extract_P, extract_R,
+from .siegel import (DEFAULT_BUDGET, c_term_gauss, extract_P, extract_R,
                      R_closed_form, q_poly, ramified_invariants,
-                     ramified_shape, split_shape, term_oracle, term_ramified,
-                     term_unramified)
+                     ramified_shape, split_shape, term_oracle)
 
 SUITES = ("oracle", "functional", "identities", "denominators", "all")
 
@@ -93,41 +92,33 @@ def sample_ramified_vectors(p: int, m: int, count: int, k_cap: int, seed: int = 
 ORACLE_PRIMES = (2, 3, 5)
 
 
-def suite_oracle(ps=ORACLE_PRIMES, budget: int | None = None, count: int = 50) -> dict:
+def suite_oracle(ps=ORACLE_PRIMES, budget: int = DEFAULT_BUDGET, count: int = 50) -> dict:
     """Closed-form terms against the lattice-count oracle, plus the Gauss-sum route.
 
     The split shape covers split and inert p.  The ramified shape is checked
-    at odd p only, since 2 is unramified in E.
+    at odd p only, since 2 is unramified in E.  Each vector's invariants are
+    read once, for all its terms.
     """
     failures = []
     checks = 0
     for p in ps:
         r_top = 3 if p <= 3 else 2
-        shape = split_shape(p, 2)
-        for vec in sample_split_vectors(p, 2, count, k_cap=3):
-            for r in range(r_top + 1):
-                closed = term_unramified(r, vec, shape)
-                oracle = term_oracle(r, vec, shape, budget=budget)
-                checks += 1
-                if closed != oracle:
-                    failures.append({"shape": "split", "p": p, "r": r,
-                                     "eta": [str(c) for c in vec],
-                                     "closed": str(closed), "oracle": str(oracle)})
-        if p == 2:
-            continue
-        shape = ramified_shape(p, 1)
-        for vec in sample_ramified_vectors(p, 1, count, k_cap=3):
-            k1, k2, k = ramified_invariants(vec, shape)
-            for r in range(r_top + 1):
-                closed = term_ramified(r, vec, shape)
-                oracle = term_oracle(r, vec, shape, budget=budget)
-                gauss = c_term_gauss(r, k1, k2, k, 1, p)
-                checks += 1
-                if closed != oracle or closed != gauss:
-                    failures.append({"shape": "ramified", "p": p, "r": r,
-                                     "eta": [str(c) for c in vec],
-                                     "closed": str(closed), "oracle": str(oracle),
-                                     "gauss": str(gauss)})
+        grids = [(split_shape(p, 2), sample_split_vectors(p, 2, count, k_cap=3))]
+        if p != 2:
+            grids.append((ramified_shape(p, 1), sample_ramified_vectors(p, 1, count, k_cap=3)))
+        for shape, vectors in grids:
+            for vec in vectors:
+                inv = shape.invariants(vec)
+                for r in range(r_top + 1):
+                    got = {"closed": shape.term(r, inv),
+                           "oracle": term_oracle(r, vec, shape, budget=budget)}
+                    if shape.form == "ramified":
+                        got["gauss"] = c_term_gauss(r, *inv, 1, p)
+                    checks += 1
+                    if len(set(got.values())) > 1:
+                        failures.append({"shape": shape.form, "p": p, "r": r,
+                                         "eta": [str(c) for c in vec],
+                                         **{k: str(v) for k, v in got.items()}})
     return _report("oracle", checks, failures)
 
 
@@ -163,7 +154,9 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
                                      "coeffs": list(q.d)})
                 if data.case in (Splitting.SPLIT, Splitting.INERT):
                     shape = split_shape(p, 2)
-                    poly = extract_P(b_series(data.coords, shape, data.k), 2, p)
+                    inv = shape.invariants(data.coords)
+                    poly = extract_P(SeriesPoly([shape.term(r, inv)
+                                                 for r in range(data.k + 2)]), 2, p)
                     checks += 1
                     if not palindromic(poly.coeffs, data.k):
                         failures.append({"D": D, "p": p, "T": T.as_list(), "poly": "P",
@@ -206,6 +199,7 @@ def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
     literal_witness = None
     shapes = 0
     for m in range(1, m_cap + 1):
+        lattice = ramified_shape(p, m)
         for k1 in range(0, k_cap + 1):
             for k2 in (k1, k1 + 1):
                 for kp in range(0, k_cap + 1):
@@ -213,7 +207,7 @@ def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
                     if k > k_cap or k == 0:
                         continue
                     shapes += 1
-                    series = c_series(k1, k2, k, m, p)
+                    series = SeriesPoly([lattice.term(r, (k1, k2, k)) for r in range(k + 2)])
                     extracted = _pad(extract_R(series, k1, k2, k, m, p), k + 1)
                     adopted = _pad(R_closed_form(k1, k2, k, m, p).coeffs, k + 1)
                     literal = [Fraction(p ** m * p ** (r * (2 * m - 1) - 1),
@@ -315,7 +309,7 @@ def suite_denominators(D: int = 3, ells=(3, 4, 5), bound: int = 12) -> dict:
     return _report("denominators", checks, failures)
 
 
-def run_suite(name: str, budget: int | None = None, ps=None) -> list:
+def run_suite(name: str, budget: int = DEFAULT_BUDGET, ps=None) -> list:
     """Run one suite, or all of them; ``ps`` replaces the oracle suite's primes."""
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")

@@ -17,8 +17,8 @@ from qeis.fourier import c_ell, coefficient, d_nl
 from qeis.hermitian import FieldE, Params, global_vector, local_quadratic_data, norm
 from qeis.lift import delta_eigenvalues, lift_coefficient, lift_coefficient_numeric, satake_from_eigenvalue
 from qeis.siegel import (assemble_series, q_poly, q_poly_closed_form,
-                         q_poly_from_series, split_shape, term_oracle,
-                         term_unramified)
+                         q_poly_from_series, split_shape, term_closed,
+                         term_oracle)
 from qeis.verify import (r_arbitration, suite_denominators, suite_functional,
                          suite_identities, suite_oracle)
 
@@ -65,7 +65,7 @@ def test_criterion_03_unit_norm_corollaries():
             if nrm < 0:
                 continue
             data = local_quadratic_data(T, F3, p, P3)
-            series = assemble_series(data).terms
+            series = assemble_series(data)
             if data.case is Splitting.RAMIFIED:
                 expect = [1, -3]
             else:
@@ -107,7 +107,7 @@ def test_criterion_05_dual_path_q():
                     continue
                 data = local_quadratic_data(T, F, p, P3)
                 a = q_poly_closed_form(data)
-                b = q_poly_from_series(assemble_series(data))
+                b = q_poly_from_series(data, assemble_series(data))
                 ok = ok and a == b
                 checks += 1
     _announce(5, ok, f"closed-form Q == series-division Q on {checks} (D, p, T)")
@@ -150,7 +150,7 @@ def test_criterion_07_forced_values():
     data = local_quadratic_data(global_vector(1, 0, 1, 0), F3, 2, P3)
     sh = split_shape(2, 2)
     oracle_terms = [term_oracle(r, data.coords, sh) for r in range(data.k + 2)]
-    closed_terms = [term_unramified(r, data.coords, sh) for r in range(data.k + 2)]
+    closed_terms = [term_closed(r, data.coords, sh) for r in range(data.k + 2)]
     ok = ok and oracle_terms == closed_terms
     from qeis.arith import sqrtp_eval_halfint
 

@@ -81,6 +81,16 @@ def test_non_prime_p_is_a_validation_error(capsys):
         assert f"p = {p} is not a prime" in capsys.readouterr().err
 
 
+def test_split_prime_near_10_to_the_12_is_fast():
+    """The omega-root at a split p is found without scanning 0..p-1."""
+    p = str(10 ** 12 + 63)
+    for argv, expect in ((["coeff", "--D", "7", "--T", f"1,0,{p},0"], f'"{p}": ['),
+                         (["local", "--D", "7", "--p", p, "--T", "1,0,1,0"], '"case": "split"')):
+        proc = subprocess.run(RUN + argv, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and not proc.stderr, argv
+        assert expect in proc.stdout, argv
+
+
 def test_non_positive_budget_flag_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (["local", "--D", "3", "--p", "2", "--T", "2,0,2,0", "--oracle"],
@@ -283,33 +293,6 @@ def test_verify_oracle_single_prime(tmp_path):
     assert main(["verify", "--suite", "oracle", "--p", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] is True and doc["reports"][0]["checks"] > 0
-
-
-def test_env_budget_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QEIS_BUDGET", "1000")
-    out = tmp_path / "local.json"
-    code = main(["local", "--D", "3", "--p", "5", "--T", "5,0,5,0",
-                 "--oracle", "--out", str(out)])
-    assert code == 4
-
-
-def test_env_budget_rejects_bad_values(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "local.json"
-    for value in ("1e6", "-5"):
-        monkeypatch.setenv("QEIS_BUDGET", value)
-        code = main(["local", "--D", "3", "--p", "5", "--T", "5,0,5,0",
-                     "--oracle", "--out", str(out)])
-        assert code == 2, value
-        assert f"QEIS_BUDGET = {value!r}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_env_budget_read_only_by_budget_commands(tmp_path, monkeypatch):
-    """Only local and verify take --budget, so only they read QEIS_BUDGET."""
-    monkeypatch.setenv("QEIS_BUDGET", "1e6")
-    out = tmp_path / "c.json"
-    assert main(["coeff", "--D", "3", "--T", "1,0,1,0", "--out", str(out)]) == 0
-    assert main(["local", "--D", "3", "--p", "2", "--T", "1,0,1,0", "--out", str(out)]) == 2
 
 
 def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qeis.arith import Splitting, vp
+from qeis.arith import Splitting, is_squarefree, prime_factors, vp
 from qeis.errors import ValidationError
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
                             global_vector, local_key, local_quadratic_data, norm,
@@ -290,3 +290,29 @@ def test_local_key_matches_the_coordinates_at_deep_valuations():
                 seen.add(case)
     assert pairs == 711 and deepest >= 40
     assert seen == set(Splitting)
+
+
+def _omega_root_scan(F, p):
+    """The least root of X^2 - X + (1+D)/4 mod p by trying r = 0..p-1, None if none."""
+    c = F.omega_norm
+    return next((r for r in range(p) if (r * r - r + c) % p == 0), None)
+
+
+def test_omega_root_is_the_least_root_the_scan_finds():
+    """Tonelli-Shanks gives the scan's root at every split (D, p) with D < 120
+    and p < 1000, and at p = 65537 (p - 1 = 2^16); every other p raises."""
+    from qeis.hermitian import _omega_root_mod_p
+
+    primes = [p for p in range(2, 1000) if prime_factors(p) == [p]] + [65537]
+    split = other = 0
+    for D in (D for D in range(3, 120, 4) if is_squarefree(D)):
+        F = FieldE(D)
+        for p in primes:
+            if F.splitting(p) is Splitting.SPLIT:
+                assert _omega_root_mod_p(F, p) == _omega_root_scan(F, p), (D, p)
+                split += 1
+            else:
+                with pytest.raises(ValidationError, match="is not split"):
+                    _omega_root_mod_p(F, p)
+                other += 1
+    assert split > 2000 and other > 2000

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -12,17 +11,26 @@ from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
-from qeis.siegel import (LocalSeries, R_closed_form, assemble_series, b_series, b_term,
-                         c_series, c_term, c_term_gauss, check_against_oracle,
-                         extract_P, extract_R,
+from qeis.siegel import (R_closed_form, assemble_series, b_term, c_term, c_term_gauss,
+                         check_against_oracle, extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
                          q_poly_of_invariants, ramified_invariants, ramified_shape, series_blocks,
-                         split_shape, term_oracle, term_ramified, term_unramified,
-                         unramified_invariants)
+                         split_shape, term_closed, term_oracle)
 from qeis.verify import r_arbitration, sample_ramified_vectors
 
 F3 = FieldE(3)
 P2 = Params(n=2, ell=3)
+
+
+def _closed_series(eta, shape, k):
+    """Sum_r term_r t'^r of eta by the closed form, truncated at r = k + 1."""
+    return SeriesPoly([term_closed(r, eta, shape) for r in range(k + 2)])
+
+
+def _c_series(k1, k2, k, m, p):
+    """The C-series of the ramified invariants (k1, k2, k), truncated at r = k + 1."""
+    shape = ramified_shape(p, m)
+    return SeriesPoly([shape.term(r, (k1, k2, k)) for r in range(k + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -31,18 +39,36 @@ P2 = Params(n=2, ell=3)
 
 def test_term_unramified_examples():
     sh = split_shape(3, 2)
-    assert term_unramified(0, (1, 2, 3, 4), sh) == 1
+    assert term_closed(0, (1, 2, 3, 4), sh) == 1
     # frozen from the enumeration oracle: trivial-character count on (Z/3)^4
-    assert term_unramified(1, (3, 0, 3, 0), sh) == 33
+    assert term_closed(1, (3, 0, 3, 0), sh) == 33
     # isotropic eta, oracle-only regime
-    assert term_unramified(1, (1, 0, 0, 0), sh) == 6
+    assert term_closed(1, (1, 0, 0, 0), sh) == 6
 
 
 def test_term_unramified_outside_lattice_vanishes():
     sh = split_shape(3, 2)
     eta = (Fraction(1, 3), 0, 1, 0)
     for r in range(4):
-        assert term_unramified(r, eta, sh) == 0
+        assert term_closed(r, eta, sh) == 0
+
+
+def test_term_closed_rejects_a_negative_index():
+    for eta, sh in (((1, 0, 1, 0), split_shape(3, 2)),
+                    ((Fraction(1, 3), 0, 1, 0), split_shape(3, 2)),
+                    ((1, 0, 1, 0), ramified_shape(3, 1))):
+        with pytest.raises(ValidationError):
+            term_closed(-1, eta, sh)
+
+
+def test_shape_invariants_per_form():
+    sh = split_shape(3, 2)
+    assert sh.invariants((3, 0, 9, 0)) == (1, 3)
+    assert sh.invariants((0, 0, 0, 0)) == (math.inf, math.inf)
+    assert sh.invariants((Fraction(1, 3), 0, 1, 0)) is None
+    rsh = ramified_shape(3, 1)
+    for eta in ((1, 0, 1, 0), (0, Fraction(1, 3), 0, 3), (3, 1, 9, 0)):
+        assert rsh.invariants(eta) == ramified_invariants(eta, rsh)
 
 
 def _term_unramified_reference(r, eta, shape):
@@ -92,11 +118,11 @@ def test_term_unramified_matches_reference_on_every_valuation_pair():
                            [p ** v] + pad + [Fraction(1, p)] + pad)
                     for r in range(10):
                         expected = _term_unramified_reference(r, eta, sh)
-                        assert term_unramified(r, eta, sh) == expected, (p, m, v, kq, r)
+                        assert term_closed(r, eta, sh) == expected, (p, m, v, kq, r)
                         inside += 1
                         for bad in off:
                             assert _term_unramified_reference(r, bad, sh) == 0
-                            assert term_unramified(r, bad, sh) == 0, (p, m, v, kq, r, bad)
+                            assert term_closed(r, bad, sh) == 0, (p, m, v, kq, r, bad)
                             outside += 1
     assert (inside, outside) == (6720, 13440)
 
@@ -134,9 +160,9 @@ def test_b_term_closed_form_matches_the_term_by_term_sum():
 def test_term_ramified_examples():
     sh = ramified_shape(3, 1)
     eta = (1, 0, 1, 0)  # q = 1, k = 0
-    assert term_ramified(0, eta, sh) == 1
+    assert term_closed(0, eta, sh) == 1
     for r in range(2, 6):
-        assert term_ramified(r, eta, sh) == 0
+        assert term_closed(r, eta, sh) == 0
     # k1=0, k2=1, k=1 (frozen against the enumeration oracle below)
     assert c_term(1, 0, 1, 1, 1, 3) == 2 * 27 - 9
 
@@ -153,7 +179,7 @@ def test_term_vanishing_beyond_k_plus_one():
         if k > 3:
             continue
         for r in range(k + 2, k + 5):
-            assert term_unramified(r, eta, sh) == 0, (eta, r)
+            assert term_closed(r, eta, sh) == 0, (eta, r)
     rsh = ramified_shape(3, 1)
     for k1 in range(0, 3):
         for k2 in (k1, k1 + 1):
@@ -243,14 +269,14 @@ def test_oracle_matches_closed_forms_small_grid():
         for _ in range(12):
             eta = tuple(rng.randrange(0, p ** 3) for _ in range(4))
             for r in range(0, 3):
-                assert term_unramified(r, eta, sh) == term_oracle(r, eta, sh)
+                assert term_closed(r, eta, sh) == term_oracle(r, eta, sh)
     rsh = ramified_shape(3, 1)
     for _ in range(12):
         eta = tuple(rng.randrange(0, 27) for _ in range(4))
         if rsh.quad_form(eta) == 0:
             continue
         for r in range(0, 4):
-            assert term_ramified(r, eta, rsh) == term_oracle(r, eta, rsh)
+            assert term_closed(r, eta, rsh) == term_oracle(r, eta, rsh)
 
 
 def test_oracle_matches_closed_form_rank8_ramified():
@@ -262,7 +288,7 @@ def test_oracle_matches_closed_form_rank8_ramified():
         eta = tuple(rng.randrange(0, 9) for _ in range(8))
         if sh.quad_form(eta) == 0:
             continue
-        assert term_ramified(1, eta, sh) == term_oracle(1, eta, sh), eta
+        assert term_closed(1, eta, sh) == term_oracle(1, eta, sh), eta
         seen += 1
 
 
@@ -315,7 +341,7 @@ def test_oracle_matches_brute_force_count():
             r += 1
     assert grids == 33
     rsh = ramified_shape(3, 1)
-    assert term_oracle(2, (1, 0, 3, 1), rsh) == term_ramified(2, (1, 0, 3, 1), rsh)
+    assert term_oracle(2, (1, 0, 3, 1), rsh) == term_closed(2, (1, 0, 3, 1), rsh)
 
 
 def test_oracle_refuses_counts_past_int64():
@@ -390,7 +416,7 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
     rebuilt = [Fraction(0)] * (2 * data.k + 3)
     for (b, r), (_, _, value) in zip(placed, calls):
         rebuilt[2 * r + b.shift] += value * Fraction(p) ** (r + b.power)
-    assert SeriesPoly(rebuilt) == assemble_series(data).terms
+    assert SeriesPoly(rebuilt) == assemble_series(data)
     if data.case is Splitting.INERT:
         assert data.k == 4 and len(calls) == data.k + 2
         assert all(eta == data.coords for _, eta, _ in calls)
@@ -408,11 +434,9 @@ def test_unit_norm_corollaries():
     T = global_vector(1, 0, 1, 0)   # norm 2
     # split p = 7 and inert p = 5: 1 - p^n t^2
     for p in (5, 7, 11, 13):
-        s = _series_for(T, p)
-        assert s.terms == SeriesPoly([1, 0, -(p ** 2)]), p
+        assert _series_for(T, p) == SeriesPoly([1, 0, -(p ** 2)]), p
     # ramified p = 3: 1 - p^(n/2) t
-    s = _series_for(T, 3)
-    assert s.terms == SeriesPoly([1, -3])
+    assert _series_for(T, 3) == SeriesPoly([1, -3])
 
 
 def test_series_divisibility_by_normalizing_factor():
@@ -424,10 +448,10 @@ def test_series_divisibility_by_normalizing_factor():
             continue
         for p in (2, 3, 5, 7):
             s = _series_for(T, p)
-            if s.case is Splitting.RAMIFIED:
-                s.terms.divide_exact(Fraction(3), 1)
+            if F3.splitting(p) is Splitting.RAMIFIED:
+                s.divide_exact(Fraction(3), 1)
             else:
-                s.terms.divide_exact(Fraction(p) ** 2, 2)
+                s.divide_exact(Fraction(p) ** 2, 2)
 
 
 def _wedge_sum_enumeration(t1, t2, r1, r2, p, n):
@@ -474,7 +498,7 @@ def test_split_wedge_collapse_against_enumeration():
     for t1, t2, r1, r2 in cases:
         i = r2 - r1
         eta = tuple(Fraction(c, p ** i) for c in t1) + tuple(Fraction(c) for c in t2)
-        expect = p ** (n * i) * term_unramified(r1, eta, sh)
+        expect = p ** (n * i) * term_closed(r1, eta, sh)
         got = _wedge_sum_enumeration(t1, t2, r1, r2, p, n)
         assert got == expect, (t1, t2, r1, r2, got, expect)
 
@@ -487,7 +511,7 @@ def test_ramified_series_against_term_theorem_display():
             for k2 in (k1, k1 + 1):
                 for kp in range(0, 3):
                     k = k1 + k2 + kp
-                    series = c_series(k1, k2, k, m, p)
+                    series = _c_series(k1, k2, k, m, p)
                     R = R_closed_form(k1, k2, k, m, p)
                     rhs = [Fraction(0)] * (k + 3)
                     for i, c in enumerate(R.coeffs):
@@ -507,10 +531,10 @@ def test_ramified_series_against_term_theorem_display():
 def test_extract_P_unit_and_k1():
     sh = split_shape(2, 2)
     # unit q(eta): P = 1
-    poly = extract_P(b_series((1, 0, 1, 0), sh, 0), 2, 2)
+    poly = extract_P(_closed_series((1, 0, 1, 0), sh, 0), 2, 2)
     assert list(poly.coeffs) == [1]
     # k = 1: the only monic palindromic option is Y + 1
-    poly = extract_P(b_series((1, 0, 2, 0), sh, 1), 2, 2)
+    poly = extract_P(_closed_series((1, 0, 2, 0), sh, 1), 2, 2)
     assert list(poly.coeffs) == [1, 1]
 
 
@@ -524,7 +548,7 @@ def test_extract_P_functional_equation_random():
         if q == 0 or vp(q, 3) > 3:
             continue
         k = vp(q, 3)
-        poly = extract_P(b_series(eta, sh, k), 2, 3)
+        poly = extract_P(_closed_series(eta, sh, k), 2, 3)
         assert poly.degree == k
         assert poly.is_monic()
         assert poly.is_palindromic()
@@ -536,7 +560,7 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
     import qeis.siegel as siegel
 
     sh = split_shape(13, 2)
-    series = b_series((1, 0, 13 ** 3, 0), sh, 3)
+    series = _closed_series((1, 0, 13 ** 3, 0), sh, 3)
     assert all(isinstance(c, int) for c in series.coeffs)
     assert extract_P(series, 2, 13).degree == 3
     for i in range(len(series.coeffs)):
@@ -553,18 +577,17 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
                  local_quadratic_data(global_vector(2, 0, 4, 0), F3, 2, P2),   # inert, k = 4
                  ramified):
         local = assemble_series(data)
-        assert all(isinstance(c, int) for c in local.terms.coeffs)
-        q_poly_from_series(local)
-        for i in range(len(local.terms.coeffs)):
-            bumped = list(local.terms.coeffs)
+        assert all(isinstance(c, int) for c in local.coeffs)
+        q_poly_from_series(data, local)
+        for i in range(len(local.coeffs)):
+            bumped = list(local.coeffs)
             bumped[i] += 1
             with pytest.raises(InternalConsistencyError, match="not divisible"):
-                q_poly_from_series(dataclasses.replace(local, terms=SeriesPoly(bumped)))
+                q_poly_from_series(data, SeriesPoly(bumped))
     # (1 - 7^2 t^2)(1 + t^2) divides exactly, but its t^2 term is not a multiple of 7^3
-    divisible = LocalSeries(p=7, case=Splitting.SPLIT, n=2, k=2,
-                            terms=SeriesPoly([1, 0, -48, 0, -49]))
+    split7 = LocalVectorData(p=7, case=Splitting.SPLIT, n=2, k=2, k1=0, k2=2, coords=(), prec=4)
     with pytest.raises(InternalConsistencyError, match="sqrt\\(p\\) grading"):
-        q_poly_from_series(divisible)
+        q_poly_from_series(split7, SeriesPoly([1, 0, -48, 0, -49]))
     # a ramified C-term that p^(n - r) does not divide
     monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
     with pytest.raises(InternalConsistencyError, match="non-integral term"):
@@ -604,7 +627,7 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
                     for i in range(data.k1 + 1)]
             etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
                      for j in range(1, data.k2 + 1)]
-            expected = [(i, unramified_invariants(eta, sh)) for i, eta in etas]
+            expected = [(i, sh.invariants(eta)) for i, eta in etas]
             shape, blocks = series_blocks(data)
             assert shape == sh
             assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T)
@@ -619,9 +642,9 @@ def test_deep_split_key_both_routes_agree():
     data = LocalVectorData(p=13, case=Splitting.SPLIT, n=2, k=40, k1=13, k2=7,
                            coords=(13 ** 13, 0, 13 ** 27, 13 ** 7), prec=42)
     series = assemble_series(data)
-    assert series.terms == _split_series_reference(data, 2)
+    assert series == _split_series_reference(data, 2)
     closed = q_poly_closed_form(data)
-    assert closed == q_poly_from_series(series)
+    assert closed == q_poly_from_series(data, series)
     assert closed.degree == 80 and closed.is_monic() and closed.is_palindromic()
     assert closed == q_poly(data, P2)
 
@@ -671,7 +694,7 @@ def test_R_extraction_matches_closed_form():
                         k = k1 + k2 + kp
                         if k == 0:
                             continue
-                        series = c_series(k1, k2, k, m, p)
+                        series = _c_series(k1, k2, k, m, p)
                         got = extract_R(series, k1, k2, k, m, p)
                         expect = [Fraction(c) for c in R_closed_form(k1, k2, k, m, p).coeffs]
                         expect += [Fraction(0)] * (len(got) - len(expect))
@@ -716,7 +739,7 @@ def test_q_poly_dual_paths_agree_on_sweep():
                 continue
             data = local_quadratic_data(T, F3, p, P2)
             a = q_poly_closed_form(data)
-            b = q_poly_from_series(assemble_series(data))
+            b = q_poly_from_series(data, assemble_series(data))
             assert a == b, (T, p)
             assert a.is_monic() and a.degree == 2 * data.k and a.is_palindromic()
             count += 1
@@ -858,7 +881,7 @@ def test_q_poly_hand_supplied_higher_rank_ramified():
                            coords=(), prec=5)
     q = q_poly_closed_form(data)
     assert q.degree == 6 and q.is_monic() and q.is_palindromic()
-    assert q == q_poly_from_series(assemble_series(data))
+    assert q == q_poly_from_series(data, assemble_series(data))
 
 
 def test_ramified_invariants_of_synthetic_vectors():
