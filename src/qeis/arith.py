@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +342,60 @@ def sqrtp_eval_halfint(q: SqrtPPoly, two_e: int) -> int:
 # Misc small number theory helpers
 # ---------------------------------------------------------------------------
 
+TRIAL_DIVISION_CAP = 10 ** 6  # prime_factors divides by d <= cap, then asks is_prime
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT = 3317044064679887385961981  # the least strong pseudoprime to them all
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases up to 41.
+
+    Exact for n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017); the
+    bases up to 37 alone are exact only below 3.2 * 10^23, since
+    318665857834031151167461 is a strong pseudoprime to all of them.  Larger
+    n raise ValidationError, since no base set is proven there.
+    """
+    if n < 2:
+        return False
+    if n >= MILLER_RABIN_EXACT:
+        raise ValidationError(f"{n} is too large for the certified primality test "
+                              f"(exact below {MILLER_RABIN_EXACT})")
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_factors(n: int) -> list:
-    """Sorted distinct prime factors of |n|, by trial division."""
-    n = abs(n)
+    """Sorted distinct prime factors of |n|.
+
+    Trial division by d <= TRIAL_DIVISION_CAP; a cofactor left past the cap
+    is kept if :func:`is_prime` certifies it, and ResourceBudgetError naming
+    n is raised otherwise (a composite or an uncertifiable cofactor).
+    """
+    n0 = n = abs(n)
     out = []
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISION_CAP:
+            if n >= MILLER_RABIN_EXACT or not is_prime(n):
+                raise ResourceBudgetError(
+                    f"cannot factor {n0}: trial division up to {TRIAL_DIVISION_CAP} "
+                    f"leaves the cofactor {n}, which is not a certified prime")
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -384,7 +432,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
 
 def validate_prime(p: int) -> None:
     """A p supplied from outside must be a (positive) prime; ValidationError otherwise."""
-    if prime_factors(p) != [p]:
+    if not is_prime(p):
         raise ValidationError(f"p = {p} is not a prime")
 
 

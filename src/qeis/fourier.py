@@ -38,21 +38,16 @@ MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetErr
 # Rank-1: the ideal divisor sum
 # ---------------------------------------------------------------------------
 
-def sigma_E(T: GlobalVector, ell: int, F: FieldE) -> int:
+def sigma_E(keys: tuple, ell: int) -> int:
     """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
 
-    At each p dividing the content, (case, k1, k2) of :func:`local_key` give
-    the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
+    ``keys`` holds (p, case, k1, k2) of :func:`local_key` at each p dividing
+    the content gcd(N(a), N(b)) of T (:func:`local_keys`), which give the
+    factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
     Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
     """
-    if not T:
-        raise ValidationError("sigma_E of the zero vector")
-    na = T.a.norm(F) if T.a else 0
-    nb = T.b.norm(F) if T.b else 0
-    content = math.gcd(na, nb)
     total = 1
-    for p in prime_factors(content):
-        case, k1, k2 = local_key(T, F, p)
+    for p, case, k1, k2 in keys:
         if case is Splitting.SPLIT:
             total *= sum(p ** (i * ell) for i in range(k1 + 1))
             total *= sum(p ** (i * ell) for i in range(k2 + 1))
@@ -96,56 +91,88 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
+def local_keys(T: GlobalVector, F: FieldE, m: int) -> tuple:
+    """((p, case, k1, k2), ...): the key of :func:`local_key` at each prime p of m."""
+    return tuple((p, *local_key(T, F, p)) for p in prime_factors(m))
+
+
+def _local_q(P: Params, nrm: int, keys: tuple) -> dict:
+    """{p: Q_{T,p}} from T's keys at the primes of nrm = <T, T>, each Q served by
+    (p, case, n, k, k1, k2) with k = v_p(nrm); a failed Q build is re-raised
+    naming p."""
+    local = {}
+    for p, case, k1, k2 in keys:
+        try:
+            local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
+        except InternalConsistencyError as exc:
+            raise InternalConsistencyError(f"p = {p}: {exc}") from exc
+    return local
+
+
 def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
     """{p: Q_{T,p}} over the primes p dividing nrm = <T, T>.
 
-    Each Q is served by its key (p, case, n, k, k1, k2): k = v_p(nrm), and
-    (case, k1, k2) are read from T's valuations by :func:`local_key`; no
+    The keys are read from T's valuations by :func:`local_key`; no
     coordinates are built.  The global model has n = 2 only, so other n raise
     ValidationError.  A failed consistency check of a Q build is re-raised
     naming T and p.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
-    local = {}
-    for p in prime_factors(nrm):
-        case, k1, k2 = local_key(T, F, p)
-        try:
-            local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
-        except InternalConsistencyError as exc:
-            raise InternalConsistencyError(f"T = {T.as_list()}, p = {p}: {exc}") from exc
-    return local
+    keys = local_keys(T, F, nrm)
+    try:
+        return _local_q(P, nrm, keys)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
+
+
+@lru_cache(maxsize=4096)
+def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, keys: tuple) -> tuple:
+    """(rank, rational, sigma, {p: Q_{T,p}}) of every T with <T, T> = nrm and these keys.
+
+    A coefficient reads T only through nrm and its keys (:func:`local_keys`)
+    at the primes of nrm, or of the content when nrm = 0: Q_{T,p} depends on
+    the local Jordan type alone, sigma_E on the content ideal.  So it is
+    built once per invariant and shared; callers copy the dict.  Negative
+    norm: zero.  Norm 0: C_l * sigma_{E,l}(T).  Positive norm:
+    D_{n,l} * prod_p Q_{T,p}(p^(l-(n-1)/2)).
+    """
+    if nrm < 0:
+        return 2, Fraction(0), None, {}
+    if nrm == 0:
+        sigma = sigma_E(keys, P.ell)
+        return 1, c_ell(P.ell) * sigma, sigma, {}
+    local = _local_q(P, nrm, keys)
+    prod = 1
+    for q in local.values():
+        prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
+    return 2, d_nl(P, F) * prod, None, local
 
 
 def coefficient(T: GlobalVector, P: Params, F: FieldE,
                 with_whittaker: bool = False) -> FourierCoefficient:
     """The Fourier coefficient of T, by the sign of <T, T>.
 
-    Negative norm: zero.  Norm 0 (T != 0): C_l * sigma_{E,l}(T).  Positive
-    norm: D_{n,l} * prod_{p | <T,T>} Q_{T,p}(p^(l-(n-1)/2)).  <T, T> is
-    computed once.  The global model has n = 2 only, so other n raise
-    ValidationError for every T, isotropic and negative-norm ones included.
+    <T, T> is computed once, T's keys are read at the primes of <T, T> (of
+    the content gcd(N(a), N(b)) when <T, T> = 0, none when it is negative),
+    and the value comes from :func:`coefficient_of_invariants`.  The global
+    model has n = 2 only, so other n raise ValidationError for every T,
+    isotropic and negative-norm ones included.  A failed consistency check of
+    a Q build is re-raised naming T and p.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
     if not T:
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
-    if nrm < 0:
-        return FourierCoefficient(T=T, rank=2, rational=Fraction(0), norm=nrm)
-    sigma, local = None, {}
-    if nrm == 0:
-        sigma = sigma_E(T, P.ell, F)
-        rank, rational = 1, c_ell(P.ell) * sigma
-    else:
-        local = local_polynomials(T, P, F, nrm)
-        prod = 1
-        for q in local.values():
-            prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
-        rank, rational = 2, d_nl(P, F) * prod
+    keys = () if nrm < 0 else local_keys(T, F, nrm or math.gcd(T.a.norm(F), T.b.norm(F)))
+    try:
+        rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, keys)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
     return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
-                              local_q=local, whittaker=w)
+                              local_q=dict(local), whittaker=w)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +244,24 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
     disc_limit = limit // 2 + 1 if limit is not None and lo <= 0 <= hi else None
     xmax = math.isqrt(max(cap * (1 + F.D) // F.D, 0)) + 1  # N(x + y omega) >= x^2 D/(1+D)
     ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1  # N(x + y omega) >= y^2 D/4
+    c = F.omega_norm
     disc = []
     for x in range(-xmax, xmax + 1):
-        disc.extend(z for y in range(-ymax, ymax + 1) if (z := QuadInt(x, y)).norm(F) <= cap)
+        disc.extend((x, y) for y in range(-ymax, ymax + 1) if x * x + x * y + c * y * y <= cap)
         if disc_limit is not None and len(disc) > disc_limit:
             raise over
+    nonzero = [z for z in disc if z != (0, 0)]
     found = []
-    for a in disc:
-        for b in disc:
-            T = GlobalVector(a, b)
-            if T and lo <= (nrm := norm(T, F)) <= hi:
-                found.append((nrm, a.x, a.y, b.x, b.y, T))
+    for ax, ay in disc:
+        # <T, T> = Tr(a conj(b)) is the linear form u b_x + v b_y in b, and
+        # u = v = 0 only at a = 0, where b = 0 would give the zero vector
+        u, v = 2 * ax + ay, ax + 2 * c * ay
+        found.extend((m, ax, ay, bx, by) for bx, by in (disc if u or v else nonzero)
+                     if lo <= (m := u * bx + v * by) <= hi)
         if limit is not None and len(found) > limit:
             raise over
-    found.sort()  # (norm, coordinates) are distinct, so T is never compared
-    return [row[5] for row in found]
+    found.sort()
+    return [GlobalVector(QuadInt(ax, ay), QuadInt(bx, by)) for _, ax, ay, bx, by in found]
 
 
 def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:

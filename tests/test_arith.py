@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qeis.arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
-                        _sqrtp_eval_frac, bernoulli, hyp2f1_terminating,
-                        kronecker_symbol, pochhammer, ramanujan_sum,
+                        _sqrtp_eval_frac, bernoulli, hyp2f1_terminating, is_prime,
+                        kronecker_symbol, pochhammer, prime_factors, ramanujan_sum,
                         ramanujan_sum_vp, splitting_class, sqrtp_eval_halfint, vp)
-from qeis.errors import InternalConsistencyError, ValidationError
+from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +229,36 @@ def test_kronecker_symbol_is_legendre_at_odd_primes():
             expect = 1 if a in squares else -1
             assert kronecker_symbol(a, p) == expect, (a, p)
         assert kronecker_symbol(p, p) == 0
+
+
+# ---------------------------------------------------------------------------
+# Primality and factoring
+# ---------------------------------------------------------------------------
+
+def test_is_prime_matches_trial_division():
+    for n in range(-5, 20000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    # strong pseudoprimes: to the bases 2, 3, 5, 7 and to every prime base up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime((10 ** 6 + 3) * (10 ** 6 + 33))
+    with pytest.raises(ValidationError, match="too large"):
+        is_prime(3317044064679887385961981)
+
+
+def test_prime_factors_past_the_trial_division_cap(monkeypatch):
+    import qeis.arith as arith
+
+    big = 10 ** 18 + 3
+    assert prime_factors(-2 * 3 ** 4 * big) == [2, 3, big]
+    with pytest.raises(ResourceBudgetError, match=f"cannot factor {2 * 1000036000099}"):
+        prime_factors(2 * (10 ** 6 + 3) * (10 ** 6 + 33))
+    # below the square of the cap trial division finishes alone
+    monkeypatch.setattr(arith, "is_prime", None)
+    assert prime_factors(0) == prime_factors(1) == []
+    assert prime_factors(2 * (10 ** 12 + 63)) == [2, 10 ** 12 + 63]
+    assert prime_factors(720720) == [2, 3, 5, 7, 11, 13]

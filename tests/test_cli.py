@@ -91,6 +91,22 @@ def test_split_prime_near_10_to_the_12_is_fast():
         assert expect in proc.stdout, argv
 
 
+def test_prime_near_10_to_the_18_is_fast():
+    """10^18 + 3 is certified prime past the trial-division cap, not divided out."""
+    p = str(10 ** 18 + 3)
+    for argv, expect in ((["coeff", "--D", "7", "--T", f"1,0,{p},0"], f'"{p}": ['),
+                         (["local", "--D", "7", "--p", p, "--T", "1,0,1,0"], '"case": "split"')):
+        proc = subprocess.run(RUN + argv, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and not proc.stderr, argv
+        assert expect in proc.stdout, argv
+
+
+def test_factoring_past_the_cap_is_a_budget_error(capsys):
+    """<T, T> = 2 (10^6 + 3)(10^6 + 33): two primes above the trial-division cap."""
+    assert main(["coeff", "--D", "3", "--T", "1,0,1000036000099,0"]) == 4
+    assert "cannot factor 2000072000198" in capsys.readouterr().err
+
+
 def test_non_positive_budget_flag_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (["local", "--D", "3", "--p", "2", "--T", "2,0,2,0", "--oracle"],
@@ -296,10 +312,12 @@ def test_verify_oracle_single_prime(tmp_path):
 
 
 def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
+    import qeis.fourier as fourier
     import qeis.siegel as siegel
     from qeis.arith import SqrtPPoly
 
     siegel.q_poly_of_invariants.cache_clear()
+    fourier.coefficient_of_invariants.cache_clear()
     monkeypatch.setattr(siegel, "q_poly_closed_form",
                         lambda data, blocks=None: SqrtPPoly(data.p, [1, 1, 1]))
     assert main(["coeff", "--D", "3", "--T", "1,0,3,1"]) == 3  # norm 7, split
@@ -326,6 +344,28 @@ def test_expansion_bytes_are_pinned(D, tmp_path):
             if not line.lstrip().startswith(('"numeric":', '"zetaE":'))]
     assert len(lines) - len(kept) == 2
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == EXPANSION_DIGESTS[D]
+
+
+# SHA-256 of `expand --D D --ell ell --bound bound --format fmt`, JSON without
+# the two scipy floats
+WIDER_EXPANSION_DIGESTS = {
+    (3, 5, 24, "json"): "21236f952f255acefda5522aeea5f33373776aa866413a84024861a045042b36",
+    (7, 5, 24, "json"): "4dc4a4b5fe6eb4cc221ab7cde8216e0d53d429a7fac8b4b20cc71a854ca630e7",
+    (11, 3, 12, "csv"): "d58feeac43d9a1387c652aa3fc03c69c9c65c2c82227bb0335e160c3784e079b",
+}
+
+
+@pytest.mark.parametrize("D, ell, bound, fmt", sorted(WIDER_EXPANSION_DIGESTS))
+def test_wider_expansion_bytes_are_pinned(D, ell, bound, fmt, tmp_path):
+    out = tmp_path / "t.out"
+    assert main(["expand", "--D", str(D), "--ell", str(ell), "--bound", str(bound),
+                 "--format", fmt, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    kept = [line for line in lines
+            if not line.lstrip().startswith(('"numeric":', '"zetaE":'))]
+    assert len(lines) - len(kept) == (2 if fmt == "json" else 0)
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    assert digest == WIDER_EXPANSION_DIGESTS[D, ell, bound, fmt]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qeis.arith import bernoulli, sigma_k
-from qeis.errors import ResourceBudgetError, ValidationError
+from qeis.arith import Splitting, bernoulli, prime_factors, sigma_k, sqrtp_eval_halfint, vp
+from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
-                          d_nl, denominator_bound_check, full_expansion, sigma_E)
+                          d_nl, denominator_bound_check, full_expansion, local_keys,
+                          sigma_E, vectors_in_region)
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
-                            global_vector, norm, quadint)
+                            global_vector, local_key, norm, quadint)
+from qeis.siegel import q_poly_of_invariants
 
 F3 = FieldE(3)
 P3 = Params(n=2, ell=3)
@@ -20,24 +23,28 @@ P3 = Params(n=2, ell=3)
 # sigma_E and rank-1 coefficients
 # ---------------------------------------------------------------------------
 
+def _sigma(T, ell, F):
+    """sigma_E of T from its keys at the primes of its content gcd(N(a), N(b))."""
+    return sigma_E(local_keys(T, F, math.gcd(T.a.norm(F), T.b.norm(F))), ell)
+
+
 def test_sigma_E_examples():
     T = GlobalVector(quadint(1), QuadInt(-1, 2))      # (1, sqrt(-3))
-    assert sigma_E(T, 3, F3) == 1
+    assert _sigma(T, 3, F3) == 1
     T2 = GlobalVector(quadint(2), QuadInt(-2, 4))     # (2, 2 sqrt(-3))
-    assert sigma_E(T2, 3, F3) == 65
-    with pytest.raises(ValidationError):
-        sigma_E(global_vector(0, 0, 0, 0), 3, F3)
+    assert _sigma(T2, 3, F3) == 65
+    assert sigma_E((), 3) == 1  # a unit content
 
 
 def test_sigma_E_split_prime():
     # content 7 at a split prime contributes (1 + 7^l) twice when both ideals divide
     T = GlobalVector(quadint(7), quadint(7))
-    val = sigma_E(T, 2, F3)
+    val = _sigma(T, 2, F3)
     assert val == (1 + 49) ** 2
     # a vector divisible by exactly one ideal above 7: 7 = p1 p2, pick a = 1 + 2w
     a = QuadInt(1, 2)          # N = 1 + 2 + 4 = 7
     T1 = GlobalVector(a, a)
-    assert sigma_E(T1, 2, F3) == 1 + 49
+    assert _sigma(T1, 2, F3) == 1 + 49
 
 
 def test_rank1_coefficient_examples():
@@ -217,23 +224,34 @@ def test_coefficient_computes_the_norm_once(monkeypatch):
         assert c.norm == nrm and len(calls) == 1, (T, calls)
 
 
-def test_vectors_in_region_stops_at_the_limit(monkeypatch):
-    """A region over the limit raises before it is enumerated to the end."""
+def test_vectors_in_region_stops_at_the_limit():
+    """A region over the limit raises before it is enumerated to the end.
+
+    The work is counted as the lines of qeis.fourier executed, which grows
+    with the candidate pairs the loop visits.
+    """
     import qeis.fourier as fourier
 
-    calls = []
+    lines = []
 
-    def counted(T, F):
-        calls.append(T)
-        return norm(T, F)
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != fourier.__file__:
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return tracer
 
-    monkeypatch.setattr(fourier, "norm", counted)
-    assert len(fourier.vectors_in_region(F3, 26, 0, 12, limit=2454)) == 2454
-    full = len(calls)
-    calls.clear()
-    with pytest.raises(ResourceBudgetError, match="more than 5 vectors"):
-        fourier.vectors_in_region(F3, 26, 0, 12, limit=5)
-    assert 10 * len(calls) < full
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        assert len(fourier.vectors_in_region(F3, 26, 0, 12, limit=2454)) == 2454
+        full = len(lines)
+        lines.clear()
+        with pytest.raises(ResourceBudgetError, match="more than 5 vectors"):
+            fourier.vectors_in_region(F3, 26, 0, 12, limit=5)
+    finally:
+        sys.settrace(previous)
+    assert 10 * len(lines) < full
 
 
 def test_coefficient_with_whittaker_payload():
@@ -241,3 +259,132 @@ def test_coefficient_with_whittaker_payload():
     assert c.whittaker is not None
     assert abs(c.whittaker.beta_abs - 8 * math.pi) < 1e-12
     assert len(c.whittaker.components) == 2 * P3.ell + 1
+
+
+# ---------------------------------------------------------------------------
+# The invariant-keyed coefficient and the linear enumeration against the
+# per-T build and the double loop they replace
+# ---------------------------------------------------------------------------
+
+def _sigma_reference(T, ell, F):
+    """sigma_E read off T: local_key at each prime of the content."""
+    content = math.gcd(T.a.norm(F) if T.a else 0, T.b.norm(F) if T.b else 0)
+    total = 1
+    for p in prime_factors(content):
+        case, k1, k2 = local_key(T, F, p)
+        if case is Splitting.SPLIT:
+            total *= sum(p ** (i * ell) for i in range(k1 + 1))
+            total *= sum(p ** (i * ell) for i in range(k2 + 1))
+        elif case is Splitting.INERT:
+            total *= sum(p ** (2 * i * ell) for i in range(k1 + 1))
+        else:
+            total *= sum(p ** (i * ell) for i in range(k1 + k2 + 1))
+    return total
+
+
+def _coefficient_reference(T, P, F):
+    """(rank, rational, sigma, local_q) of T, built for T alone."""
+    nrm = norm(T, F)
+    if nrm < 0:
+        return 2, Fraction(0), None, {}
+    if nrm == 0:
+        sigma = _sigma_reference(T, P.ell, F)
+        return 1, c_ell(P.ell) * sigma, sigma, {}
+    local = {}
+    for p in prime_factors(nrm):
+        case, k1, k2 = local_key(T, F, p)
+        local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
+    prod = 1
+    for q in local.values():
+        prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
+    return 2, d_nl(P, F) * prod, None, local
+
+
+@pytest.mark.parametrize("D", [3, 7, 11, 19])
+def test_coefficient_matches_the_per_T_build(D):
+    """Every T with N(a), N(b) <= 12, so every <T, T> in [-24, 24], negative ones too."""
+    F = FieldE(D)
+    vectors = vectors_in_region(F, 12, -24, 24)
+    assert min(norm(T, F) for T in vectors) < 0
+    for ell in (3, 5):
+        P = Params(n=2, ell=ell)
+        for T in vectors:
+            c = coefficient(T, P, F)
+            assert (c.rank, c.rational, c.sigma, c.local_q) == _coefficient_reference(T, P, F), T
+
+
+def test_coefficient_errors_name_T_and_are_not_cached(monkeypatch):
+    """An inert odd valuation is read per T; a failed Q build names T, p and
+    the key, every time it is asked for."""
+    import qeis.fourier as fourier
+    import qeis.siegel as siegel
+    from qeis.arith import SqrtPPoly
+
+    fourier.coefficient_of_invariants.cache_clear()
+    siegel.q_poly_of_invariants.cache_clear()
+    monkeypatch.setattr(siegel, "q_poly_closed_form",
+                        lambda data, blocks=None: SqrtPPoly(data.p, [1, 1, 1]))
+    for T in (global_vector(1, 0, 3, 1), global_vector(3, 1, 1, 0)):  # norm 7, split
+        with pytest.raises(InternalConsistencyError) as err:
+            coefficient(T, P3, F3)
+        assert f"T = {T.as_list()}, p = 7: Q paths disagree at (p, case, n, k, k1, k2) = " \
+               "(7, split, 2, 1, 0, 0)" in str(err.value)
+    assert fourier.coefficient_of_invariants.cache_info().currsize == 0
+
+
+def _vectors_reference(F, cap, lo, hi):
+    """The double loop over QuadInt pairs, each pair's norm by hermitian.norm."""
+    xmax = math.isqrt(max(cap * (1 + F.D) // F.D, 0)) + 1
+    ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1
+    disc = [z for x in range(-xmax, xmax + 1) for y in range(-ymax, ymax + 1)
+            if (z := QuadInt(x, y)).norm(F) <= cap]
+    found = []
+    for a in disc:
+        for b in disc:
+            T = GlobalVector(a, b)
+            if T and lo <= (nrm := norm(T, F)) <= hi:
+                found.append((nrm, a.x, a.y, b.x, b.y, T))
+    found.sort()
+    return [row[5] for row in found]
+
+
+@pytest.mark.parametrize("D", [3, 7, 11, 19, 23])
+def test_vectors_in_region_matches_the_double_loop(D):
+    F = FieldE(D)
+    for cap in range(31):
+        # |<T, T>| <= 2 sqrt(N(a) N(b)) <= 2 cap: one loop serves every window
+        every = _vectors_reference(F, cap, -2 * cap, 2 * cap)
+        for lo, hi in ((0, 0), (0, 12), (1, 24), (-5, 5), (-30, -1)):
+            expected = [T for T in every if lo <= norm(T, F) <= hi]
+            assert vectors_in_region(F, cap, lo, hi) == expected, (cap, lo, hi)
+            assert vectors_in_region(F, cap, lo, hi, limit=len(expected)) == expected
+            if expected:
+                with pytest.raises(ResourceBudgetError):
+                    vectors_in_region(F, cap, lo, hi, limit=len(expected) - 1)
+
+
+def test_table_evaluates_each_invariant_once(monkeypatch, capsys):
+    """An expand build evaluates Q_{T,p} once per p of each distinct
+    (<T, T>, keys); an identical second build evaluates none."""
+    import qeis.fourier as fourier
+    from qeis.cli import main
+
+    calls = []
+
+    def counted(q, two_e):
+        calls.append(q.p)
+        return sqrtp_eval_halfint(q, two_e)
+
+    monkeypatch.setattr(fourier, "sqrtp_eval_halfint", counted)
+    fourier.coefficient_of_invariants.cache_clear()
+    bound = 12
+    invariants = set()
+    for T in vectors_in_region(F3, REGION_SCALE * (bound + 1), 1, bound):
+        nrm = norm(T, F3)
+        invariants.add((nrm, tuple((p, local_key(T, F3, p)) for p in prime_factors(nrm))))
+    expected = sum(len(keys) for _, keys in invariants)
+    for want in (expected, 0):
+        calls.clear()
+        assert main(["expand", "--D", "3", "--bound", str(bound)]) == 0
+        capsys.readouterr()
+        assert len(calls) == want
