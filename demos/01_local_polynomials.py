@@ -18,7 +18,7 @@ P = Params(n=2, ell=3)
 def show(T, p):
     data = local_quadratic_data(T, F, p, P)
     q = q_poly(data, P)
-    series = assemble_series(data)
+    series = assemble_series(data.key)
     print(f"T = {T.as_list()}   <T,T> = {norm(T, F)}   p = {p} ({data.case.value})")
     print(f"  k = {data.k}, k1 = {data.k1}, k2 = {data.k2}")
     print(f"  local series in t = p^-s: {[str(c) for c in series.coeffs]}")

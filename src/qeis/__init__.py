@@ -19,7 +19,7 @@ from .errors import (InternalConsistencyError, NumericError, QeisError,
 from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       coefficient, constant_term, d_nl,
                       denominator_bound_check, full_expansion, sigma_E)
-from .hermitian import (FieldE, GlobalVector, LocalVectorData, Params,
+from .hermitian import (FieldE, GlobalVector, LocalKey, LocalVectorData, Params,
                         QuadInt, global_vector, local_key, local_quadratic_data,
                         norm, quadint)
 from .lift import (EigenformData, SatakeParam, delta_eigenvalues,

@@ -101,14 +101,9 @@ class Splitting(Enum):
 
 
 def is_squarefree(n: int) -> bool:
-    if n <= 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    """True for n > 0 that no prime square divides, read off :func:`prime_factors`
+    (so an n it cannot factor raises its ResourceBudgetError)."""
+    return n > 0 and math.prod(prime_factors(n)) == n
 
 
 def validate_D(D: int) -> None:
@@ -118,13 +113,18 @@ def validate_D(D: int) -> None:
 
 
 def splitting_class(D: int, p: int) -> Splitting:
-    """How the rational prime p decomposes in Q(sqrt(-D)).
+    """How the rational prime p decomposes in Q(sqrt(-D)), after validating D."""
+    validate_D(D)
+    return splitting_of_valid_D(D, p)
+
+
+def splitting_of_valid_D(D: int, p: int) -> Splitting:
+    """:func:`splitting_class` for a D already validated, as a FieldE's is.
 
     Ramified iff p | D; otherwise split or inert according to whether -D is
     a square mod p (odd p) or to -D mod 8 (p = 2).  D = 3 mod 4 guarantees
     p = 2 is never ramified.
     """
-    validate_D(D)
     if D % p == 0:
         return Splitting.RAMIFIED
     if p == 2:
@@ -437,13 +437,17 @@ def validate_prime(p: int) -> None:
 
 
 def sigma_k(n: int, k: int) -> int:
-    """Divisor power sum sigma_k(n) = sum_{d | n} d^k for n >= 1."""
+    """Divisor power sum sigma_k(n) = sum_{d | n} d^k for n >= 1, k >= 0.
+
+    Multiplicative: the product over p^e || n of 1 + p^k + ... + p^(ek),
+    from :func:`prime_factors`.
+    """
     if n < 1:
         raise ValidationError("sigma_k needs n >= 1")
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d ** k
+    total = 1
+    for p in prime_factors(n):
+        e = vp(n, p)
+        total *= sum(p ** (i * k) for i in range(e + 1))
     return total
 
 

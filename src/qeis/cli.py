@@ -64,6 +64,7 @@ def _emit(doc, out_path, fmt: str = "json"):
     :func:`_entry_json` at depth 0, any other doc by json.dumps(indent=2)
     with :func:`_rat` for Fractions.  Exact values outgrow Python's int-to-str
     digit limit at large ell, so the limit is lifted while rendering only.
+    An out_path that cannot be written raises ValidationError naming it.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none (Python < 3.10.7)
     if limit:
@@ -79,8 +80,12 @@ def _emit(doc, out_path, fmt: str = "json"):
         if limit:
             sys.set_int_max_str_digits(limit)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {out_path!r}: "
+                                  f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from scipy.special import zeta
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
-                    sigma_k, sqrtp_eval_halfint, vp)
+                    sigma_k, sqrtp_eval_halfint)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import FieldE, GlobalVector, Params, QuadInt, local_key, norm
 from .siegel import q_poly_of_invariants
@@ -32,6 +32,7 @@ from .archimedean import WhittakerEval, whittaker_at
 
 REGION_SCALE = 2  # coordinate box: N(a), N(b) <= REGION_SCALE * (bound + 1)
 MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetError
+MAX_ZETA_E_D = 10 ** 6  # zeta_E makes D - 1 Hurwitz zeta calls; a larger D raises ResourceBudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +42,13 @@ MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetErr
 def sigma_E(keys: tuple, ell: int) -> int:
     """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
 
-    ``keys`` holds (p, case, k1, k2) of :func:`local_key` at each p dividing
-    the content gcd(N(a), N(b)) of T (:func:`local_keys`), which give the
-    factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
+    ``keys`` holds the :class:`~qeis.hermitian.LocalKey` of T at each p
+    dividing the content gcd(N(a), N(b)) of T (:func:`local_keys`), whose
+    (k1, k2) give the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
     Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
     """
     total = 1
-    for p, case, k1, k2 in keys:
+    for p, case, _, _, k1, k2 in keys:
         if case is Splitting.SPLIT:
             total *= sum(p ** (i * ell) for i in range(k1 + 1))
             total *= sum(p ** (i * ell) for i in range(k2 + 1))
@@ -91,22 +92,11 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
-def local_keys(T: GlobalVector, F: FieldE, m: int) -> tuple:
-    """((p, case, k1, k2), ...): the key of :func:`local_key` at each prime p of m."""
-    return tuple((p, *local_key(T, F, p)) for p in prime_factors(m))
-
-
-def _local_q(P: Params, nrm: int, keys: tuple) -> dict:
-    """{p: Q_{T,p}} from T's keys at the primes of nrm = <T, T>, each Q served by
-    (p, case, n, k, k1, k2) with k = v_p(nrm); a failed Q build is re-raised
-    naming p."""
-    local = {}
-    for p, case, k1, k2 in keys:
-        try:
-            local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
-        except InternalConsistencyError as exc:
-            raise InternalConsistencyError(f"p = {p}: {exc}") from exc
-    return local
+def local_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
+    """The :class:`~qeis.hermitian.LocalKey` of T at each prime of
+    nrm = <T, T>, or of the content gcd(N(a), N(b)) when nrm = 0."""
+    m = nrm or math.gcd(T.a.norm(F), T.b.norm(F))
+    return tuple(local_key(T, F, p, nrm) for p in prime_factors(m))
 
 
 def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
@@ -114,14 +104,13 @@ def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
 
     The keys are read from T's valuations by :func:`local_key`; no
     coordinates are built.  The global model has n = 2 only, so other n raise
-    ValidationError.  A failed consistency check of a Q build is re-raised
-    naming T and p.
+    ValidationError.  A failed consistency check of a Q build, which names
+    the key, is re-raised naming T.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
-    keys = local_keys(T, F, nrm)
     try:
-        return _local_q(P, nrm, keys)
+        return {key.p: q_poly_of_invariants(key) for key in local_keys(T, F, nrm)}
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
 
@@ -142,7 +131,7 @@ def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, keys: tuple) -> tu
     if nrm == 0:
         sigma = sigma_E(keys, P.ell)
         return 1, c_ell(P.ell) * sigma, sigma, {}
-    local = _local_q(P, nrm, keys)
+    local = {key.p: q_poly_of_invariants(key) for key in keys}
     prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
@@ -158,14 +147,14 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
     and the value comes from :func:`coefficient_of_invariants`.  The global
     model has n = 2 only, so other n raise ValidationError for every T,
     isotropic and negative-norm ones included.  A failed consistency check of
-    a Q build is re-raised naming T and p.
+    a Q build, which names the key, is re-raised naming T.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
     if not T:
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
-    keys = () if nrm < 0 else local_keys(T, F, nrm or math.gcd(T.a.norm(F), T.b.norm(F)))
+    keys = () if nrm < 0 else local_keys(T, F, nrm)
     try:
         rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, keys)
     except InternalConsistencyError as exc:
@@ -185,11 +174,16 @@ def _zeta_E(s: int, D: int) -> float:
     L(s, chi_{-D}) = D^-s Sum_{a=1}^{D-1} chi_{-D}(a) zeta(s, a/D); scipy's
     zeta and Hurwitz zeta keep the product within a few ulps (relative error
     below 1e-14 for D < 400 and s <= 15).  D^s past the largest double
-    raises ValidationError: the Hurwitz values would overflow with it.
+    raises ValidationError: the Hurwitz values would overflow with it.  The
+    sum makes D - 1 Hurwitz calls, so D > MAX_ZETA_E_D raises
+    ResourceBudgetError naming D.
     """
     if D ** s > sys.float_info.max:
         raise ValidationError(f"zeta_E({s}) at D = {D} leaves the binary64 range "
                               f"(D^s > 1.8e308); lower ell")
+    if D > MAX_ZETA_E_D:
+        raise ResourceBudgetError(f"zeta_E at D = {D} needs D - 1 Hurwitz zeta values, "
+                                  f"more than the budget allows (D <= {MAX_ZETA_E_D})")
     chi_sum = math.fsum(kronecker_symbol(-D, a) * zeta(s, a / D) for a in range(1, D))
     return float(zeta(s)) * chi_sum / D ** s
 

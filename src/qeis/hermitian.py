@@ -4,7 +4,7 @@ The global model is implemented for n = 2 only: the lattice is the
 hyperbolic plane o_E c1 + o_E c2 with <c1, c2> = 1, pairing conjugate-linear
 in the second slot, so a vector T = a c1 + b c2 has norm <T, T> = Tr(a conj(b)).
 For n = 2 mod 4 with n > 2 no integral model is constructed; the Siegel
-engine accepts hand-built :class:`LocalVectorData` for those ranks.
+engine takes a hand-built :class:`LocalKey` for those ranks.
 
 The ring of integers is Z[omega] with omega = (1 + sqrt(-D))/2, minimal
 polynomial X^2 - X + (1+D)/4.  At a split prime the valuations of T come
@@ -17,12 +17,12 @@ itself, which has trace 0 and square -D = p * unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
-from .arith import (Splitting, splitting_class, sqrt_mod_p, validate_D,
-                    validate_prime, vp)
+from .arith import (Splitting, is_prime, splitting_of_valid_D, sqrt_mod_p,
+                    validate_D, validate_prime, vp)
 from .errors import InternalConsistencyError, ValidationError
 
 
@@ -37,7 +37,7 @@ class FieldE:
     D: int
 
     def __post_init__(self):
-        validate_D(self.D)
+        validate_D(self.D)  # once: splitting() does not validate D again
 
     @property
     def omega_norm(self) -> int:
@@ -45,7 +45,7 @@ class FieldE:
         return (1 + self.D) // 4
 
     def splitting(self, p: int) -> Splitting:
-        return splitting_class(self.D, p)
+        return splitting_of_valid_D(self.D, p)
 
 
 @dataclass(frozen=True)
@@ -196,18 +196,45 @@ def omega_root_lift(F: FieldE, p: int, prec: int) -> int:
 # The local key
 # ---------------------------------------------------------------------------
 
-def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
-    """(case, k1, k2) of T at p, read off its prime-ideal valuations.
+class LocalKey(NamedTuple):
+    """The local Jordan type of T at p at rank n, the one key Q_{T,p} depends
+    on: k = v_p(<T, T>) (+inf for isotropic T, whose key only sigma_E reads)
+    and (k1, k2) of :func:`local_key`.  Its str() names it in every error."""
 
-    This is the one reader of T's valuations at p; with p, n and
-    k = v_p(<T, T>), which the caller takes from the norm it holds, it is the
-    key Q_{T,p} depends on.  Split p: (k1, k2) = (v_P1(T), v_P2(T)) with
-    P1 = (p, omega - r) and P2 = (p, omega - (1 - r)), r the root of
-    :func:`_omega_root_mod_p`.  Writing z = p^c z' with z' primitive, z' lies
-    in at most one of P1, P2, so v_P(z) = v_p(N(z)) - c when z' = 0 mod P and
-    c otherwise; no lift is needed.  Inert p: k1 = k2 = v_p(T), half the least
-    v_p(N(z)).  Ramified p: k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2),
-    with v_varpi(T) the least v_p(N(z)).
+    p: int
+    case: Splitting
+    n: int
+    k: int
+    k1: int
+    k2: int
+
+    def __str__(self) -> str:
+        return "(p, case, n, k, k1, k2) = ({}, {}, {}, {}, {}, {})".format(
+            self.p, getattr(self.case, "value", self.case), *self[2:])
+
+    def check(self) -> None:
+        """ValidationError naming the key unless it is admissible: p prime,
+        n > 0 with n = 2 mod 4, 0 <= k1, k2 with k1 + k2 <= k < inf, and
+        inert k1 = k2, ramified p odd with k2 in {k1, k1 + 1}."""
+        p, case, n, k, k1, k2 = self
+        if not (n > 0 and n % 4 == 2 and min(k1, k2) >= 0 and k1 + k2 <= k < math.inf
+                and (case is Splitting.SPLIT or case is Splitting.INERT and k1 == k2
+                     or case is Splitting.RAMIFIED and p % 2 == 1 and k2 - k1 in (0, 1))
+                and is_prime(p)):
+            raise ValidationError(f"no local Jordan type has the key {self}")
+
+
+def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int) -> LocalKey:
+    """The :class:`LocalKey` of T at p in the n = 2 model, with k = v_p(nrm)
+    for nrm = <T, T>: the one reader of T's valuations at p.
+
+    Split p: (k1, k2) = (v_P1(T), v_P2(T)) with P1 = (p, omega - r) and
+    P2 = (p, omega - (1 - r)), r the root of :func:`_omega_root_mod_p`.
+    Writing z = p^c z' with z' primitive, z' lies in at most one of P1, P2,
+    so v_P(z) = v_p(N(z)) - c when z' = 0 mod P and c otherwise; no lift is
+    needed.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified
+    p: k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2), with v_varpi(T)
+    the least v_p(N(z)).
     """
     if not T:
         raise ValidationError("local key of the zero vector")
@@ -221,14 +248,13 @@ def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
             full = vp(z.norm(F), p) - c
             v1, v2 = (full, c) if (z.x + z.y * r) % p ** (c + 1) == 0 else (c, full)
             k1, k2 = min(k1, v1), min(k2, v2)
-        return case, k1, k2
-    vals = [vp(z.norm(F), p) for z in coords]
-    v = min(vals)
-    if case is Splitting.INERT:
-        if any(x % 2 for x in vals):
+    else:
+        vals = [vp(z.norm(F), p) for z in coords]
+        if case is Splitting.INERT and any(x % 2 for x in vals):
             raise InternalConsistencyError("odd norm valuation at an inert prime")
-        return case, v // 2, v // 2
-    return case, v // 2, (v + 1) // 2
+        v = min(vals)  # even at an inert p, so k1 = k2 there
+        k1, k2 = v // 2, (v + 1) // 2
+    return LocalKey(p, case, 2, vp(nrm, p), k1, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +263,11 @@ def local_key(T: GlobalVector, F: FieldE, p: int) -> tuple:
 
 @dataclass(frozen=True)
 class LocalVectorData:
-    """Per-prime data feeding the Siegel-series engine.
+    """A :class:`LocalKey`, whose fields read as the data's own (data.p, ...),
+    with the quadratic-lattice coordinates of a T of that key.
 
-    Q_{T,p} reads only the key (p, case, n, k, k1, k2); ``n`` is the one rank
-    the engine reads, and ``coords`` must have 2n entries.  ``coords`` holds
-    the quadratic-lattice coordinates of T, read by the oracle check and by
-    :func:`qeis.siegel.q_poly`'s check of the key, in the split normal form
+    ``coords`` must have 2n entries and is read only by the oracle check and
+    by :func:`qeis.siegel.q_poly`'s check of the key, in the split normal form
     Sum x_i y_i (case split/inert, layout x-block then y-block) or the
     ramified normal form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i (m = n/2).
     For the ramified case ``coords_over_uniformizer`` additionally holds the
@@ -251,15 +276,15 @@ class LocalVectorData:
     p^prec with prec >= k + 2.
     """
 
-    p: int
-    case: Splitting
-    n: int
-    k: int
-    k1: int
-    k2: int
+    key: LocalKey
     coords: tuple
-    coords_over_uniformizer: tuple = field(default=())
+    coords_over_uniformizer: tuple = ()
     prec: int = 0
+
+    def __getattr__(self, name):
+        if name in LocalKey._fields:
+            return getattr(self.key, name)
+        raise AttributeError(name)
 
 
 def _split_coords(T: GlobalVector, F: FieldE, p: int, k: int) -> tuple:
@@ -325,7 +350,7 @@ _COORDS = {Splitting.SPLIT: _split_coords, Splitting.INERT: _inert_coords,
 
 
 def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> LocalVectorData:
-    """Quadratic-lattice coordinates of T at p, with the key of :func:`local_key`.
+    """Quadratic-lattice coordinates of T at p, with its :func:`local_key`.
 
     The coordinates serve `local`, its oracle check and the functional
     suite; Q_{T,p} itself needs only the key.  Requires n = 2 (the built-in
@@ -335,10 +360,7 @@ def local_quadratic_data(T: GlobalVector, F: FieldE, p: int, P: Params) -> Local
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2; supply LocalVectorData directly")
     validate_prime(p)
-    case, k1, k2 = local_key(T, F, p)
-    k = vp(norm(T, F), p)
-    if k == math.inf:
+    key = local_key(T, F, p, norm(T, F))
+    if key.k == math.inf:
         raise ValidationError("local quadratic data requires <T, T> != 0")
-    coords, over, prec = _COORDS[case](T, F, p, k)
-    return LocalVectorData(p=p, case=case, n=P.n, k=k, k1=k1, k2=k2, coords=coords,
-                           coords_over_uniformizer=over, prec=prec)
+    return LocalVectorData(key, *_COORDS[key.case](T, F, p, key.k))

@@ -22,12 +22,12 @@ Three ingredients, all exact:
   Q_{T,p} by exact division.
 
 The series is a sum of blocks (:func:`series_blocks`), one per eta: its
-invariants, its r range, and where each term lands.  The series assembly,
-the oracle check (:func:`check_against_oracle`, which recounts each term of
-each block) and, at unramified p, the closed-form Q walk the same blocks.
-:func:`closed_blocks` pairs each block with its closed-form terms; both
-routes of Q read the lists it builds once per key.  Every function reads
-the rank n from its :class:`LocalVectorData`.
+invariants, its r range, where each term lands and its closed-form terms,
+built once per :class:`qeis.hermitian.LocalKey`.  The series assembly, both
+routes of Q and the oracle check (:func:`check_against_oracle`, which
+recounts each term) read the same blocks; only the oracle check, through
+each block's eta, and :func:`q_poly`'s check of a declared key read
+coordinates.
 
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
@@ -47,7 +47,7 @@ import numpy as np
 
 from .arith import IntPoly, SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum_vp, vp
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
-from .hermitian import LocalVectorData
+from .hermitian import LocalKey, LocalVectorData
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -367,23 +367,25 @@ class SeriesBlock(NamedTuple):
     """One eta of the local series: for r in ``rs``, term r of eta times
     p^(r + power) adds to the coefficient of t^(2r + shift), a negative
     exponent dividing exactly.  ``inv`` is what the closed form reads, as
-    :meth:`QuadLatticeShape.invariants` gives it.  ``eta()`` builds the
-    vector itself from the coordinates, which only the oracle check needs;
-    ``name`` says how eta comes from T."""
+    :meth:`QuadLatticeShape.invariants` gives it, and ``terms`` its terms
+    for r in ``rs``, in ints.  ``eta(data)`` builds the vector itself from
+    the coordinates, which only the oracle check needs; ``name`` says how
+    eta comes from T."""
 
     name: str
     inv: tuple
     rs: range
     shift: int
     power: int
-    eta: Callable[[], tuple]
+    eta: Callable[[LocalVectorData], tuple]
+    terms: list
 
 
-def series_blocks(data: LocalVectorData):
+def series_blocks(key: LocalKey):
     """(shape, blocks) of the local series E^T_{2,p}(s), per splitting case.
 
-    Every block's invariants come from the key (n, k, k1, k2) of ``data``
-    alone; the coordinates are read only by ``eta()``.  Inert: T itself, a
+    Every block's invariants come from the key alone; coordinates are read
+    only by ``eta(data)``.  Inert: T itself, a
     single B-series in t^2 with invariants (k1, k).  Split: the double sum over
     (r1, r2) splits into the diagonal and the wedges r1 < r2, r1 > r2, each a
     shifted B-series of (p^-i T1, T2), i = 0..k1, or (T1, p^-j T2),
@@ -393,47 +395,38 @@ def series_blocks(data: LocalVectorData):
     (k2 - 1, k1, k - 1), and the odd part p^(s-n) times the C-series of T
     less its r = 0 term.
     """
-    p, n, k, k1, k2, coords = data.p, data.n, data.k, data.k1, data.k2, data.coords
-    if data.case is Splitting.RAMIFIED:
-        return ramified_shape(p, n // 2), [
-            SeriesBlock("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
-                        lambda: data.coords_over_uniformizer),
-            SeriesBlock("T", (k1, k2, k), range(1, k + 2), -1, -n, lambda: coords)]
-    shape = split_shape(p, n)
-    if data.case is Splitting.INERT:
-        return shape, [SeriesBlock("T", (k1, k), range(k + 2), 0, 0, lambda: coords)]
-    half = len(coords) // 2
-    return shape, [SeriesBlock(
+    p, case, n, k, k1, k2 = key
+    shape = ramified_shape(p, n // 2) if case is Splitting.RAMIFIED else split_shape(p, n)
+
+    def block(name, inv, rs, shift, power, eta):
+        return SeriesBlock(name, inv, rs, shift, power, eta, [shape.term(r, inv) for r in rs])
+
+    if case is Splitting.RAMIFIED:
+        return shape, [block("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
+                             lambda data: data.coords_over_uniformizer),
+                       block("T", (k1, k2, k), range(1, k + 2), -1, -n, lambda data: data.coords)]
+    if case is Splitting.INERT:
+        return shape, [block("T", (k1, k), range(k + 2), 0, 0, lambda data: data.coords)]
+    return shape, [block(
         f"(p^-{i} T1, T2)" if i else f"(T1, p^-{j} T2)" if j else "T",
         (min(k1 - i, k2 - j), k - i - j), range(k - i - j + 2), i + j, n * (i + j),
-        lambda i=i, j=j: tuple(Fraction(c, p ** (i if h < half else j))
-                               for h, c in enumerate(coords)))
+        lambda data, i=i, j=j: tuple(Fraction(c, p ** (i if h < n else j))
+                                     for h, c in enumerate(data.coords)))
         for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
-def closed_blocks(data: LocalVectorData):
-    """(shape, [(block, terms)]): :func:`series_blocks` with each block's
-    closed-form terms [term_r for r in block.rs], in int arithmetic.
-
-    The series assembly and the closed-form Q of one key read the same lists.
-    """
-    shape, blocks = series_blocks(data)
-    return shape, [(b, [shape.term(r, b.inv) for r in b.rs]) for b in blocks]
-
-
-def assemble_series(data: LocalVectorData, blocks=None) -> SeriesPoly:
+def assemble_series(key: LocalKey, blocks=None) -> SeriesPoly:
     """The truncated local series E^T_{2,p}(s) as an exact polynomial in
     t = p^(-s): the sum of :func:`series_blocks`, in Python ints.
 
-    ``blocks`` is the (block, terms) list of :func:`closed_blocks`, built
-    here when None.
+    ``blocks`` is the block list of :func:`series_blocks`, built here when None.
     """
-    p, k = data.p, data.k
+    p, k = key.p, key.k
     if blocks is None:
-        _, blocks = closed_blocks(data)
+        _, blocks = series_blocks(key)
     coeffs = [0] * (2 * k + 3)
-    for b, terms in blocks:
-        for r, term in zip(b.rs, terms):
+    for b in blocks:
+        for r, term in zip(b.rs, b.terms):
             e = r + b.power
             if e < 0:
                 term, rest = divmod(term, p ** -e)
@@ -448,18 +441,17 @@ def check_against_oracle(data: LocalVectorData, budget: int = DEFAULT_BUDGET) ->
 
     Walks the blocks that :func:`assemble_series` sums, one term at a time; a
     closed-form term the oracle disagrees with raises InternalConsistencyError
-    naming p, the case, (k, k1, k2), r and eta.
+    naming the key, r and eta.
     """
-    shape, blocks = closed_blocks(data)
-    for b, terms in blocks:
-        eta = b.eta()
-        for r, closed in zip(b.rs, terms):
+    shape, blocks = series_blocks(data.key)
+    for b in blocks:
+        eta = b.eta(data)
+        for r, closed in zip(b.rs, b.terms):
             oracle = term_oracle(r, eta, shape, budget=budget)
             if oracle != closed:
                 raise InternalConsistencyError(
-                    f"oracle disagrees with the closed form at p={data.p}, case "
-                    f"{data.case.value}, (k, k1, k2) = {(data.k, data.k1, data.k2)}, "
-                    f"r = {r}, eta = {b.name} = ({', '.join(map(str, eta))}): "
+                    f"oracle disagrees with the closed form at {data.key}, r = {r}, "
+                    f"eta = {b.name} = ({', '.join(map(str, eta))}): "
                     f"closed {closed}, oracle {oracle}")
 
 
@@ -541,7 +533,7 @@ def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
             for r in range(k + 1)]
 
 
-def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
+def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     """Q_{T,p} assembled from the closed forms, case by case.
 
     Split: Q(X) = P_T(X^2) + Sum_i p^(i(n-1)/2) X^i P_{(p^-i T1, T2)}(X^2)
@@ -551,16 +543,16 @@ def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
                     + p^(1/2-m) X^-1 R_T(X^2).
     Each P is extracted from the B-series of one block of
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
-    ``blocks`` is the (block, terms) list of :func:`closed_blocks`, built
-    here when None; the ramified case reads only (k, k1, k2).
+    ``blocks`` is the block list of :func:`series_blocks`, built here when
+    None; the ramified case reads only (k, k1, k2).
     """
-    p, n, k = data.p, data.n, data.k
+    p, case, n, k, k1, k2 = key
     d = [0] * (2 * k + 1)
-    if data.case in (Splitting.SPLIT, Splitting.INERT):
+    if case in (Splitting.SPLIT, Splitting.INERT):
         if blocks is None:
-            _, blocks = closed_blocks(data)
-        for b, terms in blocks:
-            poly = extract_P(SeriesPoly(terms), n, p)
+            _, blocks = series_blocks(key)
+        for b in blocks:
+            poly = extract_P(SeriesPoly(b.terms), n, p)
             i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
@@ -568,7 +560,6 @@ def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
                 d[2 * rr + i] += c * p ** e
     else:
         m = n // 2
-        k1, k2 = data.k1, data.k2
         r_t = R_closed_form(k1, k2, k, m, p)
         r_tw = R_closed_form(k2 - 1, k1, k - 1, m, p)
         for rr, c in enumerate(r_tw.coeffs):
@@ -586,16 +577,16 @@ def q_poly_closed_form(data: LocalVectorData, blocks=None) -> SqrtPPoly:
     return SqrtPPoly(p, d)
 
 
-def q_poly_from_series(data: LocalVectorData, series: SeriesPoly) -> SqrtPPoly:
-    """Q_{T,p} by exact division of the local series assembled from ``data``.
+def q_poly_from_series(key: LocalKey, series: SeriesPoly) -> SqrtPPoly:
+    """Q_{T,p} by exact division of the local series of ``key``.
 
     Unramified: E(t) = (1 - p^n t^2) Q(p^((n+1)/2) t);
     ramified:   E(t) = (1 - p^(n/2) t) Q(p^((n+1)/2) t).
     An integer series is divided in Python ints, and a nonzero remainder of
     the division or of a rescaling raises InternalConsistencyError.
     """
-    p, n = data.p, data.n
-    if data.case is Splitting.RAMIFIED:
+    p, n = key.p, key.n
+    if key.case is Splitting.RAMIFIED:
         quot = series.divide_exact(p ** (n // 2), 1)
     else:
         quot = series.divide_exact(p ** n, 2)
@@ -610,49 +601,45 @@ def q_poly_from_series(data: LocalVectorData, series: SeriesPoly) -> SqrtPPoly:
 
 
 def _check_invariants(data: LocalVectorData) -> None:
-    """Reject local data whose coordinates do not carry its declared (n, k, k1, k2).
+    """Reject local data whose coordinates do not carry its declared key.
 
-    Q is served by invariant key, so a wrong field would silently return the
+    Q is served by key, so a wrong field would silently return the
     polynomial of another key.  Coordinates must be integral here.
     """
-    p, n = data.p, data.n
+    p, case, n = data.p, data.case, data.n
     if len(data.coords) != 2 * n:
         raise ValidationError(
             f"local data at p={p} has {len(data.coords)} coordinates; n={n} needs {2 * n}")
     coords = [int(c) for c in data.coords]
-    if data.case is Splitting.RAMIFIED:
+    if case is Splitting.RAMIFIED:
         k1, k2, k = ramified_invariants(coords, ramified_shape(p, n // 2))
     else:
         k1 = min(vp(c, p) for c in coords[:n])
         k2 = min(vp(c, p) for c in coords[n:])
-        if data.case is Splitting.INERT:
+        if case is Splitting.INERT:
             k1 = k2 = min(k1, k2)
         k = vp(split_shape(p, n).quad_form(coords), p)
-    if (k, k1, k2) != (data.k, data.k1, data.k2):
-        raise ValidationError(
-            f"local data at p={p} declares (k, k1, k2) = {(data.k, data.k1, data.k2)} "
-            f"but its coordinates carry {(k, k1, k2)}")
+    read = LocalKey(p, case, n, k, k1, k2)
+    if read != data.key:
+        raise ValidationError(f"local data declares {data.key} but its coordinates "
+                              f"carry {read}")
 
 
 @lru_cache(maxsize=4096)
-def q_poly_of_invariants(p: int, case: Splitting, n: int, k: int, k1: int,
-                         k2: int) -> SqrtPPoly:
-    """Q_{T,p} for every T with local invariants (p, case, n, k, k1, k2).
-
-    Both routes read T only through these invariants, so they run once per
-    key, on local data without coordinates.  Callers with a global T read the
-    key off its valuations (:func:`qeis.hermitian.local_key`); :func:`q_poly`
-    first checks a declared key against the coordinates.
-    """
-    key = f"(p, case, n, k, k1, k2) = ({p}, {case.value}, {n}, {k}, {k1}, {k2})"
-    data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
-    _, blocks = closed_blocks(data)
-    closed = q_poly_closed_form(data, blocks)
-    divided = q_poly_from_series(data, assemble_series(data, blocks))
+def q_poly_of_invariants(key: LocalKey) -> SqrtPPoly:
+    """Q_{T,p} for every T with this key, which must be admissible
+    (:meth:`LocalKey.check`); both routes read T only through the key, so
+    they run once per key.  Callers with a global T read the key with
+    :func:`qeis.hermitian.local_key`; :func:`q_poly` first checks a declared
+    key against its coordinates."""
+    key.check()
+    _, blocks = series_blocks(key)
+    closed = q_poly_closed_form(key, blocks)
+    divided = q_poly_from_series(key, assemble_series(key, blocks))
     if closed != divided:
         raise InternalConsistencyError(
             f"Q paths disagree at {key}: closed {closed.d} vs series {divided.d}")
-    if closed.degree != 2 * k or not closed.is_monic():
+    if closed.degree != 2 * key.k or not closed.is_monic():
         raise InternalConsistencyError(
             f"Q has wrong degree or is not monic at {key}: {closed.d}")
     if not closed.is_palindromic():
@@ -666,12 +653,12 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
     Closed-form assembly and series-division extraction are cross-asserted;
     the result is monic of degree 2k and palindromic, with integer even
     coefficients and sqrt(p)-integral odd coefficients by construction.
-    Q depends on T only through the key (p, case, n, k, k1, k2), so the
-    checked polynomial is computed once per key and shared.  The rank is
-    ``data.n``; ``P`` only declares it, and ValidationError is raised when
-    ``P.n`` differs.  Returns None (the zero marker) when T lies outside the
-    local lattice, and raises ValidationError when the declared k, k1 or k2
-    disagree with the coordinates.
+    Q depends on T only through ``data.key``, so the checked polynomial is
+    computed once per key and shared.  The rank is ``data.n``; ``P`` only
+    declares it, and ValidationError is raised when ``P.n`` differs.
+    Returns None (the zero marker) when T lies outside the local lattice,
+    and raises ValidationError when the declared key disagrees with the
+    coordinates.
     """
     if P.n != data.n:
         raise ValidationError(
@@ -680,4 +667,4 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
             Fraction(c).denominator == 1 for c in data.coords):
         return None
     _check_invariants(data)
-    return q_poly_of_invariants(data.p, data.case, data.n, data.k, data.k1, data.k2)
+    return q_poly_of_invariants(data.key)

@@ -65,7 +65,7 @@ def test_criterion_03_unit_norm_corollaries():
             if nrm < 0:
                 continue
             data = local_quadratic_data(T, F3, p, P3)
-            series = assemble_series(data)
+            series = assemble_series(data.key)
             if data.case is Splitting.RAMIFIED:
                 expect = [1, -3]
             else:
@@ -106,8 +106,8 @@ def test_criterion_05_dual_path_q():
                 if vp(nrm, p) == 0:
                     continue
                 data = local_quadratic_data(T, F, p, P3)
-                a = q_poly_closed_form(data)
-                b = q_poly_from_series(data, assemble_series(data))
+                a = q_poly_closed_form(data.key)
+                b = q_poly_from_series(data.key, assemble_series(data.key))
                 ok = ok and a == b
                 checks += 1
     _announce(5, ok, f"closed-form Q == series-division Q on {checks} (D, p, T)")

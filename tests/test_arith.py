@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from qeis.arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
                         _sqrtp_eval_frac, bernoulli, hyp2f1_terminating, is_prime,
-                        kronecker_symbol, pochhammer, prime_factors, ramanujan_sum,
-                        ramanujan_sum_vp, splitting_class, sqrtp_eval_halfint, vp)
+                        is_squarefree, kronecker_symbol, pochhammer, prime_factors,
+                        ramanujan_sum, ramanujan_sum_vp, sigma_k, splitting_class,
+                        sqrtp_eval_halfint, validate_D, vp)
 from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 
 
@@ -262,3 +263,30 @@ def test_prime_factors_past_the_trial_division_cap(monkeypatch):
     assert prime_factors(0) == prime_factors(1) == []
     assert prime_factors(2 * (10 ** 12 + 63)) == [2, 10 ** 12 + 63]
     assert prime_factors(720720) == [2, 3, 5, 7, 11, 13]
+
+
+def _divisor_sum(n, k):
+    """sigma_k(n) by the divisor loop: the reference for the multiplicative form."""
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def test_sigma_k_matches_the_divisor_sum():
+    for n in range(1, 201):
+        for k in range(6):
+            assert sigma_k(n, k) == _divisor_sum(n, k), (n, k)
+    big = 10 ** 18 + 3  # prime, past the trial-division cap
+    assert sigma_k(big, 2) == 1 + big ** 2
+    assert sigma_k(3 * big, 1) == (1 + 3) * (1 + big)
+    with pytest.raises(ValidationError):
+        sigma_k(0, 1)
+
+
+def test_squarefree_is_read_off_the_prime_factors():
+    for n in range(-3, 2000):
+        expect = n > 0 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+        assert is_squarefree(n) == expect, n
+    assert is_squarefree(10 ** 18 + 3) and not is_squarefree(27 * (10 ** 18 + 3))
+    validate_D(10 ** 18 + 3)
+    for D in (27, 49 * (10 ** 18 + 3), 9 * (10 ** 12 + 63)):
+        with pytest.raises(ValidationError, match=f"D = {D} is not"):
+            validate_D(D)

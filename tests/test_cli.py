@@ -107,6 +107,37 @@ def test_factoring_past_the_cap_is_a_budget_error(capsys):
     assert "cannot factor 2000072000198" in capsys.readouterr().err
 
 
+def test_large_D_is_validated_and_factored_without_trial_division_to_its_root(capsys):
+    """D = 10^18 + 3 is a prime = 3 mod 4: squarefreeness and sigma_k(D) come
+    from prime_factors, and the field's splitting does not re-validate D."""
+    D = str(10 ** 18 + 3)
+    proc = subprocess.run(RUN + ["coeff", "--D", D, "--T", "1,0,1,0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["rank"] == 2
+    assert main(["coeff", "--D", "27", "--T", "1,0,1,0"]) == 2
+    assert "D = 27 is not a squarefree" in capsys.readouterr().err
+
+
+def test_large_D_constant_term_is_a_budget_error():
+    """zeta_E makes D - 1 Hurwitz calls, so an expand past MAX_ZETA_E_D exits 4 naming D."""
+    D = str(10 ** 18 + 3)
+    proc = subprocess.run(RUN + ["expand", "--D", D, "--bound", "2"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+    assert f"zeta_E at D = {D} needs D - 1 Hurwitz zeta values" in proc.stderr
+
+
+def test_out_into_a_missing_directory_is_a_validation_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(RUN + ["coeff", "--D", "3", "--T", "1,0,1,0", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == f"validation error: cannot write output file {str(out)!r}: " \
+                          "No such file or directory\n"
+    assert not out.exists() and not proc.stdout
+
+
 def test_non_positive_budget_flag_is_a_validation_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (["local", "--D", "3", "--p", "2", "--T", "2,0,2,0", "--oracle"],
@@ -322,7 +353,7 @@ def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
                         lambda data, blocks=None: SqrtPPoly(data.p, [1, 1, 1]))
     assert main(["coeff", "--D", "3", "--T", "1,0,3,1"]) == 3  # norm 7, split
     err = capsys.readouterr().err
-    assert "T = [[1, 0], [3, 1]], p = 7:" in err
+    assert "T = [[1, 0], [3, 1]], Q paths disagree at" in err
     assert "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)" in err
     assert siegel.q_poly_of_invariants.cache_info().currsize == 0
 

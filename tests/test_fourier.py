@@ -6,10 +6,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qeis.arith import Splitting, bernoulli, prime_factors, sigma_k, sqrtp_eval_halfint, vp
+from qeis.arith import Splitting, bernoulli, prime_factors, sigma_k, sqrtp_eval_halfint
 from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
-                          d_nl, denominator_bound_check, full_expansion, local_keys,
+                          d_nl, denominator_bound_check, full_expansion,
                           sigma_E, vectors_in_region)
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
                             global_vector, local_key, norm, quadint)
@@ -25,7 +25,8 @@ P3 = Params(n=2, ell=3)
 
 def _sigma(T, ell, F):
     """sigma_E of T from its keys at the primes of its content gcd(N(a), N(b))."""
-    return sigma_E(local_keys(T, F, math.gcd(T.a.norm(F), T.b.norm(F))), ell)
+    content = math.gcd(T.a.norm(F), T.b.norm(F))
+    return sigma_E(tuple(local_key(T, F, p, norm(T, F)) for p in prime_factors(content)), ell)
 
 
 def test_sigma_E_examples():
@@ -271,7 +272,7 @@ def _sigma_reference(T, ell, F):
     content = math.gcd(T.a.norm(F) if T.a else 0, T.b.norm(F) if T.b else 0)
     total = 1
     for p in prime_factors(content):
-        case, k1, k2 = local_key(T, F, p)
+        _, case, _, _, k1, k2 = local_key(T, F, p, 0)
         if case is Splitting.SPLIT:
             total *= sum(p ** (i * ell) for i in range(k1 + 1))
             total *= sum(p ** (i * ell) for i in range(k2 + 1))
@@ -292,8 +293,7 @@ def _coefficient_reference(T, P, F):
         return 1, c_ell(P.ell) * sigma, sigma, {}
     local = {}
     for p in prime_factors(nrm):
-        case, k1, k2 = local_key(T, F, p)
-        local[p] = q_poly_of_invariants(p, case, P.n, vp(nrm, p), k1, k2)
+        local[p] = q_poly_of_invariants(local_key(T, F, p, nrm))
     prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
@@ -327,7 +327,7 @@ def test_coefficient_errors_name_T_and_are_not_cached(monkeypatch):
     for T in (global_vector(1, 0, 3, 1), global_vector(3, 1, 1, 0)):  # norm 7, split
         with pytest.raises(InternalConsistencyError) as err:
             coefficient(T, P3, F3)
-        assert f"T = {T.as_list()}, p = 7: Q paths disagree at (p, case, n, k, k1, k2) = " \
+        assert f"T = {T.as_list()}, Q paths disagree at (p, case, n, k, k1, k2) = " \
                "(7, split, 2, 1, 0, 0)" in str(err.value)
     assert fourier.coefficient_of_invariants.cache_info().currsize == 0
 
@@ -381,7 +381,7 @@ def test_table_evaluates_each_invariant_once(monkeypatch, capsys):
     invariants = set()
     for T in vectors_in_region(F3, REGION_SCALE * (bound + 1), 1, bound):
         nrm = norm(T, F3)
-        invariants.add((nrm, tuple((p, local_key(T, F3, p)) for p in prime_factors(nrm))))
+        invariants.add((nrm, tuple(local_key(T, F3, p, nrm) for p in prime_factors(nrm))))
     expected = sum(len(keys) for _, keys in invariants)
     for want in (expected, 0):
         calls.clear()

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qeis.arith import Splitting, is_squarefree, prime_factors, vp
 from qeis.errors import ValidationError
-from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
+from qeis.hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt,
                             global_vector, local_key, local_quadratic_data, norm,
                             omega_root_lift, quadint,
                             ramified_unit, sqrt_minus_D)
@@ -80,22 +80,23 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def _full_key(T, F, p):
-    """(case, k, k1, k2): :func:`local_key` with k = v_p(<T, T>), the key Q_{T,p} reads."""
-    case, k1, k2 = local_key(T, F, p)
-    return case, vp(norm(T, F), p), k1, k2
+    """:func:`local_key` with k = v_p(<T, T>), the key Q_{T,p} reads."""
+    return local_key(T, F, p, norm(T, F))
 
 
 def test_local_key_examples():
     T = GlobalVector(quadint(1), QuadInt(-1, 2))  # (1, sqrt(-3)), isotropic
-    assert _full_key(T, F3, 3) == (Splitting.RAMIFIED, math.inf, 0, 0)
+    assert _full_key(T, F3, 3) == LocalKey(3, Splitting.RAMIFIED, 2, math.inf, 0, 0)
     T2 = GlobalVector(quadint(2), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
-    assert _full_key(T2, F3, 2) == (Splitting.INERT, math.inf, 1, 1)
-    assert _full_key(global_vector(1, 0, 1, 0), F3, 5) == (Splitting.INERT, 0, 0, 0)
+    assert _full_key(T2, F3, 2) == LocalKey(2, Splitting.INERT, 2, math.inf, 1, 1)
+    assert _full_key(global_vector(1, 0, 1, 0), F3, 5) == LocalKey(5, Splitting.INERT, 2, 0, 0, 0)
+    assert str(_full_key(global_vector(1, 0, 3, 1), F3, 7)) == \
+        "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)"
 
 
 def test_local_key_zero_vector():
     with pytest.raises(ValidationError):
-        local_key(global_vector(0, 0, 0, 0), F3, 2)
+        local_key(global_vector(0, 0, 0, 0), F3, 2, 0)
 
 
 def test_split_valuations_sum_to_norm_valuation():
@@ -109,8 +110,8 @@ def test_split_valuations_sum_to_norm_valuation():
             if F.splitting(p) is not Splitting.SPLIT:
                 continue
             T = GlobalVector(z, quadint(1))
-            _, v1, v2 = local_key(GlobalVector(z, z), F, p)
-            assert v1 + v2 == vp(z.norm(F), p), (z, D, p)
+            key = _full_key(GlobalVector(z, z), F, p)
+            assert key.k1 + key.k2 == vp(z.norm(F), p), (z, D, p)
 
 
 def test_hensel_root_lift():
@@ -222,17 +223,18 @@ def test_local_data_rejects_other_ranks():
 
 
 def _key_from_coords(data):
-    """(case, k, k1, k2) read off the quadratic coordinates alone."""
+    """The key read off the quadratic coordinates alone."""
     from qeis.siegel import ramified_invariants, ramified_shape
 
     p, coords = data.p, [int(c) for c in data.coords]
     if data.case is Splitting.RAMIFIED:
         k1, k2, k = ramified_invariants(coords, ramified_shape(p, 1))
-        return data.case, k, k1, k2
+        return LocalKey(p, data.case, 2, k, k1, k2)
     k1, k2 = (min(vp(c, p) for c in half) for half in (coords[:2], coords[2:]))
     if data.case is Splitting.INERT:
         k1 = k2 = min(k1, k2)
-    return data.case, vp(coords[0] * coords[2] + coords[1] * coords[3], p), k1, k2
+    k = vp(coords[0] * coords[2] + coords[1] * coords[3], p)
+    return LocalKey(p, data.case, 2, k, k1, k2)
 
 
 def test_local_key_matches_the_coordinates():

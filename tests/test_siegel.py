@@ -9,7 +9,7 @@ import pytest
 from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, ramanujan_sum_vp, vp
 from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
-from qeis.hermitian import (FieldE, LocalVectorData, Params, global_vector,
+from qeis.hermitian import (FieldE, LocalKey, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
 from qeis.siegel import (R_closed_form, assemble_series, b_term, c_term, c_term_gauss,
                          check_against_oracle, extract_P, extract_R,
@@ -367,13 +367,13 @@ def _check_data(D, p, T):
 @pytest.mark.parametrize("D, p, T", ORACLE_CHECK_DATA)
 def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
     """A closed-form term off by one at a single r fails the oracle check,
-    and the error names p, the case, (k, k1, k2), r and eta."""
+    and the error names the key, r and eta."""
     import qeis.siegel as siegel
 
     siegel.q_poly_of_invariants.cache_clear()
     data = _check_data(D, p, T)
     check_against_oracle(data)
-    _, blocks = series_blocks(data)
+    _, blocks = series_blocks(data.key)
     target = blocks[-1]
     r = target.rs[-1]
     assert sum(b.inv == target.inv for b in blocks) == 1
@@ -387,8 +387,8 @@ def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
     with pytest.raises(InternalConsistencyError) as err:
         check_against_oracle(data)
     message = str(err.value)
-    assert f"p={p}, case {data.case.value}," in message
-    assert f"(k, k1, k2) = {(data.k, data.k1, data.k2)}, r = {r}," in message
+    assert (f"(p, case, n, k, k1, k2) = ({p}, {data.case.value}, 2, {data.k}, {data.k1}, "
+            f"{data.k2}), r = {r}," in message)
     assert f"eta = {target.name} = (" in message
 
 
@@ -410,13 +410,13 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
 
     monkeypatch.setattr(siegel, "term_oracle", recording)
     check_against_oracle(data)
-    _, blocks = series_blocks(data)
+    _, blocks = series_blocks(data.key)
     placed = [(b, r) for b in blocks for r in b.rs]
-    assert [(r, tuple(b.eta())) for b, r in placed] == [c[:2] for c in calls]
+    assert [(r, tuple(b.eta(data))) for b, r in placed] == [c[:2] for c in calls]
     rebuilt = [Fraction(0)] * (2 * data.k + 3)
     for (b, r), (_, _, value) in zip(placed, calls):
         rebuilt[2 * r + b.shift] += value * Fraction(p) ** (r + b.power)
-    assert SeriesPoly(rebuilt) == assemble_series(data)
+    assert SeriesPoly(rebuilt) == assemble_series(data.key)
     if data.case is Splitting.INERT:
         assert data.k == 4 and len(calls) == data.k + 2
         assert all(eta == data.coords for _, eta, _ in calls)
@@ -427,7 +427,7 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
 # ---------------------------------------------------------------------------
 
 def _series_for(T, p):
-    return assemble_series(local_quadratic_data(T, F3, p, P2))
+    return assemble_series(local_quadratic_data(T, F3, p, P2).key)
 
 
 def test_unit_norm_corollaries():
@@ -576,22 +576,22 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
     for data in (local_quadratic_data(global_vector(7, 0, 21, 7), F3, 7, P2),  # split, k = 3
                  local_quadratic_data(global_vector(2, 0, 4, 0), F3, 2, P2),   # inert, k = 4
                  ramified):
-        local = assemble_series(data)
+        local = assemble_series(data.key)
         assert all(isinstance(c, int) for c in local.coeffs)
-        q_poly_from_series(data, local)
+        q_poly_from_series(data.key, local)
         for i in range(len(local.coeffs)):
             bumped = list(local.coeffs)
             bumped[i] += 1
             with pytest.raises(InternalConsistencyError, match="not divisible"):
-                q_poly_from_series(data, SeriesPoly(bumped))
+                q_poly_from_series(data.key, SeriesPoly(bumped))
     # (1 - 7^2 t^2)(1 + t^2) divides exactly, but its t^2 term is not a multiple of 7^3
-    split7 = LocalVectorData(p=7, case=Splitting.SPLIT, n=2, k=2, k1=0, k2=2, coords=(), prec=4)
+    split7 = LocalKey(7, Splitting.SPLIT, 2, 2, 0, 2)
     with pytest.raises(InternalConsistencyError, match="sqrt\\(p\\) grading"):
         q_poly_from_series(split7, SeriesPoly([1, 0, -48, 0, -49]))
     # a ramified C-term that p^(n - r) does not divide
     monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
     with pytest.raises(InternalConsistencyError, match="non-integral term"):
-        assemble_series(ramified)
+        assemble_series(ramified.key)
 
 
 def _split_series_reference(data, n):
@@ -628,10 +628,10 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
             etas += [(j, t1 + [Fraction(c, p ** j) for c in t2])
                      for j in range(1, data.k2 + 1)]
             expected = [(i, sh.invariants(eta)) for i, eta in etas]
-            shape, blocks = series_blocks(data)
+            shape, blocks = series_blocks(data.key)
             assert shape == sh
             assert [(b.shift, b.inv) for b in blocks] == expected, (D, p, T)
-            assert [list(b.eta()) for b in blocks] == [eta for _, eta in etas]
+            assert [list(b.eta(data)) for b in blocks] == [eta for _, eta in etas]
             checked += len(expected)
     assert checked == 24
 
@@ -639,19 +639,19 @@ def test_eta_family_invariants_match_the_rescaled_vectors():
 def test_deep_split_key_both_routes_agree():
     """A split k = 40 key at p = 13: the int series equals the Fraction-built
     reference, and both routes give the same monic palindromic Q of degree 80."""
-    data = LocalVectorData(p=13, case=Splitting.SPLIT, n=2, k=40, k1=13, k2=7,
+    data = LocalVectorData(LocalKey(13, Splitting.SPLIT, 2, 40, 13, 7),
                            coords=(13 ** 13, 0, 13 ** 27, 13 ** 7), prec=42)
-    series = assemble_series(data)
+    series = assemble_series(data.key)
     assert series == _split_series_reference(data, 2)
-    closed = q_poly_closed_form(data)
-    assert closed == q_poly_from_series(data, series)
+    closed = q_poly_closed_form(data.key)
+    assert closed == q_poly_from_series(data.key, series)
     assert closed.degree == 80 and closed.is_monic() and closed.is_palindromic()
     assert closed == q_poly(data, P2)
 
 
 # (key, pinned Q): a split key with four blocks and an inert key
-COLD_KEYS = (((3, Splitting.SPLIT, 2, 4, 1, 2), [1, 2, 7, 5, 7, 5, 7, 2, 1]),
-             ((2, Splitting.INERT, 2, 4, 1, 1), [1, 0, 3, 0, 3, 0, 3, 0, 1]))
+COLD_KEYS = ((LocalKey(3, Splitting.SPLIT, 2, 4, 1, 2), [1, 2, 7, 5, 7, 5, 7, 2, 1]),
+             (LocalKey(2, Splitting.INERT, 2, 4, 1, 1), [1, 0, 3, 0, 3, 0, 3, 0, 1]))
 
 
 @pytest.mark.parametrize("key, pinned", COLD_KEYS)
@@ -669,13 +669,12 @@ def test_cold_key_builds_each_term_list_once(key, pinned, monkeypatch):
 
     monkeypatch.setattr(siegel, "b_term", counting)
     siegel.q_poly_of_invariants.cache_clear()
-    q = q_poly_of_invariants(*key)
+    q = q_poly_of_invariants(key)
+    built = len(calls)
     siegel.q_poly_of_invariants.cache_clear()
-    p, case, n, k, k1, k2 = key
-    data = LocalVectorData(p=p, case=case, n=n, k=k, k1=k1, k2=k2, coords=(), prec=k + 2)
-    _, blocks = series_blocks(data)
-    assert len(calls) == sum(len(b.rs) for b in blocks)
-    assert q == SqrtPPoly(p, pinned)
+    _, blocks = series_blocks(key)
+    assert built == sum(len(b.rs) for b in blocks)
+    assert q == SqrtPPoly(key.p, pinned)
 
 
 def test_R_closed_form_examples():
@@ -738,8 +737,8 @@ def test_q_poly_dual_paths_agree_on_sweep():
             if vp(nrm, p) == 0:
                 continue
             data = local_quadratic_data(T, F3, p, P2)
-            a = q_poly_closed_form(data)
-            b = q_poly_from_series(data, assemble_series(data))
+            a = q_poly_closed_form(data.key)
+            b = q_poly_from_series(data.key, assemble_series(data.key))
             assert a == b, (T, p)
             assert a.is_monic() and a.degree == 2 * data.k and a.is_palindromic()
             count += 1
@@ -777,7 +776,7 @@ def test_ramified_q1_q2_closed_forms_match_their_definitions():
 
 
 def test_q_poly_zero_marker_outside_lattice():
-    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=2, k=0, k1=-1, k2=0,
+    data = LocalVectorData(LocalKey(5, Splitting.SPLIT, 2, 0, -1, 0),
                            coords=(Fraction(1, 5), 0, 5, 0), prec=3)
     assert q_poly(data, P2) is None
 
@@ -788,10 +787,10 @@ def test_q_poly_hand_supplied_higher_rank():
     eta = (1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0)  # q = 2, unit at p = 3
     sh = split_shape(3, 6)
     assert sh.quad_form(eta) == 2
-    data = LocalVectorData(p=3, case=Splitting.SPLIT, n=6, k=0, k1=0, k2=0,
+    data = LocalVectorData(LocalKey(3, Splitting.SPLIT, 6, 0, 0, 0),
                            coords=eta, prec=2)
     assert q_poly(data, P6) == SqrtPPoly(3, [1])
-    data5 = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=0, k2=0,
+    data5 = LocalVectorData(LocalKey(5, Splitting.SPLIT, 6, 1, 0, 0),
                             coords=(1, 0, 0, 0, 0, 0, 5, 1, 0, 0, 0, 0), prec=3)
     q = q_poly(data5, P6)
     assert q.degree == 2 and q.is_palindromic()
@@ -801,12 +800,12 @@ def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
     """A wrong k1 would make the invariant cache serve another key's Q."""
     P6 = Params(n=6, ell=8)
     coords = (1, 0, 0, 0, 0, 0, 5, 1, 0, 0, 0, 0)   # k = 1, k1 = k2 = 0 at p = 5
-    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=1, k2=0,
+    data = LocalVectorData(LocalKey(5, Splitting.SPLIT, 6, 1, 1, 0),
                            coords=coords, prec=3)
     with pytest.raises(ValidationError, match="k1"):
         q_poly(data, P6)
     # coordinates of the wrong rank for n
-    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=1, k1=0, k2=0,
+    data = LocalVectorData(LocalKey(5, Splitting.SPLIT, 6, 1, 0, 0),
                            coords=(1, 0, 5, 1), prec=3)
     with pytest.raises(ValidationError):
         q_poly(data, P6)
@@ -814,13 +813,13 @@ def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
 
 def test_q_poly_rejects_a_declared_n_that_differs_from_the_data():
     """The rank is data.n; an n = 6 key must not be served as n = 2."""
-    data = LocalVectorData(p=5, case=Splitting.SPLIT, n=6, k=2, k1=1, k2=0,
+    data = LocalVectorData(LocalKey(5, Splitting.SPLIT, 6, 2, 1, 0),
                            coords=(5, 0, 5, 1), prec=4)
     with pytest.raises(ValidationError, match="n = 6"):
         q_poly(data, P2)
     split = Splitting.SPLIT
-    assert q_poly_of_invariants(5, split, 6, 2, 1, 0) == SqrtPPoly(5, [1, 25, 1, 25, 1])
-    assert q_poly_of_invariants(5, split, 2, 2, 1, 0) == SqrtPPoly(5, [1, 1, 1, 1, 1])
+    assert q_poly_of_invariants(LocalKey(5, split, 6, 2, 1, 0)) == SqrtPPoly(5, [1, 25, 1, 25, 1])
+    assert q_poly_of_invariants(LocalKey(5, split, 2, 2, 1, 0)) == SqrtPPoly(5, [1, 1, 1, 1, 1])
 
 
 def test_q_poly_consistency_error_names_the_key_and_is_not_cached(monkeypatch):
@@ -852,7 +851,7 @@ def test_q_poly_key_is_sufficient():
         for T in vectors_in_region(F, 16, 1, 12):
             for p in prime_factors(norm(T, F)):
                 data = local_quadratic_data(T, F, p, P2)
-                assert q_poly_closed_form(data) == q_poly(data, P2), (D, T, p)
+                assert q_poly_closed_form(data.key) == q_poly(data, P2), (D, T, p)
                 seen.add((p, data.case))
     assert {(2, Splitting.SPLIT), (2, Splitting.INERT), (3, Splitting.RAMIFIED),
             (7, Splitting.RAMIFIED), (11, Splitting.RAMIFIED)} <= seen
@@ -865,23 +864,68 @@ def test_q_poly_hand_supplied_higher_rank_ramified():
     coords = (1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
     sh = ramified_shape(3, 3)
     assert sh.quad_form(coords) == 1
-    data = LocalVectorData(p=3, case=Splitting.RAMIFIED, n=6, k=0, k1=0, k2=0,
+    data = LocalVectorData(LocalKey(3, Splitting.RAMIFIED, 6, 0, 0, 0),
                            coords=coords, prec=2)
     assert q_poly(data, P6) == SqrtPPoly(3, [1])
     # k = 1 with k1 = k2 = 0
     coords = (1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0)
     k1, k2, k = ramified_invariants(coords, sh)
     assert (k1, k2, k) == (0, 0, 1)
-    data = LocalVectorData(p=3, case=Splitting.RAMIFIED, n=6, k=1, k1=0, k2=0,
+    data = LocalVectorData(LocalKey(3, Splitting.RAMIFIED, 6, 1, 0, 0),
                            coords=coords, prec=3)
     q = q_poly(data, P6)
     assert q.degree == 2 and q.is_monic() and q.is_palindromic()
     # deeper shape, k = 3 with k2 = k1 + 1
-    data = LocalVectorData(p=3, case=Splitting.RAMIFIED, n=6, k=3, k1=1, k2=1,
-                           coords=(), prec=5)
-    q = q_poly_closed_form(data)
+    key = LocalKey(3, Splitting.RAMIFIED, 6, 3, 1, 1)
+    q = q_poly_closed_form(key)
     assert q.degree == 6 and q.is_monic() and q.is_palindromic()
-    assert q == q_poly_from_series(data, assemble_series(data))
+    assert q == q_poly_from_series(key, assemble_series(key))
+
+
+def _admissible(p, case, k, k1, k2):
+    """The admissible set of keys, restated: split k1 + k2 <= k; inert
+    k1 = k2 with 2 k1 <= k; ramified p odd, k2 in {k1, k1 + 1}, k1 + k2 <= k."""
+    if case is Splitting.SPLIT:
+        return k1 + k2 <= k
+    if case is Splitting.INERT:
+        return k1 == k2 and 2 * k1 <= k
+    return p % 2 == 1 and k2 in (k1, k1 + 1) and k1 + k2 <= k
+
+
+def _key_text(p, case, n, k, k1, k2):
+    return f"(p, case, n, k, k1, k2) = ({p}, {case}, {n}, {k}, {k1}, {k2})"
+
+
+def test_every_admissible_key_builds_and_every_other_key_is_refused():
+    """Every admissible key with p in {2, 3, 5, 7}, n in {2, 6, 10} and
+    k <= 6 builds a Q of degree 2k through q_poly_of_invariants (both routes
+    cross-checked inside); every other (case, k1, k2) with 0 <= k1, k2 <= k
+    raises ValidationError naming the key."""
+    import qeis.siegel as siegel
+
+    siegel.q_poly_of_invariants.cache_clear()
+    built = refused = 0
+    for p, n, case, k in itertools.product((2, 3, 5, 7), (2, 6, 10), Splitting, range(7)):
+        for k1, k2 in itertools.product(range(k + 1), repeat=2):
+            key = LocalKey(p, case, n, k, k1, k2)
+            if _admissible(p, case, k, k1, k2):
+                q = q_poly_of_invariants(key)
+                assert q.p == p and q.degree == 2 * k, key
+                built += 1
+            else:
+                with pytest.raises(ValidationError) as err:
+                    q_poly_of_invariants(key)
+                assert _key_text(p, case.value, n, k, k1, k2) in str(err.value)
+                refused += 1
+    assert built == 1452 and built + refused == 4 * 3 * 3 * sum((k + 1) ** 2 for k in range(7))
+    # keys no T has: isotropic, a rank not 2 mod 4, a negative valuation, a composite p
+    for fields in ((3, Splitting.SPLIT, 2, math.inf, 0, 0), (3, Splitting.SPLIT, 4, 1, 0, 0),
+                   (3, Splitting.INERT, 2, 1, -1, -1), (9, Splitting.SPLIT, 2, 1, 0, 0)):
+        with pytest.raises(ValidationError) as err:
+            q_poly_of_invariants(LocalKey(*fields))
+        p, case, *rest = fields
+        assert _key_text(p, case.value, *rest) in str(err.value)
+    siegel.q_poly_of_invariants.cache_clear()
 
 
 def test_ramified_invariants_of_synthetic_vectors():
