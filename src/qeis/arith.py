@@ -106,10 +106,17 @@ def is_squarefree(n: int) -> bool:
     return n > 0 and math.prod(prime_factors(n)) == n
 
 
-def validate_D(D: int) -> None:
-    """D must be squarefree and congruent to 3 mod 4 (so 2 is unramified)."""
-    if D <= 0 or D % 4 != 3 or not is_squarefree(D):
-        raise ValidationError(f"D = {D} is not a squarefree positive integer = 3 mod 4")
+def validate_D(D: int) -> tuple:
+    """D must be squarefree and congruent to 3 mod 4 (so 2 is unramified).
+
+    Returns D's prime factors, read off the one :func:`prime_factors` call
+    that also decides squarefreeness.
+    """
+    if D > 0 and D % 4 == 3:
+        primes = tuple(prime_factors(D))
+        if math.prod(primes) == D:
+            return primes
+    raise ValidationError(f"D = {D} is not a squarefree positive integer = 3 mod 4")
 
 
 def splitting_class(D: int, p: int) -> Splitting:
@@ -436,16 +443,17 @@ def validate_prime(p: int) -> None:
         raise ValidationError(f"p = {p} is not a prime")
 
 
-def sigma_k(n: int, k: int) -> int:
+def sigma_k(n: int, k: int, primes=None) -> int:
     """Divisor power sum sigma_k(n) = sum_{d | n} d^k for n >= 1, k >= 0.
 
     Multiplicative: the product over p^e || n of 1 + p^k + ... + p^(ek),
-    from :func:`prime_factors`.
+    over the prime factors of n: ``primes`` when the caller holds them (a
+    FieldE's of D), else :func:`prime_factors`.
     """
     if n < 1:
         raise ValidationError("sigma_k needs n >= 1")
     total = 1
-    for p in prime_factors(n):
+    for p in prime_factors(n) if primes is None else primes:
         e = vp(n, p)
         total *= sum(p ** (i * k) for i in range(e + 1))
     return total

@@ -103,23 +103,25 @@ def _table_csv(table: ExpansionTable) -> str:
 
 # One table entry exactly as json.dumps(indent=2) lays it out at depth 2,
 # where entries sit: ints go into %d slots, strings through the JSON encoder.
-_ENTRY = ('    {\n      "T": [\n        [\n          %d,\n          %d\n        ],\n'
-          '        [\n          %d,\n          %d\n        ]\n      ],\n'
-          '      "norm": %d,\n      "rank": %d,\n      "rational": %s')
+# The head holds T and "norm"; the tail, from "rank" on, holds the value.
+_HEAD = ('    {\n      "T": [\n        [\n          %d,\n          %d\n        ],\n'
+         '        [\n          %d,\n          %d\n        ]\n      ],\n'
+         '      "norm": %d')
+_TAIL = ',\n      "rank": %d,\n      "rational": %s'
 _SIGMA = ',\n      "sigma": %d'
 _LOCAL_Q = ',\n      "localQ": {\n%s\n      }'
 _Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never empty
 
 
-def _entry_json(e) -> str:
-    """A coefficient's entry as json.dumps(indent=2) lays it out at depth 2.
-
-    The entry document has "T", "norm", "rank" and "rational", then "sigma"
-    at rank 1 or a non-empty "localQ" ({p: Q_{T,p}} by p) at rank 2.
-    """
+def _entry_head(e) -> str:
     a, b = e.T.a, e.T.b
-    text = _ENTRY % (a.x, a.y, b.x, b.y, e.norm, e.rank,
-                     encode_basestring_ascii(_rat(e.rational)))
+    return _HEAD % (a.x, a.y, b.x, b.y, e.norm)
+
+
+def _entry_tail(e) -> str:
+    """An entry from "rank" to its closing brace: "rank" and "rational", then
+    "sigma" at rank 1 or a non-empty "localQ" ({p: Q_{T,p}} by p) at rank 2."""
+    text = _TAIL % (e.rank, encode_basestring_ascii(_rat(e.rational)))
     if e.rank == 1:
         text += _SIGMA % e.sigma
     elif e.local_q:
@@ -128,18 +130,36 @@ def _entry_json(e) -> str:
     return text + "\n    }"
 
 
+def _entry_json(e) -> str:
+    """A coefficient's entry as json.dumps(indent=2) lays it out at depth 2:
+    "T", "norm", "rank" and "rational", then "sigma" or "localQ"."""
+    return _entry_head(e) + _entry_tail(e)
+
+
 def _table_json(table: ExpansionTable) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n" for the table's document.
 
     The document is the header of :func:`_table_header` followed by
     "entries", one :func:`_entry_json` per entry.  Only the header goes
     through json.dumps; each entry is filled into a fixed template, with
-    no per-entry dict.
+    no per-entry dict.  The entries of one invariant share its value objects
+    (:func:`~qeis.fourier.coefficient_of_invariants`), so each tail is
+    rendered once per distinct value, found by the identity of those objects.
     """
     head = json.dumps(_table_header(table), indent=2)[:-2]  # without the closing "\n}"
-    entries = ",\n".join(map(_entry_json, table.entries))
-    body = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{head},\n  "entries": {body}\n}}\n'
+    if not table.entries:
+        return f'{head},\n  "entries": []\n}}\n'
+    tails = {}  # each tail with the ",\n" that follows every entry but the last
+    parts = [head, ',\n  "entries": [\n']
+    for e in table.entries:
+        value = (e.rank, id(e.rational), e.sigma, id(e.local_q))
+        tail = tails.get(value)
+        if tail is None:
+            tail = tails[value] = _entry_tail(e) + ",\n"
+        parts += (_entry_head(e), tail)
+    parts[-1] = parts[-1][:-2]
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +226,7 @@ def _table_header(table: ExpansionTable) -> dict:
             "zetaE": ct.zeta_E,
         },
         "C_ell": _rat(c_ell(P.ell)),
-        "D_nl": _rat(d_nl(P, FieldE(table.D))),
+        "D_nl": _rat(d_nl(P, table.F)),
     }
 
 

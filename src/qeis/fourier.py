@@ -17,22 +17,26 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
+import numpy as np
 from scipy.special import zeta
 
 from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
-                    sigma_k, sqrtp_eval_halfint)
+                    sigma_k, sqrtp_eval_halfint, vp)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
-from .hermitian import FieldE, GlobalVector, Params, QuadInt, local_key, norm
+from .hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt, local_key,
+                        norm)
 from .siegel import q_poly_of_invariants
 from .archimedean import WhittakerEval, whittaker_at
 
 REGION_SCALE = 2  # coordinate box: N(a), N(b) <= REGION_SCALE * (bound + 1)
 MAX_TABLE_VECTORS = 200000  # a table over more vectors raises ResourceBudgetError
-MAX_ZETA_E_D = 10 ** 6  # zeta_E makes D - 1 Hurwitz zeta calls; a larger D raises ResourceBudgetError
+MAX_ZETA_E_D = 10 ** 6  # zeta_E sums D - 1 Hurwitz zeta values; a larger D raises ResourceBudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +67,11 @@ def c_ell(ell: int) -> Fraction:
     return Fraction((-1) ** ell * 2 ** (2 * ell + 1), math.factorial(ell) ** 2)
 
 
-def _denominator_multiplier(P: Params, D: int) -> Fraction:
-    """(l!)^2 |B_{2l-n+2}| sigma_{l+1-n/2}(D), the denominator of D_{n,l}."""
+def _denominator_multiplier(P: Params, F: FieldE) -> Fraction:
+    """(l!)^2 |B_{2l-n+2}| sigma_{l+1-n/2}(D), the denominator of D_{n,l};
+    sigma reads D's prime factors off the field."""
     return (Fraction(math.factorial(P.ell) ** 2) * abs(bernoulli(2 * P.ell - P.n + 2))
-            * sigma_k(D, P.ell + 1 - P.n // 2))
+            * sigma_k(F.D, P.ell + 1 - P.n // 2, F.primes))
 
 
 @lru_cache
@@ -74,7 +79,7 @@ def d_nl(P: Params, F: FieldE) -> Fraction:
     """The rank-2 normalizing constant D_{n,l}, computed once per (P, F)."""
     n, ell = P.n, P.ell
     num = Fraction(2 ** (2 * n + 2) * (2 * ell - n + 2) * F.D ** (ell + 1 - n // 2))
-    return num / _denominator_multiplier(P, F.D)
+    return num / _denominator_multiplier(P, F)
 
 
 # ---------------------------------------------------------------------------
@@ -88,22 +93,40 @@ class FourierCoefficient:
     rational: Fraction
     norm: int  # <T, T>
     sigma: int | None = None
-    local_q: dict = field(default_factory=dict)
+    local_q: Mapping = field(default_factory=dict)  # {p: Q_{T,p}}, read-only when built here
     whittaker: WhittakerEval | None = None
+
+
+@lru_cache(maxsize=4096)
+def _unit_keys(F: FieldE, nrm: int) -> tuple:
+    """The keys (p, case, 2, v_p(nrm), 0, 0) at the primes of nrm != 0: the key
+    of every T with <T, T> = nrm at each such p that its content avoids."""
+    return tuple(LocalKey(p, F.splitting(p), 2, vp(nrm, p), 0, 0) for p in prime_factors(nrm))
 
 
 def local_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
     """The :class:`~qeis.hermitian.LocalKey` of T at each prime of
-    nrm = <T, T>, or of the content gcd(N(a), N(b)) when nrm = 0."""
-    m = nrm or math.gcd(T.a.norm(F), T.b.norm(F))
-    return tuple(local_key(T, F, p, nrm) for p in prime_factors(m))
+    nrm = <T, T>, or of the content g = gcd(N(a), N(b)) when nrm = 0.
+
+    At a p of nrm that does not divide g, some coordinate of T is a unit at
+    every prime above p, so the key is the unit key of :func:`_unit_keys`,
+    shared by every T of that norm; :func:`local_key` reads T's valuations
+    only at the p dividing g.  A content of 1, most T of a table, returns
+    the shared tuple itself.
+    """
+    g = math.gcd(T.a.norm(F), T.b.norm(F))
+    if not nrm:
+        return tuple(local_key(T, F, p, 0) for p in prime_factors(g))
+    keys = _unit_keys(F, nrm)
+    if g == 1:
+        return keys
+    return tuple(local_key(T, F, key.p, nrm) if g % key.p == 0 else key for key in keys)
 
 
 def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
     """{p: Q_{T,p}} over the primes p dividing nrm = <T, T>.
 
-    The keys are read from T's valuations by :func:`local_key`; no
-    coordinates are built.  The global model has n = 2 only, so other n raise
+    The keys come from :func:`local_keys`; no coordinates are built.  The global model has n = 2 only, so other n raise
     ValidationError.  A failed consistency check of a Q build, which names
     the key, is re-raised naming T.
     """
@@ -122,20 +145,21 @@ def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, keys: tuple) -> tu
     A coefficient reads T only through nrm and its keys (:func:`local_keys`)
     at the primes of nrm, or of the content when nrm = 0: Q_{T,p} depends on
     the local Jordan type alone, sigma_E on the content ideal.  So it is
-    built once per invariant and shared; callers copy the dict.  Negative
-    norm: zero.  Norm 0: C_l * sigma_{E,l}(T).  Positive norm:
-    D_{n,l} * prod_p Q_{T,p}(p^(l-(n-1)/2)).
+    built once per invariant, and every coefficient of the invariant holds
+    these same objects; the {p: Q_{T,p}} mapping is read-only, one per
+    invariant.  Negative norm: zero.  Norm 0: C_l * sigma_{E,l}(T).
+    Positive norm: D_{n,l} * prod_p Q_{T,p}(p^(l-(n-1)/2)).
     """
     if nrm < 0:
-        return 2, Fraction(0), None, {}
+        return 2, Fraction(0), None, MappingProxyType({})
     if nrm == 0:
         sigma = sigma_E(keys, P.ell)
-        return 1, c_ell(P.ell) * sigma, sigma, {}
+        return 1, c_ell(P.ell) * sigma, sigma, MappingProxyType({})
     local = {key.p: q_poly_of_invariants(key) for key in keys}
     prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
-    return 2, d_nl(P, F) * prod, None, local
+    return 2, d_nl(P, F) * prod, None, MappingProxyType(local)
 
 
 def coefficient(T: GlobalVector, P: Params, F: FieldE,
@@ -144,7 +168,8 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
 
     <T, T> is computed once, T's keys are read at the primes of <T, T> (of
     the content gcd(N(a), N(b)) when <T, T> = 0, none when it is negative),
-    and the value comes from :func:`coefficient_of_invariants`.  The global
+    and the value comes from :func:`coefficient_of_invariants`, whose
+    objects the coefficient shares rather than copies.  The global
     model has n = 2 only, so other n raise ValidationError for every T,
     isotropic and negative-norm ones included.  A failed consistency check of
     a Q build, which names the key, is re-raised naming T.
@@ -161,7 +186,7 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
         raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
     return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
-                              local_q=dict(local), whittaker=w)
+                              local_q=local, whittaker=w)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +200,9 @@ def _zeta_E(s: int, D: int) -> float:
     zeta and Hurwitz zeta keep the product within a few ulps (relative error
     below 1e-14 for D < 400 and s <= 15).  D^s past the largest double
     raises ValidationError: the Hurwitz values would overflow with it.  The
-    sum makes D - 1 Hurwitz calls, so D > MAX_ZETA_E_D raises
+    D - 1 Hurwitz values come from one array call, and math.fsum rounds the
+    sum exactly, so the order of its terms cannot change a bit; the sum still
+    reads D - 1 values and Kronecker symbols, so D > MAX_ZETA_E_D raises
     ResourceBudgetError naming D.
     """
     if D ** s > sys.float_info.max:
@@ -184,7 +211,8 @@ def _zeta_E(s: int, D: int) -> float:
     if D > MAX_ZETA_E_D:
         raise ResourceBudgetError(f"zeta_E at D = {D} needs D - 1 Hurwitz zeta values, "
                                   f"more than the budget allows (D <= {MAX_ZETA_E_D})")
-    chi_sum = math.fsum(kronecker_symbol(-D, a) * zeta(s, a / D) for a in range(1, D))
+    hurwitz = zeta(s, np.arange(1, D) / D).tolist()  # zeta(s, a/D), a = 1..D-1
+    chi_sum = math.fsum(kronecker_symbol(-D, a) * h for a, h in enumerate(hurwitz, 1))
     return float(zeta(s)) * chi_sum / D ** s
 
 
@@ -215,12 +243,16 @@ def constant_term(P: Params, F: FieldE) -> ConstantTerm:
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    D: int
+    F: FieldE
     params: Params
     bound: int
     region_norm_cap: int
     constant: ConstantTerm
     entries: tuple
+
+    @property
+    def D(self) -> int:
+        return self.F.D
 
 
 def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
@@ -255,7 +287,8 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
         if limit is not None and len(found) > limit:
             raise over
     found.sort()
-    return [GlobalVector(QuadInt(ax, ay), QuadInt(bx, by)) for _, ax, ay, bx, by in found]
+    quad = {z: QuadInt(*z) for z in disc}  # one QuadInt per disc point, shared by its vectors
+    return [GlobalVector(quad[ax, ay], quad[bx, by]) for _, ax, ay, bx, by in found]
 
 
 def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
@@ -273,7 +306,7 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
     vectors = vectors_in_region(F, cap, 0, bound, limit=MAX_TABLE_VECTORS)
-    return ExpansionTable(D=F.D, params=P, bound=bound, region_norm_cap=cap,
+    return ExpansionTable(F=F, params=P, bound=bound, region_norm_cap=cap,
                           constant=constant_term(P, F),
                           entries=tuple(coefficient(T, P, F) for T in vectors))
 
@@ -283,7 +316,7 @@ def denominator_bound_check(table: ExpansionTable):
 
     Returns (True, None) or (False, offending coefficient).
     """
-    mult = _denominator_multiplier(table.params, table.D)
+    mult = _denominator_multiplier(table.params, table.F)
     for entry in table.entries:
         if entry.rank != 2:
             continue

@@ -17,7 +17,7 @@ itself, which has trace 0 and square -D = p * unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
@@ -35,9 +35,13 @@ class FieldE:
     """The imaginary quadratic field Q(sqrt(-D)), D squarefree, D = 3 mod 4."""
 
     D: int
+    # D's prime factors, from the one factoring that validates D; equality
+    # and hash stay on D alone, which keys the caches of per-field values
+    primes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_D(self.D)  # once: splitting() does not validate D again
+        # once: splitting() does not validate D again, sigma_k reads primes
+        object.__setattr__(self, "primes", validate_D(self.D))
 
     @property
     def omega_norm(self) -> int:

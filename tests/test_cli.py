@@ -119,6 +119,31 @@ def test_large_D_is_validated_and_factored_without_trial_division_to_its_root(ca
     assert "D = 27 is not a squarefree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["coeff", "--T", "1,0,1,0"], ["expand", "--bound", "2"]])
+def test_D_is_factored_once_per_command(argv, monkeypatch, capsys):
+    """The field's factoring validates D, and D_{n,l}'s sigma_k(D) and the
+    table header read the field's factors; no call factors D again."""
+    import qeis
+    import qeis.fourier as fourier
+    from qeis.arith import prime_factors
+
+    D = 23  # no <T, T> or content of these runs is 23
+    calls = []
+
+    def counted(n):
+        calls.append(abs(n))
+        return prime_factors(n)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qeis.")] + [qeis]:
+        if getattr(module, "prime_factors", None) is prime_factors:
+            monkeypatch.setattr(module, "prime_factors", counted)
+    fourier.d_nl.cache_clear()
+    fourier.coefficient_of_invariants.cache_clear()
+    assert main([argv[0], "--D", str(D), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert calls.count(D) == 1, calls
+
+
 def test_large_D_constant_term_is_a_budget_error():
     """zeta_E makes D - 1 Hurwitz calls, so an expand past MAX_ZETA_E_D exits 4 naming D."""
     D = str(10 ** 18 + 3)
@@ -383,6 +408,9 @@ WIDER_EXPANSION_DIGESTS = {
     (3, 5, 24, "json"): "21236f952f255acefda5522aeea5f33373776aa866413a84024861a045042b36",
     (7, 5, 24, "json"): "4dc4a4b5fe6eb4cc221ab7cde8216e0d53d429a7fac8b4b20cc71a854ca630e7",
     (11, 3, 12, "csv"): "d58feeac43d9a1387c652aa3fc03c69c9c65c2c82227bb0335e160c3784e079b",
+    (3, 3, 48, "json"): "9c3809e615dc92cdc14c2006eaf53d44b4a41521374cf1672290adb5a33817a0",
+    (7, 3, 48, "json"): "34f12dd9bab9a7cec90b47db1ffb55a374d3084b139a654db7129f9ea8b9751f",
+    (19, 3, 24, "csv"): "8461f2b9f68e989b2b15806f2002272f4b48e0e48552c23d1d88f4e7dea39213",
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qeis.arith import Splitting, bernoulli, prime_factors, sigma_k, sqrtp_eval_halfint
+from qeis.arith import Splitting, bernoulli, prime_factors, sigma_k, sqrtp_eval_halfint, vp
 from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
                           d_nl, denominator_bound_check, full_expansion,
@@ -145,6 +145,37 @@ def test_constant_term_against_mpmath(D):
             assert abs(ct.zeta_E - zeta_e) <= 1e-14 * zeta_e, (D, ell)
             numeric = zeta_e / mp.pi ** (2 * ell + 1)
             assert abs(ct.numeric - numeric) <= 1e-14 * numeric, (D, ell)
+
+
+# repr(_zeta_E(s, D)), pinned from the scalar Hurwitz loop the array call replaced
+ZETA_E_REPRS = {
+    (3, 4): "1.0174116346984432",
+    (3, 12): "1.0000019414293073",
+    (7, 4): "1.1385976860247942",
+    (7, 12): "1.0004884601986237",
+    (100003, 4): "1.004247338401702",
+    (100003, 12): "1.0000000596088294",
+}
+
+
+@pytest.mark.parametrize("D, s", sorted(ZETA_E_REPRS))
+def test_zeta_E_bits_are_pinned(D, s):
+    from qeis.fourier import _zeta_E
+
+    assert repr(_zeta_E(s, D)) == ZETA_E_REPRS[D, s]
+
+
+def test_zeta_E_equals_the_scalar_hurwitz_loop():
+    """One array call to scipy's Hurwitz zeta gives the bits of D - 1 scalar calls."""
+    from scipy.special import zeta
+
+    from qeis.arith import kronecker_symbol
+    from qeis.fourier import _zeta_E
+
+    for D in (3, 7, 11, 19, 23, 1003):
+        for s in (4, 6, 12):
+            chi_sum = math.fsum(kronecker_symbol(-D, a) * zeta(s, a / D) for a in range(1, D))
+            assert _zeta_E(s, D) == float(zeta(s)) * chi_sum / D ** s, (D, s)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +419,74 @@ def test_table_evaluates_each_invariant_once(monkeypatch, capsys):
         assert main(["expand", "--D", "3", "--bound", str(bound)]) == 0
         capsys.readouterr()
         assert len(calls) == want
+
+
+# ---------------------------------------------------------------------------
+# Keys from the content ideal, and one shared value per invariant
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("D", [3, 7, 11, 19, 23])
+def test_norm_valuations_at_inert_primes_are_even_on_the_table_discs(D):
+    """local_key's odd-valuation check no longer runs at inert p that miss the
+    content; N(z) of every disc point of the bound-24 tables stays even there."""
+    F = FieldE(D)
+    cap = REGION_SCALE * (24 + 1)
+    points = {(T.a.x, T.a.y) for T in vectors_in_region(F, cap, 0, 0)}
+    assert len(points) > 50
+    inert = 0
+    for x, y in points:
+        n = QuadInt(x, y).norm(F)
+        for p in prime_factors(n):
+            if F.splitting(p) is Splitting.INERT:
+                inert += 1
+                assert vp(n, p) % 2 == 0, (D, x, y, p)
+    assert inert > 0
+
+
+@pytest.mark.parametrize("D", [3, 7, 11, 19, 23])
+def test_local_keys_match_the_per_prime_read_on_whole_tables(D):
+    """The unit keys at p not dividing g = gcd(N(a), N(b)) and local_key at p | g
+    give the per-prime read of every T, norm 0 and negative norms included."""
+    from qeis.fourier import local_keys
+
+    F = FieldE(D)
+    seen = {"norm 0": 0, "content > 1": 0, "ramified p | g": 0, "split p | g": 0,
+            "unit key beside a content > 1": 0}
+    for T in vectors_in_region(F, 24, -48, 48):
+        nrm = norm(T, F)
+        g = math.gcd(T.a.norm(F), T.b.norm(F))
+        reference = tuple(local_key(T, F, p, nrm) for p in prime_factors(nrm or g))
+        assert local_keys(T, F, nrm) == reference, T
+        seen["norm 0"] += nrm == 0
+        seen["content > 1"] += g > 1
+        seen["unit key beside a content > 1"] += g > 1 and nrm != 0 and any(
+            g % key.p for key in reference)
+        for key in reference:
+            if g % key.p == 0 and key.case is not Splitting.INERT:
+                seen[f"{key.case.value} p | g"] += 1
+    assert all(seen.values()), seen
+
+
+def test_entries_of_one_invariant_share_one_read_only_value():
+    from qeis.fourier import coefficient_of_invariants, local_keys
+
+    table = full_expansion(P3, F3, 12)
+    by_invariant = {}
+    for e in table.entries:
+        by_invariant.setdefault((e.norm, local_keys(e.T, F3, e.norm)), []).append(e)
+    assert len(by_invariant) < len(table.entries)
+    for (nrm, keys), entries in by_invariant.items():
+        value = coefficient_of_invariants(P3, F3, nrm, keys)
+        for e in entries:
+            assert (e.rank, e.rational, e.sigma) == value[:3]
+            assert e.rational is value[1] and e.local_q is value[3]
+    nrm, keys = max(by_invariant, key=lambda inv: len(by_invariant[inv][0].local_q))
+    entry = by_invariant[nrm, keys][0]
+    before = dict(entry.local_q)
+    assert before
+    with pytest.raises(TypeError):
+        entry.local_q[2] = None
+    with pytest.raises(TypeError):
+        del entry.local_q[max(before)]
+    assert dict(coefficient_of_invariants(P3, F3, nrm, keys)[3]) == before
+    assert coefficient(entry.T, P3, F3).local_q == before

@@ -67,6 +67,17 @@ def test_norm_examples():
     assert norm(global_vector(0, 0, 0, 0), F3) == 0
 
 
+def test_field_holds_the_factors_of_D_and_compares_on_D_alone():
+    """D's prime factors come from the factoring that validates it; equality
+    and hash, which key the per-field caches, read D only."""
+    F, G = FieldE(10 ** 18 + 3), FieldE(15)
+    assert F.primes == (10 ** 18 + 3,) and G.primes == (3, 5)
+    H = FieldE(15)
+    object.__setattr__(H, "primes", ())
+    assert H == G and hash(H) == hash(G) and repr(H) == "FieldE(D=15)"
+    assert FieldE(15) != FieldE(19)
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         Params(n=3, ell=5)
