@@ -4,13 +4,16 @@ The Whittaker function at the identity is a vector of 2l+1 K-Bessel values
 with a unit-modulus phase; everything exact lives in :func:`arch_constant`
 and the identity checkers, which replay in exact rational arithmetic (or
 controlled quadrature) every special-function identity consumed by the
-Fourier-coefficient computation.
+Fourier-coefficient computation.  The 50-digit K-Bessel values of the
+identity battery are summed in the standard library's ``decimal``; mpmath
+serves only as the reference the tests hold them to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +25,9 @@ from .errors import NumericError, ValidationError
 from .hermitian import FieldE, GlobalVector
 
 TWO_PI = 2.0 * math.pi
+# Euler's constant to 121 digits, past the 78 that K_n(20) is summed at
+EULER_GAMMA = Decimal("0.5772156649015328606065120900824024310421593359399235988057672348848"
+                      "677267776646709369470632917467495146314472498070824810")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,7 @@ def f0_double_sum(Av: float, Bv: float, ell: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _besselk_50(n: int, x: float):
+def _besselk_50(n: int, x: float) -> Decimal:
     """K_n(x) at 50 digits for an integer order n >= 0, once per (n, x) and process.
 
     Summed from the integer-order power series (DLMF 10.31.1).  With
@@ -197,40 +203,43 @@ def _besselk_50(n: int, x: float):
 
     with I_n(x) = (x/2)^n Sum_k t^k / (k! (n+k)!).  I_n grows like e^x while
     K_n decays like e^-x, so the sum cancels about 2x/ln 10 digits: it runs
-    at 50 + ceil(2x/ln 10) + 10 digits and is rounded to 50.  The tests hold
-    it to 1e-45 relative against mpmath.besselk for n <= 24, 0.2 <= x <= 20.
+    in ``decimal`` at 50 + ceil(2x/ln 10) + 10 digits and is rounded to 50;
+    the 121 digits of EULER_GAMMA cover that up to x = 70, past the x <= 20
+    of :func:`bessel_sum_check`.  The tests hold it to 1e-45 relative
+    against mpmath.besselk for n <= 24, 0.2 <= x <= 20.
 
     Each order is summed on its own, never obtained from K_(n-1) and K_(n-2)
     by the three-term recurrence: the identity of :func:`bessel_sum_check`
     follows from that recurrence alone, so it would hold for such values
     whatever their error.
     """
-    import mpmath as mp
-
-    with mp.workdps(60 + math.ceil(2 * x / math.log(10))):
-        half = mp.mpf(x) / 2
+    prec = 60 + math.ceil(2 * x / math.log(10))
+    with localcontext() as ctx:
+        ctx.prec = prec
+        eps = Decimal(10) ** -prec
+        half = Decimal(x) / 2
         t = half * half
-        finite = mp.fsum(mp.mpf(math.factorial(n - k - 1)) / math.factorial(k) * (-t) ** k
-                         for k in range(n))
+        finite = sum(Decimal(math.factorial(n - k - 1)) / math.factorial(k) * (-t) ** k
+                     for k in range(n))
         # u_k = t^k / (k! (n+k)!), summed with weights 1 and H_k + H_(n+k)
-        u = 1 / mp.mpf(math.factorial(n))
-        h_k, h_nk = mp.mpf(0), mp.fsum(mp.mpf(1) / j for j in range(1, n + 1))
-        i_sum = psi_sum = mp.mpf(0)
+        u = 1 / Decimal(math.factorial(n))
+        h_k, h_nk = Decimal(0), sum(1 / Decimal(j) for j in range(1, n + 1))
+        i_sum = psi_sum = Decimal(0)
         k = 0
         # past k = t the terms fall by t/((k+1)(n+k+1)) < 1/2, so the tail is below u
-        while k <= t or u > mp.eps * i_sum:
+        while k <= t or u > eps * i_sum:
             i_sum += u
             psi_sum += (h_k + h_nk) * u
             k += 1
             u *= t / (k * (n + k))
-            h_k += mp.mpf(1) / k
-            h_nk += mp.mpf(1) / (n + k)
+            h_k += 1 / Decimal(k)
+            h_nk += 1 / Decimal(n + k)
         power = half ** n
         sign = -1 if n % 2 else 1
         value = (finite / (2 * power)
-                 - sign * (mp.log(half) + mp.euler) * power * i_sum
+                 - sign * (half.ln() + EULER_GAMMA) * power * i_sum
                  + sign * power * psi_sum / 2)
-    with mp.workdps(50):
+        ctx.prec = 50
         return +value
 
 
@@ -239,29 +248,28 @@ def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
 
     The alternating sum cancels about 2l log10(1/C) + log10(K_2l/K_0) digits
     (15 at l = 6, C = 0.5), so meeting the stated relative tolerance needs
-    working precision well past binary64; the sum is therefore evaluated at
-    50 digits.  Both sides read K_v(2C) from :func:`_besselk_50`, which sums
-    each order from the integer-order power series (DLMF 10.31.1) with
-    ceil(2x/ln 10) + 10 guard digits, agrees with mpmath.besselk to 1e-45
-    relative in the tests, and evaluates each (v, 2C) once per process: a
-    sweep over l <= L at a fixed C costs 2L + 1 Bessel evaluations (orders
-    0..2L), not (L + 1)(L + 4)/2.  No order comes from the three-term
-    recurrence, since the identity is that recurrence summed: at l = 1,
-    C K_1 - C^2 K_2 = -C^2 K_0 is the recurrence at v = 1, and recurrence
-    values would pass it whatever their error.
+    working precision well past binary64; the sum is therefore evaluated in
+    ``decimal`` at 50 digits.  Both sides read K_v(2C) from
+    :func:`_besselk_50`, which sums each order from the integer-order power
+    series (DLMF 10.31.1) with ceil(2x/ln 10) + 10 guard digits, agrees with
+    mpmath.besselk to 1e-45 relative in the tests, and evaluates each
+    (v, 2C) once per process: a sweep over l <= L at a fixed C costs 2L + 1
+    Bessel evaluations (orders 0..2L), not (L + 1)(L + 4)/2.  No order comes
+    from the three-term recurrence, since the identity is that recurrence
+    summed: at l = 1, C K_1 - C^2 K_2 = -C^2 K_0 is the recurrence at v = 1,
+    and recurrence values would pass it whatever their error.
     """
-    import mpmath as mp
-
     if not 0.1 <= C <= 10:
         raise ValidationError("C outside the checked window [0.1, 10]")
-    with mp.workdps(50):
-        Cm = mp.mpf(C)
-        lhs = mp.fsum((-1) ** k * Cm ** (ell + k) * _besselk_50(ell + k, 2 * C)
-                      / (mp.factorial(k) ** 2 * mp.factorial(ell - k))
-                      for k in range(ell + 1))
-        rhs = (-1) ** ell * Cm ** (2 * ell) / mp.factorial(ell) ** 2 \
+    with localcontext() as ctx:
+        ctx.prec = 50
+        Cd = Decimal(C)
+        lhs = sum((-1) ** k * Cd ** (ell + k) * _besselk_50(ell + k, 2 * C)
+                  / (math.factorial(k) ** 2 * math.factorial(ell - k))
+                  for k in range(ell + 1))
+        rhs = (-1) ** ell * Cd ** (2 * ell) / math.factorial(ell) ** 2 \
             * _besselk_50(0, 2 * C)
-        ok = abs(lhs - rhs) <= rel_tol * abs(rhs)
+        ok = abs(lhs - rhs) <= Decimal(rel_tol) * abs(rhs)
     # anchor the binary64 Bessel to the same identity where it can resolve it
     if ell <= 1:
         lhs64 = sum((-1) ** k * C ** (ell + k) * bessel_k(ell + k, 2 * C)

@@ -149,22 +149,26 @@ def hyp2f1_terminating(neg_a: int, b: Fraction, c: Fraction, z: Fraction) -> Fra
 
     Returns sum_{j=0}^{neg_a} ((-neg_a)_j (b)_j / (c)_j) z^j / j! in exact
     rational arithmetic.  Raises if a Pochhammer denominator (c)_j hits zero
-    before the series terminates.
+    before the series terminates.  The sum is taken by Horner's rule,
+    1 + r_1 (1 + r_2 (... (1 + r_N))) with r_j = t_j / t_(j-1) the term ratio,
+    on an int numerator and denominator, reduced once at the end.
     """
     if neg_a < 0:
         raise ValidationError("termination index must be >= 0")
-    b = Fraction(b)
-    c = Fraction(c)
-    z = Fraction(z)
-    total = Fraction(1)
-    term = Fraction(1)
+    b, c, z = Fraction(b), Fraction(c), Fraction(z)
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    zn, zd = z.numerator, z.denominator
     for j in range(neg_a):
-        cj = c + j
-        if cj == 0:
+        if cn + j * cd == 0:
             raise ValidationError(f"2F1 pole: (c)_j vanishes at j = {j + 1}")
-        term *= Fraction(-(neg_a - j)) * (b + j) / cj * z / (j + 1)
-        total += term
-    return total
+    num = den = 1
+    for j in range(neg_a, 0, -1):
+        # r_j = -(neg_a - j + 1) (b + j - 1) z / ((c + j - 1) j)
+        p = -(neg_a - j + 1) * (bn + (j - 1) * bd) * cd * zn
+        q = bd * (cn + (j - 1) * cd) * zd * j
+        num, den = q * den + p * num, q * den
+    return Fraction(num, den)
 
 
 def pochhammer(a: Fraction, n: int) -> Fraction:

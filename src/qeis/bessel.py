@@ -3,9 +3,11 @@
 Thin wrappers over ``scipy.special.kve``, the exponentially scaled
 e^x K_v(x), on the supported window 1e-3 <= x <= 1e3, 0 <= v <= 40; over
 that window (41 orders x 300 log-spaced points) kve's worst relative error
-against mpmath is 2.0e-14, inside the 1e-12 stated here.  Values are Python
-floats.  The unscaled value underflows binary64 for x beyond about 700,
-so callers in that tail must use :func:`bessel_k_scaled`.
+against mpmath, the test reference, is 2.0e-14, inside the 1e-12 stated
+here.  Values are Python floats.  The unscaled value underflows binary64
+for x beyond about 700, so callers in that tail must use
+:func:`bessel_k_scaled`.  The 50-digit K_n of the identity battery are
+summed in ``decimal`` by ``archimedean._besselk_50``.
 """
 
 from __future__ import annotations

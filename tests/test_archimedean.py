@@ -1,5 +1,9 @@
+import json
 import math
 import random
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -144,7 +148,8 @@ def test_besselk_series_matches_mpmath_to_1e_45():
         for n in range(25):
             for x in xs:
                 want = mpmath.besselk(n, mpmath.mpf(x))
-                assert abs(_besselk_50(n, x) - want) <= 1e-45 * abs(want), (n, x)
+                got = mpmath.mpf(str(_besselk_50(n, x)))
+                assert abs(got - want) <= 1e-45 * abs(want), (n, x)
 
 
 def test_identity_battery_evaluates_each_bessel_value_once(monkeypatch):
@@ -174,10 +179,42 @@ def test_bessel_sum_check_reads_the_cached_values(monkeypatch):
 
     cached = archimedean._besselk_50
     monkeypatch.setattr(archimedean, "_besselk_50",
-                        lambda v, x: cached(v, x) * (1 + 1e-8) if v == 3 else cached(v, x))
+                        lambda v, x: cached(v, x) * Decimal("1.00000001") if v == 3
+                        else cached(v, x))
     assert bessel_sum_check(1, 1.0)  # orders 0, 1, 2
     assert not bessel_sum_check(2, 1.0)  # orders 0, 2, 3, 4
     assert not bessel_sum_check(3, 0.5)  # orders 0, 3, ..., 6
+
+
+def test_euler_gamma_matches_mpmath_at_its_full_length():
+    """The module's Euler constant agrees with mpmath.euler to every digit it
+    holds, and holds more than the 60 + ceil(40/ln 10) digits K_n(20) is summed at."""
+    import mpmath
+
+    from qeis.archimedean import EULER_GAMMA
+
+    digits = len(EULER_GAMMA.as_tuple().digits)
+    assert digits > 60 + math.ceil(40 / math.log(10))
+    with mpmath.workdps(digits + 20):
+        error = abs(mpmath.mpf(str(EULER_GAMMA)) - mpmath.euler)
+        assert error <= mpmath.mpf(10) ** -digits / 2, error
+
+
+def test_identity_battery_runs_without_mpmath():
+    """`verify --suite identities` with mpmath unimportable: the runtime does not need it."""
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from qeis.cli import main\n"
+        "sys.exit(main(['verify', '--suite', 'identities']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"]
+    assert [r["checks"] for r in report["reports"]] == [208]
 
 
 def test_rank1_vanishing_examples():

@@ -136,6 +136,56 @@ def test_hyp2f1_pole_detection():
         hyp2f1_terminating(3, Fraction(1), Fraction(-1), Fraction(1, 2))
 
 
+def _hyp2f1_fraction_loop(neg_a, b, c, z):
+    """The term-by-term Fraction loop the integer Horner sum replaced."""
+    b, c, z = Fraction(b), Fraction(c), Fraction(z)
+    total = term = Fraction(1)
+    for j in range(neg_a):
+        cj = c + j
+        if cj == 0:
+            raise ValidationError(f"2F1 pole: (c)_j vanishes at j = {j + 1}")
+        term *= Fraction(-(neg_a - j)) * (b + j) / cj * z / (j + 1)
+        total += term
+    return total
+
+
+def _battery_hyp2f1_arguments():
+    """The 2F1 arguments of verify.suite_identities: f0_closed on its seeded
+    grid (the generator first draws the 20 gamma-integral cases) and
+    rank1_vanishing_check at every l it checks."""
+    import random
+
+    rng = random.Random(2024)
+    for _ in range(20):
+        m = rng.randint(0, 4)
+        rng.randint(m + 1, m + 7)
+        rng.uniform(0.0, 3.0)
+        rng.uniform(0.3, 4.0)
+    args = []
+    for _ in range(100):
+        ell = rng.randint(0, 8)
+        A, B = rng.uniform(0.05, 4.0), rng.uniform(0.0, 4.0)
+        args.append((ell, Fraction(2 * ell + 1, 2), Fraction(1),
+                     Fraction(B) / (Fraction(A) + Fraction(B))))
+    args += [(ell, Fraction(ell), Fraction(1), Fraction(1)) for ell in range(1, 11)]
+    return args
+
+
+def test_hyp2f1_horner_equals_the_fraction_loop():
+    args = _battery_hyp2f1_arguments()
+    args += [(n, b, c, z) for n in range(6) for b in (Fraction(1, 2), Fraction(-3), 2)
+             for c in (Fraction(5, 7), Fraction(-9, 2), 1) for z in (Fraction(-2, 3), 1)]
+    args.append((2, 1, -3, 1))  # (c)_j vanishes only past the last term
+    for a in args:
+        assert hyp2f1_terminating(*a) == _hyp2f1_fraction_loop(*a), a
+    for a in [(3, 1, -1, Fraction(1, 2)), (5, 2, -3, 1), (4, 1, Fraction(-2), 3)]:
+        with pytest.raises(ValidationError) as old:
+            _hyp2f1_fraction_loop(*a)
+        with pytest.raises(ValidationError) as new:
+            hyp2f1_terminating(*a)
+        assert str(new.value) == str(old.value), a
+
+
 # ---------------------------------------------------------------------------
 # sqrt(p)-graded polynomials
 # ---------------------------------------------------------------------------
