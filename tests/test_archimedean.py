@@ -13,7 +13,7 @@ from qeis.archimedean import (arch_constant, bessel_sum_check,
                               gamma_integral_check, gamma_integral_closed,
                               rank1_vanishing_check, whittaker_at)
 from qeis.bessel import bessel_k
-from qeis.errors import ValidationError
+from qeis.errors import NumericError, ValidationError
 from qeis.hermitian import FieldE, GlobalVector, QuadInt, global_vector
 
 F3 = FieldE(3)
@@ -96,6 +96,55 @@ def test_comb_identity_sweep():
     for ell in range(0, 13):
         ok, where = comb_identity_check(ell)
         assert ok, (ell, where)
+
+
+def _comb_identity_check_fraction(ell: int):
+    """The checker as it was with Fraction accumulators, kept as the reference."""
+    from qeis.archimedean import _cjk
+
+    lhs = [Fraction(0)] * (ell + 1)
+    for k in range(ell + 1):
+        for j in range(k + 1):
+            c = _cjk(ell, j, k)
+            for i in range(k - j + 1):
+                power = (ell - k) + i
+                sign = (-1) ** (ell - k) * (-1) ** i
+                lhs[power] += c * sign * math.comb(k - j, i)
+    for r in range(ell + 1):
+        rhs = (Fraction((-1) ** r * 2 ** (2 * ell - 2 * r))
+               * math.factorial(2 * ell) * math.factorial(2 * ell + 2 * r)
+               / (math.factorial(r) ** 2 * math.factorial(ell + r)
+                  * math.factorial(ell - r)))
+        if lhs[r] != rhs:
+            return False, r
+    for a in range(ell + 1):
+        b = ell
+        if sum(math.comb(b, i) * math.comb(b - a, b - i) for i in range(a, b + 1)) \
+                != math.comb(2 * b - a, b):
+            return False, -1
+    for r in range(ell + 1):
+        lhs2 = sum(Fraction(math.comb(2 * ell, i) * math.comb(ell - r, i),
+                            math.comb(4 * ell, 2 * i)) for i in range(ell - r + 1))
+        rhs2 = Fraction(2 ** (2 * ell - 2 * r) * math.comb(2 * ell + 2 * r, ell + r),
+                        math.comb(4 * ell, 2 * ell))
+        if lhs2 != rhs2:
+            return False, -2
+    return True, None
+
+
+def test_comb_identity_int_accumulators_match_the_fraction_reference(monkeypatch):
+    for ell in range(0, 13):
+        assert comb_identity_check(ell) == _comb_identity_check_fraction(ell) == (True, None)
+    # a coefficient off by one: both report the same first mismatching power
+    from qeis import archimedean
+
+    cjk = archimedean._cjk
+    for ell, (j0, k0) in ((3, (0, 0)), (6, (2, 4)), (12, (5, 9))):
+        monkeypatch.setattr(archimedean, "_cjk",
+                            lambda e, j, k, j0=j0, k0=k0: cjk(e, j, k) + ((j, k) == (j0, k0)))
+        got = comb_identity_check(ell)
+        assert got == _comb_identity_check_fraction(ell), ell
+        assert got == (False, ell - k0), ell
 
 
 def test_f0_closed_examples():
@@ -215,6 +264,77 @@ def test_identity_battery_runs_without_mpmath():
     report = json.loads(proc.stdout)
     assert report["ok"]
     assert [r["checks"] for r in report["reports"]] == [208]
+
+
+def _recorded_integrands(monkeypatch, run) -> list:
+    """The integrands that `run` hands to the exp-sinh rule, in call order."""
+    from qeis import archimedean
+
+    seen = []
+    quad = archimedean._quad_halfline
+
+    def record(f):
+        seen.append(f)
+        return quad(f)
+
+    monkeypatch.setattr(archimedean, "_quad_halfline", record)
+    run()
+    monkeypatch.setattr(archimedean, "_quad_halfline", quad)
+    return seen
+
+
+def test_quad_halfline_matches_quadpack_on_every_battery_integrand(monkeypatch):
+    """The 50 half-line integrals of suite_identities(seed=2024) and the three
+    gamma examples above, against scipy.integrate.quad to 1e-12 relative."""
+    from scipy import integrate
+
+    from qeis.archimedean import _quad_halfline
+    from qeis.verify import suite_identities
+
+    battery = _recorded_integrands(monkeypatch, lambda: suite_identities(seed=2024))
+    examples = _recorded_integrands(monkeypatch, lambda: [
+        gamma_integral_check(2.0, 2.0, 0, 1), gamma_integral_check(1.0, 2.0, 1, 3),
+        gamma_integral_check(0.5, 1.5, 2, 7)])
+    assert (len(battery), len(examples)) == (50, 3)
+    for f in battery + examples:
+        want, _ = integrate.quad(f, 0.0, math.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
+        got = _quad_halfline(f)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_quad_halfline_refuses_what_it_cannot_integrate():
+    from qeis.archimedean import _quad_halfline
+
+    assert abs(_quad_halfline(lambda x: 1.0 / (1.0 + x) ** 2) - 1.0) < 1e-14
+    # divergent: the t > 0 tail never becomes negligible
+    with pytest.raises(NumericError, match="tail not negligible"):
+        _quad_halfline(lambda x: 1.0 / (1.0 + x))
+    with pytest.raises(NumericError):
+        _quad_halfline(lambda x: math.nan)
+    with pytest.raises(NumericError):
+        _quad_halfline(lambda x: 1.0 / (1.0 + x) ** 2 if x < 5.0 else math.nan)
+    # int x^300 e^-x = 300! is finite, but x ** 300 overflows near the peak
+    with pytest.raises(NumericError, match="out of range"):
+        _quad_halfline(lambda x: x ** 300 * math.exp(-x))
+    with pytest.raises(NumericError, match="division by zero"):
+        _quad_halfline(lambda x: 1.0 / (x - 1.0))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    """`import qeis.cli` loads scipy.special and numpy only; the flagged 2-D
+    quadrature still imports scipy.integrate when it is called."""
+    code = (
+        "import sys, qeis.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'scipy.sparse')\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "from qeis.archimedean import fourier_constant_quadrature\n"
+        "fourier_constant_quadrature(ell=1, r_cut=0.01, rho_cut=0.01)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_rank1_vanishing_examples():
