@@ -6,7 +6,7 @@ engine with its lattice-count oracle, the archimedean checkers, the global
 Fourier assembly, and the candidate Saito-Kurokawa lifts.
 """
 
-from .arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
+from .arith import (IntPoly, Splitting, SqrtPPoly,
                     bernoulli, hyp2f1_terminating, kronecker_symbol,
                     ramanujan_sum, splitting_class, sqrtp_eval_halfint)
 from .archimedean import (PiRational, WhittakerEval, arch_constant,

@@ -192,7 +192,8 @@ def comb_identity_check(ell: int):
 
     Expands sum_{k,j} c_{j,k} (-z)^(l-k) (1-z)^(k-j) and compares with
     sum_r (-1)^r 2^(2l-2r) (2l)!(2l+2r)! / ((r!)^2 (l+r)!(l-r)!) z^r
-    coefficientwise over Q, plus the two combinatorial lemmas feeding it.
+    coefficientwise over Q, plus the two combinatorial lemmas feeding it, all
+    in int arithmetic.
     Returns (True, None) or (False, first mismatching power).
     """
     lhs = [0] * (ell + 1)
@@ -217,12 +218,15 @@ def comb_identity_check(ell: int):
         if sum(math.comb(b, i) * math.comb(b - a, b - i) for i in range(a, b + 1)) \
                 != math.comb(2 * b - a, b):
             return False, -1
-    # Chu-Vandermonde collapse: 2F1(-(l-r), 1/2; -2l+1/2; 1)
+    # Chu-Vandermonde collapse: 2F1(-(l-r), 1/2; -2l+1/2; 1), both sides
+    # times the common denominator lcm_i C(4l, 2i), so the sums stay in ints
+    binoms = [math.comb(4 * ell, 2 * i) for i in range(ell + 1)]
+    den = math.lcm(*binoms)
+    scale = [den // b for b in binoms]  # den / C(4l, 2i)
     for r in range(ell + 1):
-        lhs2 = sum(Fraction(math.comb(2 * ell, i) * math.comb(ell - r, i),
-                            math.comb(4 * ell, 2 * i)) for i in range(ell - r + 1))
-        rhs2 = Fraction(2 ** (2 * ell - 2 * r) * math.comb(2 * ell + 2 * r, ell + r),
-                        math.comb(4 * ell, 2 * ell))
+        lhs2 = sum(math.comb(2 * ell, i) * math.comb(ell - r, i) * scale[i]
+                   for i in range(ell - r + 1))
+        rhs2 = 2 ** (2 * ell - 2 * r) * math.comb(2 * ell + 2 * r, ell + r) * scale[ell]
         if lhs2 != rhs2:
             return False, -2
     return True, None

@@ -1,8 +1,8 @@
 """Exact arithmetic substrate.
 
 Everything in this module is pure and exact: big rationals are
-``fractions.Fraction``, polynomials are coefficient lists of Python ints or
-Fractions, and no floating point ever enters.  The slightly unusual citizen
+``fractions.Fraction``, polynomials are coefficient lists of Python ints,
+and no floating point ever enters.  The slightly unusual citizen
 is :class:`SqrtPPoly`, a polynomial whose even-degree coefficients are
 integers and whose odd-degree coefficients are integer multiples of p^(1/2);
 it is stored as the integer vector d with coefficient(X^i) = d[i] * p^((i%2)/2),
@@ -192,7 +192,10 @@ def _strip(coeffs):
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Dense integer polynomial, index = degree, trailing coefficient nonzero."""
+    """Dense integer polynomial, index = degree, trailing coefficient nonzero.
+
+    Also the truncated local series in t = p^(-s), divided exactly in ints.
+    """
 
     coeffs: tuple
 
@@ -222,60 +225,20 @@ class IntPoly:
         """X^deg P(1/X) == P(X)."""
         return self.coeffs == self.coeffs[::-1]
 
-
-# ---------------------------------------------------------------------------
-# Truncated series in t = p^{-s}
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeriesPoly:
-    """Finite series in an abstract variable t, rational coefficients.
-
-    Int coefficients stay Python ints, the rest become Fractions, so a
-    series of integers is divided in integer arithmetic.
-    """
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_strip(
-            [c if isinstance(c, int) else Fraction(c) for c in coeffs])))
-
-    def __getitem__(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __eq__(self, other):
-        return isinstance(other, SeriesPoly) and self.coeffs == other.coeffs
-
-    def __sub__(self, other: "SeriesPoly") -> "SeriesPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SeriesPoly([self[i] - other[i] for i in range(n)])
-
-    def divide_exact(self, root, shift: int) -> "SeriesPoly":
-        """Exact quotient by (1 - root * t^shift); nonzero remainder is an error.
-
-        An int root on an int series keeps the quotient in ints.
-        """
-        if not isinstance(root, int):
-            root = Fraction(root)
-        n = self.degree
-        if n < 0:
-            return SeriesPoly([])
-        quot = [0] * max(n + 1 - shift, 0)
-        for i in range(n + 1):
+    def divide_exact(self, root: int, shift: int) -> "IntPoly":
+        """Exact quotient of the series by (1 - root * t^shift) for an int
+        root; a nonzero remainder raises InternalConsistencyError."""
+        quot = [0] * max(len(self.coeffs) - shift, 0)
+        for i, c in enumerate(self.coeffs):
             prev = quot[i - shift] if i >= shift else 0
-            val = self.coeffs[i] + root * prev
+            val = c + root * prev
             if i < len(quot):
                 quot[i] = val
             elif val != 0:
                 raise InternalConsistencyError(
                     f"series not divisible by (1 - {root} t^{shift}); residue at t^{i}"
                 )
-        return SeriesPoly(quot)
+        return IntPoly(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +410,15 @@ def validate_prime(p: int) -> None:
         raise ValidationError(f"p = {p} is not a prime")
 
 
+def geometric_sum(q: int, a: int) -> int:
+    """1 + q + ... + q^(a-1) for an int q: a when q = 1, 0 when a <= 0."""
+    if a <= 0:
+        return 0
+    if q == 1:
+        return a
+    return (q ** a - 1) // (q - 1)
+
+
 def sigma_k(n: int, k: int, primes=None) -> int:
     """Divisor power sum sigma_k(n) = sum_{d | n} d^k for n >= 1, k >= 0.
 
@@ -458,8 +430,7 @@ def sigma_k(n: int, k: int, primes=None) -> int:
         raise ValidationError("sigma_k needs n >= 1")
     total = 1
     for p in prime_factors(n) if primes is None else primes:
-        e = vp(n, p)
-        total *= sum(p ** (i * k) for i in range(e + 1))
+        total *= geometric_sum(p ** k, vp(n, p) + 1)
     return total
 
 

@@ -301,7 +301,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("local", help="one local polynomial Q_{T,p}")
     common(sp, T=True, p=True)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help=BUDGET_HELP + "; read only with --oracle")
     sp.add_argument("--oracle", action="store_true",
                     help="re-derive every series term by the exact lattice-count oracle")
     sp.set_defaults(func=cmd_local)
@@ -323,9 +324,12 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=int, default=None,
+                    help="run the oracle suite at this prime alone, not at 2, 3 and 5; "
+                         "read only by oracle and all, but every suite rejects a non-prime")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help=BUDGET_HELP + "; only the oracle suite and all read it")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -26,8 +26,8 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import zeta
 
-from .arith import (Splitting, bernoulli, kronecker_symbol, prime_factors,
-                    sigma_k, sqrtp_eval_halfint, vp)
+from .arith import (Splitting, bernoulli, geometric_sum, kronecker_symbol,
+                    prime_factors, sigma_k, sqrtp_eval_halfint, vp)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt, local_key,
                         norm)
@@ -47,19 +47,18 @@ def sigma_E(keys: tuple, ell: int) -> int:
     """prod over prime ideals of sum_{i=0}^{v_P(T)} q^(i l), q the residue size.
 
     ``keys`` holds the :class:`~qeis.hermitian.LocalKey` of T at each p
-    dividing the content gcd(N(a), N(b)) of T (:func:`local_keys`), whose
+    dividing the content gcd(N(a), N(b)) of T (:func:`content_keys`), whose
     (k1, k2) give the factor: split Sum_{i<=k1} p^(il) * Sum_{i<=k2} p^(il), inert
     Sum_{i<=k1} p^(2il), ramified Sum_{i<=k1+k2} p^(il).
     """
     total = 1
     for p, case, _, _, k1, k2 in keys:
         if case is Splitting.SPLIT:
-            total *= sum(p ** (i * ell) for i in range(k1 + 1))
-            total *= sum(p ** (i * ell) for i in range(k2 + 1))
+            total *= geometric_sum(p ** ell, k1 + 1) * geometric_sum(p ** ell, k2 + 1)
         elif case is Splitting.INERT:
-            total *= sum(p ** (2 * i * ell) for i in range(k1 + 1))
+            total *= geometric_sum(p ** (2 * ell), k1 + 1)
         else:
-            total *= sum(p ** (i * ell) for i in range(k1 + k2 + 1))
+            total *= geometric_sum(p ** ell, k1 + k2 + 1)
     return total
 
 
@@ -97,65 +96,67 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
-@lru_cache(maxsize=4096)
-def _unit_keys(F: FieldE, nrm: int) -> tuple:
-    """The keys (p, case, 2, v_p(nrm), 0, 0) at the primes of nrm != 0: the key
-    of every T with <T, T> = nrm at each such p that its content avoids."""
-    return tuple(LocalKey(p, F.splitting(p), 2, vp(nrm, p), 0, 0) for p in prime_factors(nrm))
-
-
-def local_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
+def content_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
     """The :class:`~qeis.hermitian.LocalKey` of T at each prime of
-    nrm = <T, T>, or of the content g = gcd(N(a), N(b)) when nrm = 0.
+    gcd(N(a), N(b), nrm), nrm = <T, T>: at every prime of the content when
+    nrm = 0, and none for most T of a table, whose content is 1.
 
-    At a p of nrm that does not divide g, some coordinate of T is a unit at
-    every prime above p, so the key is the unit key of :func:`_unit_keys`,
-    shared by every T of that norm; :func:`local_key` reads T's valuations
-    only at the p dividing g.  A content of 1, most T of a table, returns
-    the shared tuple itself.
+    These keys and nrm determine T's key at every prime of nrm
+    (:func:`norm_keys`), and no key here is a unit key: a T with (k1, k2) =
+    (0, 0) at a split p | gcd(N(a), N(b)) has <T, T> prime to p.  So
+    (nrm, content keys) is the invariant a coefficient is cached on.
     """
-    g = math.gcd(T.a.norm(F), T.b.norm(F))
-    if not nrm:
-        return tuple(local_key(T, F, p, 0) for p in prime_factors(g))
-    keys = _unit_keys(F, nrm)
-    if g == 1:
-        return keys
-    return tuple(local_key(T, F, key.p, nrm) if g % key.p == 0 else key for key in keys)
+    g = math.gcd(T.a.norm(F), T.b.norm(F), nrm)
+    return tuple(local_key(T, F, p, nrm) for p in prime_factors(g)) if g > 1 else ()
+
+
+def norm_keys(F: FieldE, nrm: int, content: tuple) -> tuple:
+    """The key at each prime of nrm != 0 of every T with <T, T> = nrm and
+    these :func:`content_keys`.
+
+    At a p of nrm that misses the content, some coordinate of T is a unit at
+    every prime above p, so the key there is (p, case, 2, v_p(nrm), 0, 0).
+    """
+    held = {key.p: key for key in content}
+    return tuple(held.get(p) or LocalKey(p, F.splitting(p), 2, vp(nrm, p), 0, 0)
+                 for p in prime_factors(nrm))
 
 
 def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
-    """{p: Q_{T,p}} over the primes p dividing nrm = <T, T>.
+    """{p: Q_{T,p}} over the primes p dividing nrm = <T, T> != 0.
 
-    The keys come from :func:`local_keys`; no coordinates are built.  The global model has n = 2 only, so other n raise
-    ValidationError.  A failed consistency check of a Q build, which names
-    the key, is re-raised naming T.
+    The keys come from :func:`norm_keys`; no coordinates are built.  The
+    global model has n = 2 only, so other n raise ValidationError.  A failed
+    consistency check of a Q build, which names the key, is re-raised naming T.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
     try:
-        return {key.p: q_poly_of_invariants(key) for key in local_keys(T, F, nrm)}
+        return {key.p: q_poly_of_invariants(key)
+                for key in norm_keys(F, nrm, content_keys(T, F, nrm))}
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
 
 
 @lru_cache(maxsize=4096)
-def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, keys: tuple) -> tuple:
-    """(rank, rational, sigma, {p: Q_{T,p}}) of every T with <T, T> = nrm and these keys.
+def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, content: tuple) -> tuple:
+    """(rank, rational, sigma, {p: Q_{T,p}}) of every T with <T, T> = nrm and
+    these :func:`content_keys`.
 
-    A coefficient reads T only through nrm and its keys (:func:`local_keys`)
-    at the primes of nrm, or of the content when nrm = 0: Q_{T,p} depends on
-    the local Jordan type alone, sigma_E on the content ideal.  So it is
-    built once per invariant, and every coefficient of the invariant holds
-    these same objects; the {p: Q_{T,p}} mapping is read-only, one per
-    invariant.  Negative norm: zero.  Norm 0: C_l * sigma_{E,l}(T).
-    Positive norm: D_{n,l} * prod_p Q_{T,p}(p^(l-(n-1)/2)).
+    A coefficient reads T only through nrm and its content keys: Q_{T,p}
+    depends on the local Jordan type alone, which :func:`norm_keys` reads
+    off them, and sigma_E on the content ideal.  So it is built once per
+    invariant, and every coefficient of the invariant holds these same
+    objects; the {p: Q_{T,p}} mapping is read-only, one per invariant.
+    Negative norm: zero.  Norm 0: C_l * sigma_{E,l}(T).  Positive norm:
+    D_{n,l} * prod_p Q_{T,p}(p^(l-(n-1)/2)).
     """
     if nrm < 0:
         return 2, Fraction(0), None, MappingProxyType({})
     if nrm == 0:
-        sigma = sigma_E(keys, P.ell)
+        sigma = sigma_E(content, P.ell)
         return 1, c_ell(P.ell) * sigma, sigma, MappingProxyType({})
-    local = {key.p: q_poly_of_invariants(key) for key in keys}
+    local = {key.p: q_poly_of_invariants(key) for key in norm_keys(F, nrm, content)}
     prod = 1
     for q in local.values():
         prod *= sqrtp_eval_halfint(q, 2 * P.ell - P.n + 1)
@@ -166,9 +167,9 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
                 with_whittaker: bool = False) -> FourierCoefficient:
     """The Fourier coefficient of T, by the sign of <T, T>.
 
-    <T, T> is computed once, T's keys are read at the primes of <T, T> (of
-    the content gcd(N(a), N(b)) when <T, T> = 0, none when it is negative),
-    and the value comes from :func:`coefficient_of_invariants`, whose
+    <T, T> is computed once, T's keys are read at the primes of
+    gcd(N(a), N(b), <T, T>) (:func:`content_keys`, none when <T, T> is
+    negative), and the value comes from :func:`coefficient_of_invariants`, whose
     objects the coefficient shares rather than copies.  The global
     model has n = 2 only, so other n raise ValidationError for every T,
     isotropic and negative-norm ones included.  A failed consistency check of
@@ -179,9 +180,9 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
     if not T:
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
-    keys = () if nrm < 0 else local_keys(T, F, nrm)
+    content = () if nrm < 0 else content_keys(T, F, nrm)
     try:
-        rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, keys)
+        rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, content)
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
     w = whittaker_at(T, P.ell, F) if with_whittaker else None

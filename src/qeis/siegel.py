@@ -45,11 +45,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import IntPoly, SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum_vp, vp
+from .arith import IntPoly, Splitting, SqrtPPoly, geometric_sum, ramanujan_sum_vp, vp
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import LocalKey, LocalVectorData
 
 DEFAULT_BUDGET = 10 ** 8
+
+
+def _exact_quotient(a: int, b: int, what: str) -> int:
+    """a // b for an int b that divides a; a remainder raises
+    InternalConsistencyError with the message ``what``."""
+    quot, rest = divmod(a, b)
+    if rest:
+        raise InternalConsistencyError(what)
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +213,7 @@ def b_term(r: int, v, kq, m: int, p: int) -> int:
 
       j <= kq - r:      c = (p - 1) p^(r-j-1), so these terms are the one
                         geometric series (p - 1) p^(mr+r-1) Sum_{j<=g} p^((m-1)j)
-                        with g = min(top, kq - r);
+                        with g = min(top, kq - r), empty when g < 0;
       j = kq - r + 1:   c = -p^(r-j-1), a single term p^(m(r+j)+r-j-1)
                         subtracted when j <= top.
 
@@ -217,17 +226,11 @@ def b_term(r: int, v, kq, m: int, p: int) -> int:
     total = p ** (2 * m * r) if v >= r else 0
     top = min(r - 1, v, kq - r + 1)
     g = min(top, kq - r)
-    if g >= 0:
-        step = p ** (m - 1)
-        geo = (step ** (g + 1) - 1) // (step - 1) if m > 1 else g + 1
-        total += (p - 1) * p ** (m * r + r - 1) * geo
+    total += (p - 1) * p ** (m * r + r - 1) * geometric_sum(p ** (m - 1), g + 1)
     j = kq - r + 1
     if 0 <= j <= top:
         total -= p ** (m * (r + j) + r - j - 1)
-    quot, rest = divmod(total, p ** r)
-    if rest:
-        raise InternalConsistencyError("non-integral unramified term")
-    return quot
+    return _exact_quotient(total, p ** r, "non-integral unramified term")
 
 
 def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
@@ -246,16 +249,15 @@ def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
         raise ValidationError(f"inconsistent ramified invariants {(k1, k2, k)}")
     if r == 0:
         return 1
-
-    def band(top):  # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1), a geometric series
-        return (p - 1) * p ** ((2 * r + 1) * m - 1) * _geo(p, m, top)
-
+    # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1) = unit * geometric_sum(step, top)
+    unit = (p - 1) * p ** ((2 * r + 1) * m - 1)
+    step = p ** (2 * m - 1)
     if r <= k2:
-        return p ** (r * (4 * m - 1)) + band(r)
+        return p ** (r * (4 * m - 1)) + unit * geometric_sum(step, r)
     if r <= k - k1:
-        return band(k1 + 1)
+        return unit * geometric_sum(step, k1 + 1)
     if r <= k + 1:
-        return band(k - r + 1) - p ** ((2 * k + 3) * m + r - k - 2)
+        return unit * geometric_sum(step, k - r + 1) - p ** ((2 * k + 3) * m + r - k - 2)
     return 0
 
 
@@ -275,9 +277,7 @@ def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
     total = p ** (4 * m * r) if k2 >= r else 0
     for j in range(min(r - 1, k1) + 1):
         total += p ** ((2 * r + 2 * j + 1) * m) * ramanujan_sum_vp(p, r - j, k - 2 * j)
-    if total % p ** r != 0:
-        raise InternalConsistencyError("non-integral ramified term")
-    return total // p ** r
+    return _exact_quotient(total, p ** r, "non-integral ramified term")
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,7 @@ def term_oracle(r: int, eta, shape: QuadLatticeShape, budget: int = DEFAULT_BUDG
     fold = mod // p  # pairing = 0 mod p^(r-1): sum the pairing axis over its lift
     m_prev = int((acc.reshape(mod, p, fold).sum(axis=1)
                   * last.reshape(mod, p, fold).sum(axis=1)).sum()) - m_full
-    shift, rest = divmod(m_prev, p - 1)
-    if rest:
-        raise InternalConsistencyError("oracle character collapse is non-integral")
-    return m_full - shift
+    return m_full - _exact_quotient(m_prev, p - 1, "oracle character collapse is non-integral")
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,7 @@ def series_blocks(key: LocalKey):
         for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
-def assemble_series(key: LocalKey, blocks=None) -> SeriesPoly:
+def assemble_series(key: LocalKey, blocks=None) -> IntPoly:
     """The truncated local series E^T_{2,p}(s) as an exact polynomial in
     t = p^(-s): the sum of :func:`series_blocks`, in Python ints.
 
@@ -429,11 +426,10 @@ def assemble_series(key: LocalKey, blocks=None) -> SeriesPoly:
         for r, term in zip(b.rs, b.terms):
             e = r + b.power
             if e < 0:
-                term, rest = divmod(term, p ** -e)
-                if rest:
-                    raise InternalConsistencyError("assembled local series has non-integral term")
+                term = _exact_quotient(term, p ** -e,
+                                       "assembled local series has non-integral term")
             coeffs[2 * r + b.shift] += term * p ** max(e, 0)
-    return SeriesPoly(coeffs)
+    return IntPoly(coeffs)
 
 
 def check_against_oracle(data: LocalVectorData, budget: int = DEFAULT_BUDGET) -> None:
@@ -459,29 +455,19 @@ def check_against_oracle(data: LocalVectorData, budget: int = DEFAULT_BUDGET) ->
 # Extraction of P, R, Q
 # ---------------------------------------------------------------------------
 
-def extract_P(series: SeriesPoly, m: int, p: int) -> IntPoly:
+def extract_P(series: IntPoly, m: int, p: int) -> IntPoly:
     """The monic P with sum_r B_r t'^r = (1 - p^(m-1) t') P(p^m t').
 
     The division must be exact, the rescaled coefficients integral, and the
     quotient monic; anything else signals corrupted input.
     """
     quot = series.divide_exact(p ** (m - 1), 1)
-    coeffs = []
-    for i, c in enumerate(quot.coeffs):
-        scaled, rest = divmod(c, p ** (m * i))
-        if rest:
-            raise InternalConsistencyError("P extraction produced a non-integer coefficient")
-        coeffs.append(scaled)
-    poly = IntPoly(coeffs)
+    poly = IntPoly([_exact_quotient(c, p ** (m * i),
+                                    "P extraction produced a non-integer coefficient")
+                    for i, c in enumerate(quot.coeffs)])
     if not poly.is_monic():
         raise InternalConsistencyError(f"extracted P = {poly} is not monic")
     return poly
-
-
-def _geo(p: int, m: int, a: int) -> int:
-    """(p^(a(2m-1)) - 1)/(p^(2m-1) - 1) = 1 + p^(2m-1) + ... (a terms, none for a <= 0)."""
-    step = p ** (2 * m - 1)
-    return (step ** max(a, 0) - 1) // (step - 1)
 
 
 def R_closed_form(k1: int, k2: int, k: int, m: int, p: int) -> IntPoly:
@@ -498,38 +484,40 @@ def R_closed_form(k1: int, k2: int, k: int, m: int, p: int) -> IntPoly:
     coeffs = [0] * (k + 1)
     for r in range(1, k + 1):
         a = r if r <= k2 else k1 + 1 if r <= k2 + kp else k - r + 1
-        coeffs[r] = p ** m * _geo(p, m, a)
+        coeffs[r] = p ** m * geometric_sum(p ** (2 * m - 1), a)
     return IntPoly(coeffs)
 
 
-def extract_R(series: SeriesPoly, k1: int, k2: int, k: int, m: int, p: int):
+def extract_R(series: IntPoly, k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Recover R from a C-series via the term theorem's display.
 
     sum_r C_r t'^r = (1 - p^(2m-1) t') R(p^(2m) t')
                      + sum_{r=0}^{k2} (p^(4m-1) t')^r
                      - p^(3m-1) t' sum_{r=0}^{k1} (p^(4m-1) t')^r.
-    Returns the coefficient list of R (Fractions; integrality is the
-    caller's check).
+    Returns the int coefficient list of R; a remainder of the division or
+    of the rescaling by p^(2m i) raises InternalConsistencyError.
     """
-    extra = [Fraction(0)] * (k + 3)
+    reduced = list(series.coeffs) + [0] * max(k + 3 - len(series.coeffs), 0)
     for r in range(k2 + 1):
-        extra[r] += Fraction(p) ** (r * (4 * m - 1))
+        reduced[r] -= p ** (r * (4 * m - 1))
     for r in range(k1 + 1):
-        extra[r + 1] -= Fraction(p) ** (3 * m - 1 + r * (4 * m - 1))
-    reduced = series - SeriesPoly(extra)
-    quot = reduced.divide_exact(Fraction(p) ** (2 * m - 1), 1)
-    return [c / Fraction(p) ** (2 * m * i) for i, c in enumerate(quot.coeffs)]
+        reduced[r + 1] += p ** (3 * m - 1 + r * (4 * m - 1))
+    quot = IntPoly(reduced).divide_exact(p ** (2 * m - 1), 1)
+    return [_exact_quotient(c, p ** (2 * m * i), "R extraction produced a non-integer coefficient")
+            for i, c in enumerate(quot.coeffs)]
 
 
 def _q1_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Odd-part polynomial Q1, coefficient of X^(2r+1) for r = 0..k-1."""
-    return [_geo(p, m, r + 1 if r <= k2 - 1 else k2 if r < k - k2 else k - r)
+    step = p ** (2 * m - 1)
+    return [geometric_sum(step, r + 1 if r <= k2 - 1 else k2 if r < k - k2 else k - r)
             for r in range(k)]
 
 
 def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Even-part polynomial Q2, coefficient of X^(2r) for r = 0..k."""
-    return [_geo(p, m, r + 1 if r <= k1 else k1 + 1 if r < k - k1 else k - r + 1)
+    step = p ** (2 * m - 1)
+    return [geometric_sum(step, r + 1 if r <= k1 else k1 + 1 if r < k - k1 else k - r + 1)
             for r in range(k + 1)]
 
 
@@ -552,7 +540,7 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
         if blocks is None:
             _, blocks = series_blocks(key)
         for b in blocks:
-            poly = extract_P(SeriesPoly(b.terms), n, p)
+            poly = extract_P(IntPoly(b.terms), n, p)
             i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
@@ -568,21 +556,17 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
             d[2 * rr] += c
         for rr, c in enumerate(_q1_closed(k1, k2, k, m, p)):
             d[2 * rr + 1] += c * p ** (m - 1)
-        for rr, c in enumerate(r_t.coeffs):
-            if rr == 0:
-                continue
-            if c % p ** m != 0:
-                raise InternalConsistencyError("R_T coefficient not divisible by p^m")
-            d[2 * rr - 1] += c // p ** m
+        for rr, c in enumerate(r_t.coeffs[1:], 1):  # R_T has no constant term
+            d[2 * rr - 1] += _exact_quotient(c, p ** m, "R_T coefficient not divisible by p^m")
     return SqrtPPoly(p, d)
 
 
-def q_poly_from_series(key: LocalKey, series: SeriesPoly) -> SqrtPPoly:
+def q_poly_from_series(key: LocalKey, series: IntPoly) -> SqrtPPoly:
     """Q_{T,p} by exact division of the local series of ``key``.
 
     Unramified: E(t) = (1 - p^n t^2) Q(p^((n+1)/2) t);
     ramified:   E(t) = (1 - p^(n/2) t) Q(p^((n+1)/2) t).
-    An integer series is divided in Python ints, and a nonzero remainder of
+    The series is divided in Python ints, and a nonzero remainder of
     the division or of a rescaling raises InternalConsistencyError.
     """
     p, n = key.p, key.n
@@ -590,14 +574,10 @@ def q_poly_from_series(key: LocalKey, series: SeriesPoly) -> SqrtPPoly:
         quot = series.divide_exact(p ** (n // 2), 1)
     else:
         quot = series.divide_exact(p ** n, 2)
-    d = []
-    for i, c in enumerate(quot.coeffs):
-        e = (i * (n + 1) + (i % 2)) // 2
-        scaled, rest = divmod(c, p ** e)
-        if rest:
-            raise InternalConsistencyError("series division broke the sqrt(p) grading")
-        d.append(scaled)
-    return SqrtPPoly(p, d)
+    # the coefficient of t^i carries p^((i(n+1) + (i mod 2))/2) times its d entry
+    return SqrtPPoly(p, [_exact_quotient(c, p ** ((i * (n + 1) + i % 2) // 2),
+                                         "series division broke the sqrt(p) grading")
+                         for i, c in enumerate(quot.coeffs)])
 
 
 def _check_invariants(data: LocalVectorData) -> None:

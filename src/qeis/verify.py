@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import archimedean as arch
-from .arith import SeriesPoly, Splitting, prime_factors, validate_prime, vp
+from .arith import IntPoly, Splitting, prime_factors, validate_prime, vp
 from .errors import ValidationError
 from .fourier import (d_nl, denominator_bound_check, full_expansion,
                       vectors_in_region)
@@ -37,8 +37,7 @@ def palindromic(coeffs, d: int) -> bool:
 
 
 def _pad(coeffs, degree: int) -> list:
-    out = [Fraction(c) for c in coeffs]
-    return out + [Fraction(0)] * (degree + 1 - len(out))
+    return list(coeffs) + [0] * (degree + 1 - len(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,8 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
                 if data.case in (Splitting.SPLIT, Splitting.INERT):
                     shape = split_shape(p, 2)
                     inv = shape.invariants(data.coords)
-                    poly = extract_P(SeriesPoly([shape.term(r, inv)
-                                                 for r in range(data.k + 2)]), 2, p)
+                    poly = extract_P(IntPoly([shape.term(r, inv)
+                                              for r in range(data.k + 2)]), 2, p)
                     checks += 1
                     if not palindromic(poly.coeffs, data.k):
                         failures.append({"D": D, "p": p, "T": T.as_list(), "poly": "P",
@@ -207,7 +206,7 @@ def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
                     if k > k_cap or k == 0:
                         continue
                     shapes += 1
-                    series = SeriesPoly([lattice.term(r, (k1, k2, k)) for r in range(k + 2)])
+                    series = IntPoly([lattice.term(r, (k1, k2, k)) for r in range(k + 2)])
                     extracted = _pad(extract_R(series, k1, k2, k, m, p), k + 1)
                     adopted = _pad(R_closed_form(k1, k2, k, m, p).coeffs, k + 1)
                     literal = [Fraction(p ** m * p ** (r * (2 * m - 1) - 1),

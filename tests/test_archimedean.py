@@ -185,18 +185,29 @@ def test_bessel_sum_sweep():
 
 
 def test_besselk_series_matches_mpmath_to_1e_45():
-    """The DLMF 10.31.1 series against mpmath.besselk at 50 digits: n = 0..24
-    at fixed x from 0.2 to 20 and at 20 seeded random x in [0.2, 20]."""
+    """The DLMF 10.31.1 series against mpmath at 50 digits: n = 0..24 at fixed
+    x from 0.2 to 20 and at 20 seeded random x in [0.2, 20].
+
+    The reference takes K_0 and K_1 from mpmath.besselk at 90 digits and the
+    higher orders from the upward recurrence K_(n+1) = K_(n-1) + (2n/x) K_n,
+    which is stable for K, the solution that grows with n.  A recurrence is
+    fine for a reference, which only has to be accurate; bessel_sum_check
+    must never use one, because its identity is that recurrence summed and
+    would pass recurrence values whatever their error.
+    """
     import mpmath
 
     from qeis.archimedean import _besselk_50
 
     rng = random.Random(31)
     xs = [0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0] + [rng.uniform(0.2, 20.0) for _ in range(20)]
-    with mpmath.workdps(50):
-        for n in range(25):
-            for x in xs:
-                want = mpmath.besselk(n, mpmath.mpf(x))
+    with mpmath.workdps(90):
+        for x in xs:
+            mx = mpmath.mpf(x)
+            ks = [mpmath.besselk(0, mx), mpmath.besselk(1, mx)]
+            for n in range(1, 24):
+                ks.append(ks[n - 1] + 2 * n / mx * ks[n])
+            for n, want in enumerate(ks):
                 got = mpmath.mpf(str(_besselk_50(n, x)))
                 assert abs(got - want) <= 1e-45 * abs(want), (n, x)
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qeis.arith import (IntPoly, SeriesPoly, Splitting, SqrtPPoly,
-                        _sqrtp_eval_frac, bernoulli, hyp2f1_terminating, is_prime,
-                        is_squarefree, kronecker_symbol, pochhammer, prime_factors,
+from qeis.arith import (IntPoly, Splitting, SqrtPPoly,
+                        _sqrtp_eval_frac, bernoulli, geometric_sum, hyp2f1_terminating,
+                        is_prime, is_squarefree, kronecker_symbol, pochhammer, prime_factors,
                         ramanujan_sum, ramanujan_sum_vp, sigma_k, splitting_class,
                         sqrtp_eval_halfint, validate_D, vp)
 from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
@@ -246,31 +246,34 @@ def test_intpoly_basics():
 
 def test_seriespoly_divide_exact():
     # (1 - 3 t) * (1 + t + t^2) = 1 - 2t - 2t^2 - 3t^3
-    s = SeriesPoly([1, -2, -2, -3])
-    q = s.divide_exact(Fraction(3), 1)
-    assert q == SeriesPoly([1, 1, 1])
+    s = IntPoly([1, -2, -2, -3])
+    q = s.divide_exact(3, 1)
+    assert q == IntPoly([1, 1, 1])
+    assert IntPoly([]).divide_exact(3, 1) == IntPoly([])
     with pytest.raises(InternalConsistencyError):
-        SeriesPoly([1, 1]).divide_exact(Fraction(3), 1)
+        IntPoly([1, 1]).divide_exact(3, 1)
 
 
 def test_seriespoly_int_division_stays_in_ints():
-    s = SeriesPoly([1, -2, -2, -3])
+    s = IntPoly([1, -2, -2, -3])
     q = s.divide_exact(3, 1)
-    assert q == SeriesPoly([1, 1, 1])
+    assert q == IntPoly([1, 1, 1])
     assert all(type(c) is int for c in q.coeffs)
-    # a Fraction root or coefficient still divides in Fractions
-    assert all(isinstance(c, Fraction) for c in s.divide_exact(Fraction(3), 1).coeffs)
-    half = SeriesPoly([Fraction(1, 2), -1]).divide_exact(2, 1)
-    assert half == SeriesPoly([Fraction(1, 2)])
     with pytest.raises(InternalConsistencyError):
-        SeriesPoly([1, 1]).divide_exact(3, 1)
+        IntPoly([1, 1]).divide_exact(3, 1)
 
 
 def test_seriespoly_divide_by_t_squared_factor():
     # (1 - 4 t^2) * (1 + t + 8 t^2) = 1 + t + 4t^2 - 4t^3 - 32 t^4
-    s = SeriesPoly([1, 1, 4, -4, -32])
-    q = s.divide_exact(Fraction(4), 2)
-    assert q == SeriesPoly([1, 1, 8])
+    s = IntPoly([1, 1, 4, -4, -32])
+    q = s.divide_exact(4, 2)
+    assert q == IntPoly([1, 1, 8])
+
+
+def test_geometric_sum_matches_the_term_sum():
+    for q in range(-3, 8):
+        for a in range(-2, 9):
+            assert geometric_sum(q, a) == sum(q ** i for i in range(a)), (q, a)
 
 
 def test_kronecker_symbol_is_legendre_at_odd_primes():

@@ -445,9 +445,10 @@ def test_norm_valuations_at_inert_primes_are_even_on_the_table_discs(D):
 
 @pytest.mark.parametrize("D", [3, 7, 11, 19, 23])
 def test_local_keys_match_the_per_prime_read_on_whole_tables(D):
-    """The unit keys at p not dividing g = gcd(N(a), N(b)) and local_key at p | g
+    """The content keys at the p dividing g = gcd(N(a), N(b)) and <T, T>, none
+    of them a unit key, expanded by the unit keys at the other p of <T, T>,
     give the per-prime read of every T, norm 0 and negative norms included."""
-    from qeis.fourier import local_keys
+    from qeis.fourier import content_keys, norm_keys
 
     F = FieldE(D)
     seen = {"norm 0": 0, "content > 1": 0, "ramified p | g": 0, "split p | g": 0,
@@ -456,7 +457,11 @@ def test_local_keys_match_the_per_prime_read_on_whole_tables(D):
         nrm = norm(T, F)
         g = math.gcd(T.a.norm(F), T.b.norm(F))
         reference = tuple(local_key(T, F, p, nrm) for p in prime_factors(nrm or g))
-        assert local_keys(T, F, nrm) == reference, T
+        content = content_keys(T, F, nrm)
+        assert content == tuple(key for key in reference if g % key.p == 0), T
+        assert all((key.k1, key.k2) != (0, 0) for key in content), T
+        if nrm:
+            assert norm_keys(F, nrm, content) == reference, T
         seen["norm 0"] += nrm == 0
         seen["content > 1"] += g > 1
         seen["unit key beside a content > 1"] += g > 1 and nrm != 0 and any(
@@ -468,25 +473,32 @@ def test_local_keys_match_the_per_prime_read_on_whole_tables(D):
 
 
 def test_entries_of_one_invariant_share_one_read_only_value():
-    from qeis.fourier import coefficient_of_invariants, local_keys
+    """Entries with the same (<T, T>, content keys) share their value objects,
+    and the cache holds one entry per such invariant, most of them of unit
+    content, cached under ()."""
+    from qeis.fourier import coefficient_of_invariants, content_keys
 
-    table = full_expansion(P3, F3, 12)
+    coefficient_of_invariants.cache_clear()
+    table = full_expansion(P3, F3, 24)
     by_invariant = {}
     for e in table.entries:
-        by_invariant.setdefault((e.norm, local_keys(e.T, F3, e.norm)), []).append(e)
+        by_invariant.setdefault((e.norm, content_keys(e.T, F3, e.norm)), []).append(e)
     assert len(by_invariant) < len(table.entries)
-    for (nrm, keys), entries in by_invariant.items():
-        value = coefficient_of_invariants(P3, F3, nrm, keys)
+    assert coefficient_of_invariants.cache_info().currsize == len(by_invariant)
+    unit = sum(len(entries) for (_, content), entries in by_invariant.items() if not content)
+    assert unit > len(table.entries) // 2
+    for (nrm, content), entries in by_invariant.items():
+        value = coefficient_of_invariants(P3, F3, nrm, content)
         for e in entries:
             assert (e.rank, e.rational, e.sigma) == value[:3]
             assert e.rational is value[1] and e.local_q is value[3]
-    nrm, keys = max(by_invariant, key=lambda inv: len(by_invariant[inv][0].local_q))
-    entry = by_invariant[nrm, keys][0]
+    nrm, content = max(by_invariant, key=lambda inv: len(by_invariant[inv][0].local_q))
+    entry = by_invariant[nrm, content][0]
     before = dict(entry.local_q)
     assert before
     with pytest.raises(TypeError):
         entry.local_q[2] = None
     with pytest.raises(TypeError):
         del entry.local_q[max(before)]
-    assert dict(coefficient_of_invariants(P3, F3, nrm, keys)[3]) == before
+    assert dict(coefficient_of_invariants(P3, F3, nrm, content)[3]) == before
     assert coefficient(entry.T, P3, F3).local_q == before

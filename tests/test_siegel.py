@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeis.arith import SeriesPoly, Splitting, SqrtPPoly, ramanujan_sum, ramanujan_sum_vp, vp
+from qeis.arith import IntPoly, Splitting, SqrtPPoly, ramanujan_sum, ramanujan_sum_vp, vp
 from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalKey, LocalVectorData, Params, global_vector,
@@ -24,13 +24,13 @@ P2 = Params(n=2, ell=3)
 
 def _closed_series(eta, shape, k):
     """Sum_r term_r t'^r of eta by the closed form, truncated at r = k + 1."""
-    return SeriesPoly([term_closed(r, eta, shape) for r in range(k + 2)])
+    return IntPoly([term_closed(r, eta, shape) for r in range(k + 2)])
 
 
 def _c_series(k1, k2, k, m, p):
     """The C-series of the ramified invariants (k1, k2, k), truncated at r = k + 1."""
     shape = ramified_shape(p, m)
-    return SeriesPoly([shape.term(r, (k1, k2, k)) for r in range(k + 2)])
+    return IntPoly([shape.term(r, (k1, k2, k)) for r in range(k + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
     rebuilt = [Fraction(0)] * (2 * data.k + 3)
     for (b, r), (_, _, value) in zip(placed, calls):
         rebuilt[2 * r + b.shift] += value * Fraction(p) ** (r + b.power)
-    assert SeriesPoly(rebuilt) == assemble_series(data.key)
+    assert IntPoly(rebuilt) == assemble_series(data.key)
     if data.case is Splitting.INERT:
         assert data.k == 4 and len(calls) == data.k + 2
         assert all(eta == data.coords for _, eta, _ in calls)
@@ -434,9 +434,9 @@ def test_unit_norm_corollaries():
     T = global_vector(1, 0, 1, 0)   # norm 2
     # split p = 7 and inert p = 5: 1 - p^n t^2
     for p in (5, 7, 11, 13):
-        assert _series_for(T, p) == SeriesPoly([1, 0, -(p ** 2)]), p
+        assert _series_for(T, p) == IntPoly([1, 0, -(p ** 2)]), p
     # ramified p = 3: 1 - p^(n/2) t
-    assert _series_for(T, 3) == SeriesPoly([1, -3])
+    assert _series_for(T, 3) == IntPoly([1, -3])
 
 
 def test_series_divisibility_by_normalizing_factor():
@@ -449,9 +449,9 @@ def test_series_divisibility_by_normalizing_factor():
         for p in (2, 3, 5, 7):
             s = _series_for(T, p)
             if F3.splitting(p) is Splitting.RAMIFIED:
-                s.divide_exact(Fraction(3), 1)
+                s.divide_exact(3, 1)
             else:
-                s.divide_exact(Fraction(p) ** 2, 2)
+                s.divide_exact(p ** 2, 2)
 
 
 def _wedge_sum_enumeration(t1, t2, r1, r2, p, n):
@@ -521,7 +521,7 @@ def test_ramified_series_against_term_theorem_display():
                         rhs[r] += Fraction(p) ** (r * (4 * m - 1))
                     for r in range(k1 + 1):
                         rhs[r + 1] -= Fraction(p) ** (3 * m - 1 + r * (4 * m - 1))
-                    assert series == SeriesPoly(rhs), (m, k1, k2, k)
+                    assert series == IntPoly(rhs), (m, k1, k2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +567,10 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
         bumped = list(series.coeffs)
         bumped[i] += 1
         with pytest.raises(InternalConsistencyError, match="not divisible"):
-            extract_P(SeriesPoly(bumped), 2, 13)
+            extract_P(IntPoly(bumped), 2, 13)
     # (1 - 13 t')(1 + t') divides exactly, but 1 is not a multiple of 13^2
     with pytest.raises(InternalConsistencyError, match="non-integer coefficient"):
-        extract_P(SeriesPoly([1, -12, -13]), 2, 13)
+        extract_P(IntPoly([1, -12, -13]), 2, 13)
 
     ramified = local_quadratic_data(global_vector(3, 0, 3, 0), F3, 3, P2)  # k = 2
     for data in (local_quadratic_data(global_vector(7, 0, 21, 7), F3, 7, P2),  # split, k = 3
@@ -583,11 +583,11 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
             bumped = list(local.coeffs)
             bumped[i] += 1
             with pytest.raises(InternalConsistencyError, match="not divisible"):
-                q_poly_from_series(data.key, SeriesPoly(bumped))
+                q_poly_from_series(data.key, IntPoly(bumped))
     # (1 - 7^2 t^2)(1 + t^2) divides exactly, but its t^2 term is not a multiple of 7^3
     split7 = LocalKey(7, Splitting.SPLIT, 2, 2, 0, 2)
     with pytest.raises(InternalConsistencyError, match="sqrt\\(p\\) grading"):
-        q_poly_from_series(split7, SeriesPoly([1, 0, -48, 0, -49]))
+        q_poly_from_series(split7, IntPoly([1, 0, -48, 0, -49]))
     # a ramified C-term that p^(n - r) does not divide
     monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
     with pytest.raises(InternalConsistencyError, match="non-integral term"):
@@ -608,7 +608,7 @@ def _split_series_reference(data, n):
         eta = t1 + [Fraction(c, p ** j) for c in t2]
         for r in range(k - j + 2):
             coeffs[2 * r + j] += _term_unramified_reference(r, eta, sh) * Fraction(p) ** (r + n * j)
-    return SeriesPoly(coeffs)
+    return IntPoly(coeffs)
 
 
 def test_eta_family_invariants_match_the_rescaled_vectors():
@@ -698,6 +698,29 @@ def test_R_extraction_matches_closed_form():
                         expect = [Fraction(c) for c in R_closed_form(k1, k2, k, m, p).coeffs]
                         expect += [Fraction(0)] * (len(got) - len(expect))
                         assert got == expect[:len(got)], (m, p, k1, k2, k)
+
+
+def test_R_extraction_raises_on_a_remainder():
+    """A bumped C-series fails extract_R, in the division or in the rescaling
+    by p^(2m i); an intact one gives R in ints."""
+    for m, p, (k1, k2, k) in ((1, 3, (1, 1, 3)), (2, 7, (1, 2, 4))):
+        coeffs = list(_c_series(k1, k2, k, m, p).coeffs)
+        coeffs += [0] * (k + 3 - len(coeffs))
+        got = extract_R(IntPoly(coeffs), k1, k2, k, m, p)
+        assert got == list(R_closed_form(k1, k2, k, m, p).coeffs)
+        assert all(type(c) is int for c in got)
+        for i in range(k + 2):
+            bumped = list(coeffs)
+            bumped[i] += 1
+            with pytest.raises(InternalConsistencyError, match="not divisible"):
+                extract_R(IntPoly(bumped), k1, k2, k, m, p)
+        # t^i (1 - p^(2m-1) t) divides exactly, but adds p^(-2m i) to R's X^i coefficient
+        for i in range(1, k + 1):
+            bumped = list(coeffs)
+            bumped[i] += 1
+            bumped[i + 1] -= p ** (2 * m - 1)
+            with pytest.raises(InternalConsistencyError, match="non-integer coefficient"):
+                extract_R(IntPoly(bumped), k1, k2, k, m, p)
 
 
 def test_R_literal_reading_fails():
