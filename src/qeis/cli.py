@@ -91,13 +91,13 @@ def _emit(doc, out_path, fmt: str = "json"):
 
 
 def _table_csv(table: ExpansionTable) -> str:
-    """CSV projection: the entries of an expansion table, one row per coefficient."""
+    """CSV projection: the rows of an expansion table, one line per entry."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ax", "ay", "bx", "by", "norm", "rank", "rational"])
-    for e in table.entries:
-        a, b = e.T.a, e.T.b
-        writer.writerow([a.x, a.y, b.x, b.y, e.norm, e.rank, _rat(e.rational)])
+    for T, nrm, (rank, rational, _, _) in table.rows:
+        a, b = T.a, T.b
+        writer.writerow([a.x, a.y, b.x, b.y, nrm, rank, _rat(rational)])
     return buf.getvalue()
 
 
@@ -113,50 +113,49 @@ _LOCAL_Q = ',\n      "localQ": {\n%s\n      }'
 _Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never empty
 
 
-def _entry_head(e) -> str:
-    a, b = e.T.a, e.T.b
-    return _HEAD % (a.x, a.y, b.x, b.y, e.norm)
+def _entry_head(T: GlobalVector, nrm: int) -> str:
+    a, b = T.a, T.b
+    return _HEAD % (a.x, a.y, b.x, b.y, nrm)
 
 
-def _entry_tail(e) -> str:
+def _entry_tail(rank: int, rational: Fraction, sigma, local_q) -> str:
     """An entry from "rank" to its closing brace: "rank" and "rational", then
     "sigma" at rank 1 or a non-empty "localQ" ({p: Q_{T,p}} by p) at rank 2."""
-    text = _TAIL % (e.rank, encode_basestring_ascii(_rat(e.rational)))
-    if e.rank == 1:
-        text += _SIGMA % e.sigma
-    elif e.local_q:
+    text = _TAIL % (rank, encode_basestring_ascii(_rat(rational)))
+    if rank == 1:
+        text += _SIGMA % sigma
+    elif local_q:
         text += _LOCAL_Q % ",\n".join(_Q_ITEM % (p, ",\n          ".join(map(str, q.d)))
-                                       for p, q in sorted(e.local_q.items()))
+                                       for p, q in sorted(local_q.items()))
     return text + "\n    }"
 
 
-def _entry_json(e) -> str:
+def _entry_json(e: FourierCoefficient) -> str:
     """A coefficient's entry as json.dumps(indent=2) lays it out at depth 2:
     "T", "norm", "rank" and "rational", then "sigma" or "localQ"."""
-    return _entry_head(e) + _entry_tail(e)
+    return _entry_head(e.T, e.norm) + _entry_tail(e.rank, e.rational, e.sigma, e.local_q)
 
 
 def _table_json(table: ExpansionTable) -> str:
     """The bytes of json.dumps(doc, indent=2) + "\\n" for the table's document.
 
     The document is the header of :func:`_table_header` followed by
-    "entries", one :func:`_entry_json` per entry.  Only the header goes
-    through json.dumps; each entry is filled into a fixed template, with
-    no per-entry dict.  The entries of one invariant share its value objects
+    "entries", one entry per row.  Only the header goes through json.dumps;
+    each row is filled into a fixed template, with no per-entry dict or
+    object.  The rows of one invariant hold one value tuple
     (:func:`~qeis.fourier.coefficient_of_invariants`), so each tail is
-    rendered once per distinct value, found by the identity of those objects.
+    rendered once per distinct value, found by the identity of that tuple.
     """
     head = json.dumps(_table_header(table), indent=2)[:-2]  # without the closing "\n}"
-    if not table.entries:
+    if not table.rows:
         return f'{head},\n  "entries": []\n}}\n'
     tails = {}  # each tail with the ",\n" that follows every entry but the last
     parts = [head, ',\n  "entries": [\n']
-    for e in table.entries:
-        value = (e.rank, id(e.rational), e.sigma, id(e.local_q))
-        tail = tails.get(value)
+    for T, nrm, value in table.rows:
+        tail = tails.get(id(value))
         if tail is None:
-            tail = tails[value] = _entry_tail(e) + ",\n"
-        parts += (_entry_head(e), tail)
+            tail = tails[id(value)] = _entry_tail(*value) + ",\n"
+        parts += (_entry_head(T, nrm), tail)
     parts[-1] = parts[-1][:-2]
     parts.append("\n  ]\n}\n")
     return "".join(parts)

@@ -96,17 +96,19 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
-def content_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
+def content_keys(T: GlobalVector, F: FieldE, nrm: int, g: int | None = None) -> tuple:
     """The :class:`~qeis.hermitian.LocalKey` of T at each prime of
-    gcd(N(a), N(b), nrm), nrm = <T, T>: at every prime of the content when
-    nrm = 0, and none for most T of a table, whose content is 1.
+    g = gcd(N(a), N(b), nrm), nrm = <T, T>: at every prime of the content
+    when nrm = 0, and none for most T of a table, whose content is 1.  A
+    caller that holds N(a) and N(b) passes g.
 
     These keys and nrm determine T's key at every prime of nrm
     (:func:`norm_keys`), and no key here is a unit key: a T with (k1, k2) =
     (0, 0) at a split p | gcd(N(a), N(b)) has <T, T> prime to p.  So
     (nrm, content keys) is the invariant a coefficient is cached on.
     """
-    g = math.gcd(T.a.norm(F), T.b.norm(F), nrm)
+    if g is None:
+        g = math.gcd(T.a.norm(F), T.b.norm(F), nrm)
     return tuple(local_key(T, F, p, nrm) for p in prime_factors(g)) if g > 1 else ()
 
 
@@ -163,6 +165,15 @@ def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, content: tuple) ->
     return 2, d_nl(P, F) * prod, None, MappingProxyType(local)
 
 
+def _value_of(T: GlobalVector, P: Params, F: FieldE, nrm: int, content: tuple) -> tuple:
+    """:func:`coefficient_of_invariants` for T; a failed consistency check of
+    a Q build, which names the key, is re-raised naming T."""
+    try:
+        return coefficient_of_invariants(P, F, nrm, content)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
+
+
 def coefficient(T: GlobalVector, P: Params, F: FieldE,
                 with_whittaker: bool = False) -> FourierCoefficient:
     """The Fourier coefficient of T, by the sign of <T, T>.
@@ -181,10 +192,7 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
     content = () if nrm < 0 else content_keys(T, F, nrm)
-    try:
-        rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, content)
-    except InternalConsistencyError as exc:
-        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
+    rank, rational, sigma, local = _value_of(T, P, F, nrm, content)
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
     return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
                               local_q=local, whittaker=w)
@@ -244,37 +252,46 @@ def constant_term(P: Params, F: FieldE) -> ConstantTerm:
 
 @dataclass(frozen=True)
 class ExpansionTable:
+    """A table as rows (T, <T, T>, value) over shared values.
+
+    ``value`` is the (rank, rational, sigma, {p: Q_{T,p}}) tuple of
+    :func:`coefficient_of_invariants`, one object per invariant, which every
+    row of the invariant holds; rows are in (norm, coordinates) order.
+    """
+
     F: FieldE
     params: Params
     bound: int
     region_norm_cap: int
     constant: ConstantTerm
-    entries: tuple
+    rows: tuple
 
     @property
     def D(self) -> int:
         return self.F.D
 
+    @property
+    def entries(self) -> tuple:
+        """The rows as :class:`FourierCoefficient`s, in row order, built on
+        each read: the objects :func:`coefficient` gives for the same T."""
+        return tuple(FourierCoefficient(T, rank, rational, nrm, sigma, local_q)
+                     for T, nrm, (rank, rational, sigma, local_q) in self.rows)
 
-def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
-                      limit: int | None = None) -> list:
-    """Nonzero T with N(a), N(b) <= cap and lo <= <T, T> <= hi, by (norm, coordinates).
 
-    With ``limit`` given, more than ``limit`` such T raise ResourceBudgetError
-    as soon as the count passes it (checked once per a), not after the whole
-    region is enumerated.  When lo <= 0 <= hi every disc point z gives the
-    norm-0 vectors (z, 0) and (0, z), so a disc of more than limit // 2 + 1
-    points raises while it is built (checked once per x).
-    """
+def _region_rows(F: FieldE, cap: int, lo: int, hi: int, limit: int | None) -> tuple:
+    """The body of :func:`vectors_in_region`: its vectors as sorted rows
+    (<T, T>, ax, ay, bx, by), and {z: (QuadInt, N(z))} over the disc points."""
     over = ResourceBudgetError(f"the region holds more than {limit} vectors, "
                                "which exceed the table budget")
     disc_limit = limit // 2 + 1 if limit is not None and lo <= 0 <= hi else None
     xmax = math.isqrt(max(cap * (1 + F.D) // F.D, 0)) + 1  # N(x + y omega) >= x^2 D/(1+D)
     ymax = math.isqrt(max(4 * cap // F.D, 0)) + 1  # N(x + y omega) >= y^2 D/4
     c = F.omega_norm
-    disc = []
+    disc = {}  # disc point -> its norm
     for x in range(-xmax, xmax + 1):
-        disc.extend((x, y) for y in range(-ymax, ymax + 1) if x * x + x * y + c * y * y <= cap)
+        for y in range(-ymax, ymax + 1):
+            if (n := x * x + x * y + c * y * y) <= cap:
+                disc[x, y] = n
         if disc_limit is not None and len(disc) > disc_limit:
             raise over
     nonzero = [z for z in disc if z != (0, 0)]
@@ -288,8 +305,22 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
         if limit is not None and len(found) > limit:
             raise over
     found.sort()
-    quad = {z: QuadInt(*z) for z in disc}  # one QuadInt per disc point, shared by its vectors
-    return [GlobalVector(quad[ax, ay], quad[bx, by]) for _, ax, ay, bx, by in found]
+    # one QuadInt per disc point, shared by its vectors
+    return found, {z: (QuadInt(*z), n) for z, n in disc.items()}
+
+
+def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
+                      limit: int | None = None) -> list:
+    """Nonzero T with N(a), N(b) <= cap and lo <= <T, T> <= hi, by (norm, coordinates).
+
+    With ``limit`` given, more than ``limit`` such T raise ResourceBudgetError
+    as soon as the count passes it (checked once per a), not after the whole
+    region is enumerated.  When lo <= 0 <= hi every disc point z gives the
+    norm-0 vectors (z, 0) and (0, z), so a disc of more than limit // 2 + 1
+    points raises while it is built (checked once per x).
+    """
+    found, points = _region_rows(F, cap, lo, hi, limit)
+    return [GlobalVector(points[ax, ay][0], points[bx, by][0]) for _, ax, ay, bx, by in found]
 
 
 def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
@@ -297,30 +328,40 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
 
     Keeps every enumerated T with 0 <= <T,T> <= bound; the isotropic family
     is infinite, so the table is complete only within the declared region.
-    Entries are sorted by (norm, coordinates) and built serially, one
-    coefficient at a time; a region of more than MAX_TABLE_VECTORS vectors
-    raises ResourceBudgetError.
+    Rows are sorted by (norm, coordinates) and built serially; a region of
+    more than MAX_TABLE_VECTORS vectors raises ResourceBudgetError.  A row
+    takes <T, T> from the enumeration and gcd(N(a), N(b), <T, T>) from the
+    disc points' norms, reads :func:`content_keys` only when that gcd is
+    > 1, and holds the value of :func:`coefficient_of_invariants` itself.
+    A failed consistency check of a Q build, which names the key, is
+    re-raised naming T, as :func:`coefficient` does.
     """
     if P.n != 2:
         raise ValidationError("expansion tables exist only for the n = 2 model")
     if bound < 0:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
-    vectors = vectors_in_region(F, cap, 0, bound, limit=MAX_TABLE_VECTORS)
+    found, points = _region_rows(F, cap, 0, bound, MAX_TABLE_VECTORS)
+    rows = []
+    for m, ax, ay, bx, by in found:
+        a, na = points[ax, ay]
+        b, nb = points[bx, by]
+        T = GlobalVector(a, b)
+        g = math.gcd(na, nb, m)
+        content = content_keys(T, F, m, g) if g > 1 else ()
+        rows.append((T, m, _value_of(T, P, F, m, content)))
     return ExpansionTable(F=F, params=P, bound=bound, region_norm_cap=cap,
-                          constant=constant_term(P, F),
-                          entries=tuple(coefficient(T, P, F) for T in vectors))
+                          constant=constant_term(P, F), rows=tuple(rows))
 
 
 def denominator_bound_check(table: ExpansionTable):
     """Every rank-2 rational times (l!)^2 |B_{2l-n+2}| sigma_{l+1-n/2}(D) is integral.
 
-    Returns (True, None) or (False, offending coefficient).
+    Reads the table's rows.  Returns (True, None) or (False, the offending
+    coefficient).
     """
     mult = _denominator_multiplier(table.params, table.F)
-    for entry in table.entries:
-        if entry.rank != 2:
-            continue
-        if (entry.rational * mult).denominator != 1:
-            return False, entry
+    for T, nrm, (rank, rational, sigma, local_q) in table.rows:
+        if rank == 2 and (rational * mult).denominator != 1:
+            return False, FourierCoefficient(T, rank, rational, nrm, sigma, local_q)
     return True, None

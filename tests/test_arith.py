@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,23 @@ def test_bernoulli_recurrence():
     for k in range(1, 41):
         total = sum(math.comb(k + 1, j) * bernoulli(j) for j in range(k + 1))
         assert total == 0, k
+
+
+def _bernoulli_by_recurrence(kmax: int) -> list:
+    """B_0..B_kmax from sum_{j=0}^{k} C(k+1, j) B_j = 0, in Fractions: the
+    definition the tangent-number route is checked against."""
+    values = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        values.append(-sum(math.comb(k + 1, j) * values[j] for j in range(k) if values[j])
+                      / (k + 1))
+    return values
+
+
+def test_bernoulli_matches_the_recurrence_up_to_600():
+    reference = _bernoulli_by_recurrence(600)
+    for k, value in enumerate(reference):
+        assert bernoulli(k) == value, k
+        assert type(bernoulli(k)) is Fraction
 
 
 def test_bernoulli_rejects_negative():
@@ -242,6 +260,9 @@ def test_intpoly_basics():
     assert poly.is_palindromic()
     assert poly(2) == 9
     assert IntPoly([0, 0]).is_zero()
+    for bad in ([1, Fraction(1, 2)], [1, Fraction(3)], [1, 2.0], [1, 0, Fraction(0)]):
+        with pytest.raises(TypeError, match=re.escape(f"coefficient {bad[-1]!r} is not")):
+            IntPoly(bad)
 
 
 def test_seriespoly_divide_exact():

@@ -381,6 +381,14 @@ def test_q_consistency_error_names_T_and_the_key(monkeypatch, capsys):
     assert "T = [[1, 0], [3, 1]], Q paths disagree at" in err
     assert "(p, case, n, k, k1, k2) = (7, split, 2, 1, 0, 0)" in err
     assert siegel.q_poly_of_invariants.cache_info().currsize == 0
+    # a table names the first T in row order whose Q build fails
+    fourier.coefficient_of_invariants.cache_clear()
+    assert main(["expand", "--D", "3", "--bound", "7"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "T = [[-4, 1], [0, -1]], Q paths disagree at" in captured.err
+    assert "(p, case, n, k, k1, k2) = (2, inert, 2, 1, 0, 0)" in captured.err
+    assert siegel.q_poly_of_invariants.cache_info().currsize == 0
 
 
 # SHA-256 of `expand --D D --ell 3 --bound 12` JSON without the two scipy floats
@@ -496,9 +504,11 @@ def test_table_writer_matches_json_dumps_on_hand_made_entries(tmp_path):
         FourierCoefficient(T=global_vector(0, -big, 0, 0), rank=1, rational=Fraction(-big),
                            norm=0, sigma=-big),
     )
+    rows = tuple((e.T, e.norm, (e.rank, e.rational, e.sigma, e.local_q)) for e in entries)
     table = full_expansion(Params(n=2, ell=3), FieldE(3), 0)
-    for case in (entries, ()):
-        made = replace(table, entries=case)
+    for case in (rows, ()):
+        made = replace(table, rows=case)
+        assert made.entries == entries[:len(case)]
         assert _emitted(made, tmp_path) == _reference_json(made).encode()
     for entry in entries:  # `coeff` writes the same entry at depth 0
         reference = json.dumps(_entry_doc(entry), indent=2) + "\n"

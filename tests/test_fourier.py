@@ -472,6 +472,24 @@ def test_local_keys_match_the_per_prime_read_on_whole_tables(D):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("D", [3, 7, 11, 19])
+@pytest.mark.parametrize("ell", [3, 5])
+def test_table_rows_match_coefficient(D, ell):
+    """Every row of a table is what :func:`coefficient` gives for its T, and
+    holds the same rational and {p: Q_{T,p}} objects; ``entries`` is that
+    list of coefficients, in row order."""
+    F, P = FieldE(D), Params(n=2, ell=ell)
+    for bound in (0, 1, 5, 24):
+        table = full_expansion(P, F, bound)
+        expected = [coefficient(T, P, F) for T, _, _ in table.rows]
+        for (T, nrm, (rank, rational, sigma, local_q)), e in zip(table.rows, expected):
+            assert (T, nrm, rank, rational, sigma, local_q) == (
+                e.T, e.norm, e.rank, e.rational, e.sigma, e.local_q), T
+            assert rational is e.rational and local_q is e.local_q, T
+        assert list(table.entries) == expected
+        assert len(table.rows) == len(vectors_in_region(F, table.region_norm_cap, 0, bound))
+
+
 def test_entries_of_one_invariant_share_one_read_only_value():
     """Entries with the same (<T, T>, content keys) share their value objects,
     and the cache holds one entry per such invariant, most of them of unit
