@@ -507,6 +507,19 @@ def extract_R(series: IntPoly, k1: int, k2: int, k: int, m: int, p: int) -> list
             for i, c in enumerate(quot.coeffs)]
 
 
+def palindromic(coeffs, d: int) -> bool:
+    """X^d F(1/X) == F(X) for the F of a coefficient list; False when deg F > d."""
+    padded = list(coeffs) + [0] * (d + 1 - len(coeffs))
+    return len(padded) == d + 1 and padded == padded[::-1]
+
+
+def _check_functional_equation(key: LocalKey, name: str, poly: IntPoly, d: int) -> None:
+    """InternalConsistencyError naming key and poly unless X^d poly(1/X) == poly(X)."""
+    if not palindromic(poly.coeffs, d):
+        raise InternalConsistencyError(
+            f"{name} fails its functional equation at degree {d} at {key}: {list(poly.coeffs)}")
+
+
 def _q1_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Odd-part polynomial Q1, coefficient of X^(2r+1) for r = 0..k-1."""
     step = p ** (2 * m - 1)
@@ -533,6 +546,11 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
     ``blocks`` is the block list of :func:`series_blocks`, built here when
     None; the ramified case reads only (k, k1, k2).
+
+    Each P must be palindromic at its block's v_p(q(eta)) (P(0) = 1 then
+    fixes its degree), R_T at degree k + 1 and R_{T/varpi} at degree k
+    (Katsurada 1999); anything else raises InternalConsistencyError naming
+    the key and the polynomial.
     """
     p, case, n, k, k1, k2 = key
     d = [0] * (2 * k + 1)
@@ -541,6 +559,7 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
             _, blocks = series_blocks(key)
         for b in blocks:
             poly = extract_P(IntPoly(b.terms), n, p)
+            _check_functional_equation(key, f"P_{b.name}", poly, b.inv[1])
             i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
@@ -550,6 +569,8 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
         m = n // 2
         r_t = R_closed_form(k1, k2, k, m, p)
         r_tw = R_closed_form(k2 - 1, k1, k - 1, m, p)
+        _check_functional_equation(key, "R_T", r_t, k + 1)
+        _check_functional_equation(key, "R_T/varpi", r_tw, k)
         for rr, c in enumerate(r_tw.coeffs):
             d[2 * rr] += c
         for rr, c in enumerate(_q2_closed(k1, k2, k, m, p)):

@@ -13,12 +13,12 @@ import random
 from fractions import Fraction
 
 from . import archimedean as arch
-from .arith import IntPoly, Splitting, prime_factors, validate_prime, vp
+from .arith import IntPoly, prime_factors, validate_prime, vp
 from .errors import ValidationError
 from .fourier import (d_nl, denominator_bound_check, full_expansion,
                       vectors_in_region)
 from .hermitian import FieldE, Params, local_quadratic_data, norm
-from .siegel import (DEFAULT_BUDGET, c_term_gauss, extract_P, extract_R,
+from .siegel import (DEFAULT_BUDGET, c_term_gauss, extract_R, palindromic,
                      R_closed_form, q_poly, ramified_invariants,
                      ramified_shape, split_shape, term_oracle)
 
@@ -28,12 +28,6 @@ SUITES = ("oracle", "functional", "identities", "denominators", "all")
 def _report(suite: str, checks: int, failures: list) -> dict:
     return {"suite": suite, "ok": not failures, "checks": checks,
             "failures": failures[:10]}
-
-
-def palindromic(coeffs, d: int) -> bool:
-    """X^d P(1/X) == P(X) for a coefficient list of degree <= d."""
-    padded = list(coeffs) + [0] * (d + 1 - len(coeffs))
-    return padded == padded[::-1]
 
 
 def _pad(coeffs, degree: int) -> list:
@@ -129,8 +123,12 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
                      ell: int = 3) -> dict:
     """Exact functional equations for every P, R and Q on the global grid.
 
-    The coordinate cap is wide enough that every norm value up to norm_cap
-    is realized for each D, which is asserted.
+    Per (T, p), :func:`qeis.siegel.q_poly` checks that T's coordinates carry
+    the key :func:`qeis.hermitian.local_key` read; per key, building Q
+    asserts the equations of Q and of its P's or R's, raising
+    InternalConsistencyError naming the key.  A pair counts two checks, Q
+    and its P or R.  The coordinate cap is wide enough that every norm
+    value up to norm_cap is realized for each D, which is asserted.
     """
     failures = []
     checks = 0
@@ -143,29 +141,9 @@ def suite_functional(Ds=(3, 7, 11), norm_cap: int = 30, coord_cap: int = 40,
         if missing:
             failures.append({"D": D, "missing_norms": missing})
         for T in vectors:
-            nrm = norm(T, F)
-            for p in prime_factors(nrm):
-                data = local_quadratic_data(T, F, p, P)
-                q = q_poly(data, P)  # dual-path + monic + FE assertions built in
-                checks += 1
-                if not palindromic(q.d, 2 * data.k):
-                    failures.append({"D": D, "p": p, "T": T.as_list(), "poly": "Q",
-                                     "coeffs": list(q.d)})
-                if data.case in (Splitting.SPLIT, Splitting.INERT):
-                    shape = split_shape(p, 2)
-                    inv = shape.invariants(data.coords)
-                    poly = extract_P(IntPoly([shape.term(r, inv)
-                                              for r in range(data.k + 2)]), 2, p)
-                    checks += 1
-                    if not palindromic(poly.coeffs, data.k):
-                        failures.append({"D": D, "p": p, "T": T.as_list(), "poly": "P",
-                                         "coeffs": list(poly.coeffs)})
-                else:
-                    rpoly = R_closed_form(data.k1, data.k2, data.k, 1, p)
-                    checks += 1
-                    if not palindromic(rpoly.coeffs, data.k + 1):
-                        failures.append({"D": D, "p": p, "T": T.as_list(), "poly": "R",
-                                         "coeffs": list(rpoly.coeffs)})
+            for p in prime_factors(norm(T, F)):
+                q_poly(local_quadratic_data(T, F, p, P), P)
+                checks += 2
     # synthetic ramified shapes beyond the global reach: all (m <= 2, k <= 4)
     for m in (1, 2):
         for p in (3, 7):

@@ -931,8 +931,10 @@ def _key_text(p, case, n, k, k1, k2):
 
 def test_every_admissible_key_builds_and_every_other_key_is_refused():
     """Every admissible key with p in {2, 3, 5, 7}, n in {2, 6, 10} and
-    k <= 6 builds a Q of degree 2k through q_poly_of_invariants (both routes
-    cross-checked inside); every other (case, k1, k2) with 0 <= k1, k2 <= k
+    k <= 6 builds a Q of degree 2k through q_poly_of_invariants, which
+    cross-checks both routes and asserts the functional equations of Q and
+    of every P (4,224 split and inert blocks) or R_T and R_{T/varpi} (252
+    ramified keys); every other (case, k1, k2) with 0 <= k1, k2 <= k
     raises ValidationError naming the key."""
     import qeis.siegel as siegel
 
@@ -959,6 +961,60 @@ def test_every_admissible_key_builds_and_every_other_key_is_refused():
         p, case, *rest = fields
         assert _key_text(p, case.value, *rest) in str(err.value)
     siegel.q_poly_of_invariants.cache_clear()
+
+
+def _t_block_series(key, series, m, p):
+    return p == key.p and series.coeffs == IntPoly(series_blocks(key)[1][0].terms).coeffs
+
+
+def _r_t_invariants(key, k1, k2, k, m, p):
+    return (p, k1, k2, k) == (key.p, key.k1, key.k2, key.k)
+
+
+def _r_t_over_varpi_invariants(key, k1, k2, k, m, p):
+    return (p, k1, k2, k) == (key.p, key.k2 - 1, key.k1, key.k - 1)
+
+
+@pytest.mark.parametrize("target, hit, fields, name", [
+    ("extract_P", _t_block_series, (5, Splitting.INERT, 2, 2, 1, 1), "P_T"),
+    ("R_closed_form", _r_t_invariants, (3, Splitting.RAMIFIED, 2, 3, 1, 2), "R_T"),
+    ("R_closed_form", _r_t_over_varpi_invariants, (7, Splitting.RAMIFIED, 2, 1, 0, 1),
+     "R_T/varpi"),
+], ids=["P_T", "R_T", "R_T_over_varpi"])
+def test_a_broken_P_or_R_functional_equation_names_its_key(target, hit, fields, name,
+                                                           monkeypatch, capsys):
+    """The functional equations of P and R are asserted where Q is built,
+    once per key: a P or R made non-palindromic (plus 1) where ``hit`` says
+    makes q_poly_of_invariants raise, and ends verify --suite functional
+    with exit 3, naming the key and the polynomial.  Each key occurs in
+    that suite's sweep, and no other key of the sweep reads the broken
+    polynomial."""
+    import qeis.siegel as siegel
+    from qeis import cli
+
+    key = LocalKey(*fields)
+    fn = getattr(siegel, target)
+
+    def broken(*args):
+        poly = fn(*args)
+        if not hit(key, *args):
+            return poly
+        coeffs = list(poly.coeffs) or [0]
+        coeffs[0] += 1
+        return IntPoly(coeffs)
+
+    monkeypatch.setattr(siegel, target, broken)
+    siegel.q_poly_of_invariants.cache_clear()
+    try:
+        message = f"{name} fails its functional equation at degree"
+        with pytest.raises(InternalConsistencyError, match=message) as err:
+            q_poly_of_invariants(key)
+        assert str(key) in str(err.value)
+        assert cli.main(["verify", "--suite", "functional"]) == 3
+        stderr = capsys.readouterr().err
+        assert message in stderr and str(key) in stderr
+    finally:
+        siegel.q_poly_of_invariants.cache_clear()
 
 
 def test_ramified_invariants_of_synthetic_vectors():
