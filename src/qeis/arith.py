@@ -29,9 +29,10 @@ def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number, convention B_1 = -1/2.
 
     B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) from the tangent number
-    T_m, computed in ints with T_1..T_m in place (Brent and Harvey, "Fast
-    computation of Bernoulli, tangent and secant numbers", 2011,
-    arXiv:1108.0286): O(m^2) multiply-adds by small ints, no Fraction sums.
+    T_m of :func:`_tangent_numbers`, computed in ints with T_1..T_m in place
+    (Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers", 2011, arXiv:1108.0286): O(m^2) multiply-adds by small ints,
+    no Fraction sums.
     Only |B_{2m}| is consumed downstream, so the B_1 sign convention is
     inert there.
     """
@@ -44,14 +45,24 @@ def bernoulli(k: int) -> Fraction:
     if k % 2 == 1:
         return Fraction(0)
     m = k // 2
+    four = 4 ** m
+    return Fraction((-1) ** (m - 1) * k * _tangent_numbers(m)[m - 1], four * (four - 1))
+
+
+def _tangent_numbers(m: int) -> list:
+    """[T_1, ..., T_m], the tangent numbers, for m >= 1, in place in ints.
+
+    Pass i of the triangle changes only the entries j >= i, so T_j is final
+    once pass j is done and T_1..T_j do not depend on m: a longer list
+    extends a shorter one.
+    """
     tangent = [0, 1] + [0] * (m - 1)  # tangent[j] starts as (j - 1)!
     for j in range(2, m + 1):
         tangent[j] = (j - 1) * tangent[j - 1]
     for i in range(2, m + 1):
         for j in range(i, m + 1):
             tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
-    four = 4 ** m
-    return Fraction((-1) ** (m - 1) * k * tangent[m], four * (four - 1))
+    return tangent[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from scipy.special import zeta
 from .arith import (Splitting, bernoulli, geometric_sum, kronecker_symbol,
                     prime_factors, sigma_k, sqrtp_eval_halfint, vp)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
-from .hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt, local_key,
-                        norm)
+from .hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt,
+                        coordinate_reading, key_of_readings, local_key, norm)
 from .siegel import q_poly_of_invariants
 from .archimedean import WhittakerEval, whittaker_at
 
@@ -96,19 +96,19 @@ class FourierCoefficient:
     whittaker: WhittakerEval | None = None
 
 
-def content_keys(T: GlobalVector, F: FieldE, nrm: int, g: int | None = None) -> tuple:
+def content_keys(T: GlobalVector, F: FieldE, nrm: int) -> tuple:
     """The :class:`~qeis.hermitian.LocalKey` of T at each prime of
-    g = gcd(N(a), N(b), nrm), nrm = <T, T>: at every prime of the content
-    when nrm = 0, and none for most T of a table, whose content is 1.  A
-    caller that holds N(a) and N(b) passes g.
+    g = gcd(N(a), N(b), nrm), nrm = <T, T>, by :func:`~qeis.hermitian.local_key`:
+    at every prime of the content when nrm = 0, and none for most T, whose
+    content is 1.  A table reads the same keys from its disc points
+    (:func:`full_expansion`).
 
     These keys and nrm determine T's key at every prime of nrm
     (:func:`norm_keys`), and no key here is a unit key: a T with (k1, k2) =
     (0, 0) at a split p | gcd(N(a), N(b)) has <T, T> prime to p.  So
     (nrm, content keys) is the invariant a coefficient is cached on.
     """
-    if g is None:
-        g = math.gcd(T.a.norm(F), T.b.norm(F), nrm)
+    g = math.gcd(T.a.norm(F), T.b.norm(F), nrm)
     return tuple(local_key(T, F, p, nrm) for p in prime_factors(g)) if g > 1 else ()
 
 
@@ -331,10 +331,13 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
     Rows are sorted by (norm, coordinates) and built serially; a region of
     more than MAX_TABLE_VECTORS vectors raises ResourceBudgetError.  A row
     takes <T, T> from the enumeration and gcd(N(a), N(b), <T, T>) from the
-    disc points' norms, reads :func:`content_keys` only when that gcd is
-    > 1, and holds the value of :func:`coefficient_of_invariants` itself.
-    A failed consistency check of a Q build, which names the key, is
-    re-raised naming T, as :func:`coefficient` does.
+    disc points' norms.  When that gcd is > 1 its content keys are
+    :func:`~qeis.hermitian.key_of_readings` of the disc points'
+    :func:`~qeis.hermitian.coordinate_reading`s, each read once per
+    (disc point, p) in the build, and each (<T, T>, content keys) reaches
+    :func:`coefficient_of_invariants` once, its value then held by every row
+    of the invariant.  A failed consistency check of a Q build, which names
+    the key, is re-raised naming T, as :func:`coefficient` does.
     """
     if P.n != 2:
         raise ValidationError("expansion tables exist only for the n = 2 model")
@@ -342,14 +345,33 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
     found, points = _region_rows(F, cap, 0, bound, MAX_TABLE_VECTORS)
+    readings = {}  # (x, y, p) -> coordinate_reading of the disc point x + y omega at p
+    values = {}  # (<T, T>, content keys) -> coefficient_of_invariants
+
+    def content_of(m, g, ends):
+        """The content keys of a row of norm m from its two (x, y, N(z)) ends."""
+        keys = []
+        for p in prime_factors(g):
+            case = F.splitting(p)
+            got = []
+            for x, y, nz in ends:
+                if nz:
+                    if (r := readings.get((x, y, p))) is None:
+                        r = readings[x, y, p] = coordinate_reading(points[x, y][0], nz, p, case)
+                    got.append(r)
+            keys.append(key_of_readings(p, case, m, got))
+        return tuple(keys)
+
     rows = []
     for m, ax, ay, bx, by in found:
         a, na = points[ax, ay]
         b, nb = points[bx, by]
         T = GlobalVector(a, b)
         g = math.gcd(na, nb, m)
-        content = content_keys(T, F, m, g) if g > 1 else ()
-        rows.append((T, m, _value_of(T, P, F, m, content)))
+        content = content_of(m, g, ((ax, ay, na), (bx, by, nb))) if g > 1 else ()
+        if (value := values.get((m, content))) is None:
+            value = values[m, content] = _value_of(T, P, F, m, content)
+        rows.append((T, m, value))
     return ExpansionTable(F=F, params=P, bound=bound, region_norm_cap=cap,
                           constant=constant_term(P, F), rows=tuple(rows))
 

@@ -8,7 +8,8 @@ engine takes a hand-built :class:`LocalKey` for those ranks.
 
 The ring of integers is Z[omega] with omega = (1 + sqrt(-D))/2, minimal
 polynomial X^2 - X + (1+D)/4.  At a split prime the valuations of T come
-from N(z) and a root of that polynomial mod p; the two embeddings into Z_p,
+from N(z) and, for a primitive z = x + y omega in a prime above p, the root
+-x/y of that polynomial mod p; the two embeddings into Z_p,
 which only the quadratic coordinates need, are obtained by Hensel-lifting
 the two roots.  At a ramified odd prime the uniformizer is pinned to sqrt(-D) = 2 omega - 1
 itself, which has trace 0 and square -D = p * unit.
@@ -228,37 +229,64 @@ class LocalKey(NamedTuple):
             raise ValidationError(f"no local Jordan type has the key {self}")
 
 
-def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int) -> LocalKey:
-    """The :class:`LocalKey` of T at p in the n = 2 model, with k = v_p(nrm)
-    for nrm = <T, T>: the one reader of T's valuations at p.
+def coordinate_reading(z: QuadInt, nz: int, p: int, case: Splitting) -> tuple | int:
+    """What a coordinate z != 0 of T, with nz = N(z), gives the
+    :func:`local_key` of T at p, whose splitting class is ``case``:
+    (v_P1(z), v_P2(z)) at a split p, v_p(N(z)) otherwise.  It depends on z
+    and p alone, so a caller holding many T over the same coordinates reads
+    it once per (z, p).
 
-    Split p: (k1, k2) = (v_P1(T), v_P2(T)) with P1 = (p, omega - r) and
-    P2 = (p, omega - (1 - r)), r the root of :func:`_omega_root_mod_p`.
+    Split p: P1 = (p, omega - r) and P2 = (p, omega - (1 - r)), r the least
+    root of X^2 - X + (1+D)/4 mod p (the root of :func:`_omega_root_mod_p`).
     Writing z = p^c z' with z' primitive, z' lies in at most one of P1, P2,
     so v_P(z) = v_p(N(z)) - c when z' = 0 mod P and c otherwise; no lift is
-    needed.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified
+    needed.  When p | N(z'), z' = x' + y' omega has y' a unit and
+    rho = -x'/y' mod p is a root, with z' in P1 iff rho is the least one.
+    An odd v_p(N(z)) at an inert p raises InternalConsistencyError.
+    """
+    if case is Splitting.SPLIT:
+        c = min(vp(z.x, p), vp(z.y, p))
+        full = vp(nz, p) - c
+        if full == c:
+            return c, c
+        q = p ** c
+        rho = -(z.x // q) * pow(z.y // q, -1, p) % p
+        return (full, c) if rho <= (1 - rho) % p else (c, full)
+    v = vp(nz, p)
+    if case is Splitting.INERT and v % 2:
+        raise InternalConsistencyError("odd norm valuation at an inert prime")
+    return v
+
+
+def key_of_readings(p: int, case: Splitting, nrm: int, readings: list) -> LocalKey:
+    """The :class:`LocalKey` at p, of splitting class ``case``, of a T with
+    nrm = <T, T>, from the :func:`coordinate_reading` of each of its nonzero
+    coordinates.
+
+    Split p: (k1, k2) = (v_P1(T), v_P2(T)), the least reading of each
+    prime.  Inert p: k1 = k2 = v_p(T), half the least v_p(N(z)).  Ramified
     p: k1 = floor(v_varpi(T)/2) and k2 = ceil(v_varpi(T)/2), with v_varpi(T)
     the least v_p(N(z)).
+    """
+    if case is Splitting.SPLIT:
+        k1, k2 = map(min, zip(*readings))
+    else:
+        v = min(readings)  # even at an inert p, so k1 = k2 there
+        k1, k2 = v // 2, (v + 1) // 2
+    return LocalKey(p, case, 2, vp(nrm, p), k1, k2)
+
+
+def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int) -> LocalKey:
+    """The :class:`LocalKey` of T at p in the n = 2 model, with k = v_p(nrm)
+    for nrm = <T, T>: the one reader of T's valuations at p, as
+    :func:`key_of_readings` of each nonzero coordinate's
+    :func:`coordinate_reading`, with p's splitting class read once.
     """
     if not T:
         raise ValidationError("local key of the zero vector")
     case = F.splitting(p)
-    coords = [z for z in (T.a, T.b) if z]
-    if case is Splitting.SPLIT:
-        r = _omega_root_mod_p(F, p)
-        k1 = k2 = math.inf
-        for z in coords:
-            c = min(vp(z.x, p), vp(z.y, p))
-            full = vp(z.norm(F), p) - c
-            v1, v2 = (full, c) if (z.x + z.y * r) % p ** (c + 1) == 0 else (c, full)
-            k1, k2 = min(k1, v1), min(k2, v2)
-    else:
-        vals = [vp(z.norm(F), p) for z in coords]
-        if case is Splitting.INERT and any(x % 2 for x in vals):
-            raise InternalConsistencyError("odd norm valuation at an inert prime")
-        v = min(vals)  # even at an inert p, so k1 = k2 there
-        k1, k2 = v // 2, (v + 1) // 2
-    return LocalKey(p, case, 2, vp(nrm, p), k1, k2)
+    return key_of_readings(p, case, nrm, [coordinate_reading(z, z.norm(F), p, case)
+                                          for z in (T.a, T.b) if z])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qeis.arith import (IntPoly, Splitting, SqrtPPoly,
-                        _sqrtp_eval_frac, bernoulli, geometric_sum, hyp2f1_terminating,
+from qeis import arith
+from qeis.arith import (IntPoly, Splitting, SqrtPPoly, _sqrtp_eval_frac,
+                        _tangent_numbers, bernoulli, geometric_sum, hyp2f1_terminating,
                         is_prime, is_squarefree, kronecker_symbol, pochhammer, prime_factors,
                         ramanujan_sum, ramanujan_sum_vp, sigma_k, splitting_class,
                         sqrtp_eval_halfint, validate_D, vp)
@@ -42,11 +43,22 @@ def _bernoulli_by_recurrence(kmax: int) -> list:
     return values
 
 
-def test_bernoulli_matches_the_recurrence_up_to_600():
+def test_bernoulli_matches_the_recurrence_up_to_600(monkeypatch):
+    """Every B_k, k <= 600, against the Fraction recurrence, from one
+    tangent-number build: T_1..T_j do not depend on the length of the list,
+    so bernoulli reads its T_m off the m = 300 list."""
     reference = _bernoulli_by_recurrence(600)
-    for k, value in enumerate(reference):
-        assert bernoulli(k) == value, k
-        assert type(bernoulli(k)) is Fraction
+    tangent = _tangent_numbers(300)
+    for m in (1, 2, 7, 40):
+        assert _tangent_numbers(m) == tangent[:m], m
+    monkeypatch.setattr(arith, "_tangent_numbers", lambda m: tangent[:m])
+    bernoulli.cache_clear()
+    try:
+        for k, value in enumerate(reference):
+            b = bernoulli(k)
+            assert b == value and type(b) is Fraction, k
+    finally:
+        bernoulli.cache_clear()
 
 
 def test_bernoulli_rejects_negative():

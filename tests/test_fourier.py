@@ -520,3 +520,43 @@ def test_entries_of_one_invariant_share_one_read_only_value():
         del entry.local_q[max(before)]
     assert dict(coefficient_of_invariants(P3, F3, nrm, content)[3]) == before
     assert coefficient(entry.T, P3, F3).local_q == before
+
+
+def test_table_reads_each_disc_point_once_per_prime_and_each_invariant_once(monkeypatch):
+    """A table build reads a disc point's coordinate reading at most once per
+    p, at split, inert and ramified p of the content, and reaches
+    coefficient_of_invariants once per (<T, T>, content keys)."""
+    import qeis.fourier as fourier
+    from qeis.fourier import coefficient_of_invariants, content_keys
+    from qeis.hermitian import coordinate_reading
+
+    reads, asked, cases = [], [], set()
+
+    def counted_reading(z, nz, p, case):
+        reads.append((z.x, z.y, p))
+        cases.add(case)
+        return coordinate_reading(z, nz, p, case)
+
+    def counted_value(P, F, nrm, content):
+        asked.append((nrm, content))
+        return coefficient_of_invariants(P, F, nrm, content)
+
+    monkeypatch.setattr(fourier, "coordinate_reading", counted_reading)
+    monkeypatch.setattr(fourier, "coefficient_of_invariants", counted_value)
+    for D in (3, 7, 11, 19, 23):
+        F = FieldE(D)
+        reads.clear()
+        asked.clear()
+        table = full_expansion(Params(n=2, ell=3), F, 24)
+        assert reads and len(set(reads)) == len(reads), D
+        invariants = {(nrm, content_keys(T, F, nrm)) for T, nrm, _ in table.rows}
+        assert len(asked) == len(set(asked)) == len(invariants) and set(asked) == invariants, D
+    assert cases == set(Splitting)
+
+
+def test_coordinate_reading_refuses_an_odd_valuation_at_an_inert_prime():
+    from qeis.hermitian import coordinate_reading
+
+    with pytest.raises(InternalConsistencyError, match="^odd norm valuation at an inert prime$"):
+        coordinate_reading(QuadInt(1, 0), 2, 2, Splitting.INERT)  # N(1) = 1 read as 2
+    assert coordinate_reading(QuadInt(2, 0), 4, 2, Splitting.INERT) == 2
