@@ -95,9 +95,8 @@ def _table_csv(table: ExpansionTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ax", "ay", "bx", "by", "norm", "rank", "rational"])
-    for T, nrm, (rank, rational, _, _) in table.rows:
-        a, b = T.a, T.b
-        writer.writerow([a.x, a.y, b.x, b.y, nrm, rank, _rat(rational)])
+    for ax, ay, bx, by, nrm, (rank, rational, _, _) in table.rows:
+        writer.writerow([ax, ay, bx, by, nrm, rank, _rat(rational)])
     return buf.getvalue()
 
 
@@ -111,11 +110,6 @@ _TAIL = ',\n      "rank": %d,\n      "rational": %s'
 _SIGMA = ',\n      "sigma": %d'
 _LOCAL_Q = ',\n      "localQ": {\n%s\n      }'
 _Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never empty
-
-
-def _entry_head(T: GlobalVector, nrm: int) -> str:
-    a, b = T.a, T.b
-    return _HEAD % (a.x, a.y, b.x, b.y, nrm)
 
 
 def _entry_tail(rank: int, rational: Fraction, sigma, local_q) -> str:
@@ -133,7 +127,9 @@ def _entry_tail(rank: int, rational: Fraction, sigma, local_q) -> str:
 def _entry_json(e: FourierCoefficient) -> str:
     """A coefficient's entry as json.dumps(indent=2) lays it out at depth 2:
     "T", "norm", "rank" and "rational", then "sigma" or "localQ"."""
-    return _entry_head(e.T, e.norm) + _entry_tail(e.rank, e.rational, e.sigma, e.local_q)
+    a, b = e.T.a, e.T.b
+    head = _HEAD % (a.x, a.y, b.x, b.y, e.norm)
+    return head + _entry_tail(e.rank, e.rational, e.sigma, e.local_q)
 
 
 def _table_json(table: ExpansionTable) -> str:
@@ -141,7 +137,7 @@ def _table_json(table: ExpansionTable) -> str:
 
     The document is the header of :func:`_table_header` followed by
     "entries", one entry per row.  Only the header goes through json.dumps;
-    each row is filled into a fixed template, with no per-entry dict or
+    each row's five ints fill the head template, with no per-entry dict or
     object.  The rows of one invariant hold one value tuple
     (:func:`~qeis.fourier.coefficient_of_invariants`), so each tail is
     rendered once per distinct value, found by the identity of that tuple.
@@ -151,11 +147,11 @@ def _table_json(table: ExpansionTable) -> str:
         return f'{head},\n  "entries": []\n}}\n'
     tails = {}  # each tail with the ",\n" that follows every entry but the last
     parts = [head, ',\n  "entries": [\n']
-    for T, nrm, value in table.rows:
+    for ax, ay, bx, by, nrm, value in table.rows:
         tail = tails.get(id(value))
         if tail is None:
             tail = tails[id(value)] = _entry_tail(*value) + ",\n"
-        parts += (_entry_head(T, nrm), tail)
+        parts += (_HEAD % (ax, ay, bx, by, nrm), tail)
     parts[-1] = parts[-1][:-2]
     parts.append("\n  ]\n}\n")
     return "".join(parts)

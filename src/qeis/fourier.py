@@ -30,7 +30,8 @@ from .arith import (Splitting, bernoulli, geometric_sum, kronecker_symbol,
                     prime_factors, sigma_k, sqrtp_eval_halfint, vp)
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt,
-                        coordinate_reading, key_of_readings, local_key, norm)
+                        coordinate_reading, global_vector, key_of_readings, local_key,
+                        norm)
 from .siegel import q_poly_of_invariants
 from .archimedean import WhittakerEval, whittaker_at
 
@@ -165,13 +166,15 @@ def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, content: tuple) ->
     return 2, d_nl(P, F) * prod, None, MappingProxyType(local)
 
 
-def _value_of(T: GlobalVector, P: Params, F: FieldE, nrm: int, content: tuple) -> tuple:
-    """:func:`coefficient_of_invariants` for T; a failed consistency check of
-    a Q build, which names the key, is re-raised naming T."""
+def _value_of(P: Params, F: FieldE, nrm: int, content: tuple,
+              ax: int, ay: int, bx: int, by: int) -> tuple:
+    """:func:`coefficient_of_invariants` for T = (ax + ay omega, bx + by omega);
+    a failed consistency check of a Q build, which names the key, is
+    re-raised naming T."""
     try:
         return coefficient_of_invariants(P, F, nrm, content)
     except InternalConsistencyError as exc:
-        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
+        raise InternalConsistencyError(f"T = {[[ax, ay], [bx, by]]}, {exc}") from exc
 
 
 def coefficient(T: GlobalVector, P: Params, F: FieldE,
@@ -192,7 +195,8 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
     content = () if nrm < 0 else content_keys(T, F, nrm)
-    rank, rational, sigma, local = _value_of(T, P, F, nrm, content)
+    a, b = T.a, T.b
+    rank, rational, sigma, local = _value_of(P, F, nrm, content, a.x, a.y, b.x, b.y)
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
     return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
                               local_q=local, whittaker=w)
@@ -252,11 +256,14 @@ def constant_term(P: Params, F: FieldE) -> ConstantTerm:
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    """A table as rows (T, <T, T>, value) over shared values.
+    """A table as rows (ax, ay, bx, by, <T, T>, value): the ints of
+    T = (ax + ay omega) c1 + (bx + by omega) c2 and its norm, over shared values.
 
     ``value`` is the (rank, rational, sigma, {p: Q_{T,p}}) tuple of
     :func:`coefficient_of_invariants`, one object per invariant, which every
-    row of the invariant holds; rows are in (norm, coordinates) order.
+    row of the invariant holds; rows are in (norm, coordinates) order.  A row
+    holds no :class:`~qeis.hermitian.GlobalVector`: :attr:`entries` builds one
+    per row on read.
     """
 
     F: FieldE
@@ -274,13 +281,14 @@ class ExpansionTable:
     def entries(self) -> tuple:
         """The rows as :class:`FourierCoefficient`s, in row order, built on
         each read: the objects :func:`coefficient` gives for the same T."""
-        return tuple(FourierCoefficient(T, rank, rational, nrm, sigma, local_q)
-                     for T, nrm, (rank, rational, sigma, local_q) in self.rows)
+        return tuple(FourierCoefficient(global_vector(ax, ay, bx, by), rank, rational, nrm,
+                                        sigma, local_q)
+                     for ax, ay, bx, by, nrm, (rank, rational, sigma, local_q) in self.rows)
 
 
 def _region_rows(F: FieldE, cap: int, lo: int, hi: int, limit: int | None) -> tuple:
     """The body of :func:`vectors_in_region`: its vectors as sorted rows
-    (<T, T>, ax, ay, bx, by), and {z: (QuadInt, N(z))} over the disc points."""
+    (<T, T>, ax, ay, bx, by), and {z: N(z)} over the disc points."""
     over = ResourceBudgetError(f"the region holds more than {limit} vectors, "
                                "which exceed the table budget")
     disc_limit = limit // 2 + 1 if limit is not None and lo <= 0 <= hi else None
@@ -305,8 +313,7 @@ def _region_rows(F: FieldE, cap: int, lo: int, hi: int, limit: int | None) -> tu
         if limit is not None and len(found) > limit:
             raise over
     found.sort()
-    # one QuadInt per disc point, shared by its vectors
-    return found, {z: (QuadInt(*z), n) for z, n in disc.items()}
+    return found, disc
 
 
 def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
@@ -319,8 +326,59 @@ def vectors_in_region(F: FieldE, cap: int, lo: int, hi: int,
     norm-0 vectors (z, 0) and (0, z), so a disc of more than limit // 2 + 1
     points raises while it is built (checked once per x).
     """
-    found, points = _region_rows(F, cap, lo, hi, limit)
-    return [GlobalVector(points[ax, ay][0], points[bx, by][0]) for _, ax, ay, bx, by in found]
+    found, disc = _region_rows(F, cap, lo, hi, limit)
+    points = {z: QuadInt(*z) for z in disc}  # one QuadInt per disc point, shared by its vectors
+    return [GlobalVector(points[ax, ay], points[bx, by]) for _, ax, ay, bx, by in found]
+
+
+def _disc_classes(F: FieldE, disc: dict) -> tuple:
+    """({disc point: class}, [readings of each class]) over the disc points
+    {z: N(z)} of a table.
+
+    A nonzero z's readings are {p: (p's splitting class, the
+    :func:`~qeis.hermitian.coordinate_reading` of z at p)} over the primes of
+    N(z), in increasing p; points with equal readings share one class, a
+    small int.  The zero point's class is 0, whose readings are None: N(0) = 0
+    is divisible by every p.
+    """
+    classes = {}
+    interned = {None: 0}  # the readings' items -> class
+    readings = [None]
+    for z, nz in disc.items():
+        got = items = None
+        if nz:
+            q = QuadInt(*z)
+            got = {}
+            for p in prime_factors(nz):
+                case = F.splitting(p)
+                got[p] = case, coordinate_reading(q, nz, p, case)
+            items = tuple(got.items())
+        if (cls := interned.get(items)) is None:
+            cls = interned[items] = len(readings)
+            readings.append(got)
+        classes[z] = cls
+    return classes, readings
+
+
+def _content_of_classes(m: int, ra: dict | None, rb: dict | None) -> tuple:
+    """The :func:`content_keys` of a T of norm m whose coordinates have the
+    readings ra and rb of :func:`_disc_classes`.
+
+    The primes of gcd(N(a), N(b), m) are those of m held by both readings (by
+    every p for the zero point), and the key at each is
+    :func:`~qeis.hermitian.key_of_readings` of the nonzero coordinates'
+    readings there.
+    """
+    if ra is None:
+        ra, rb = rb, ra
+    keys = []
+    for p, (case, r) in ra.items():
+        if m % p == 0:
+            if rb is None:
+                keys.append(key_of_readings(p, case, m, [r]))
+            elif p in rb:
+                keys.append(key_of_readings(p, case, m, [r, rb[p][1]]))
+    return tuple(keys)
 
 
 def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
@@ -330,48 +388,33 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
     is infinite, so the table is complete only within the declared region.
     Rows are sorted by (norm, coordinates) and built serially; a region of
     more than MAX_TABLE_VECTORS vectors raises ResourceBudgetError.  A row
-    takes <T, T> from the enumeration and gcd(N(a), N(b), <T, T>) from the
-    disc points' norms.  When that gcd is > 1 its content keys are
-    :func:`~qeis.hermitian.key_of_readings` of the disc points'
-    :func:`~qeis.hermitian.coordinate_reading`s, each read once per
-    (disc point, p) in the build, and each (<T, T>, content keys) reaches
-    :func:`coefficient_of_invariants` once, its value then held by every row
-    of the invariant.  A failed consistency check of a Q build, which names
-    the key, is re-raised naming T, as :func:`coefficient` does.
+    takes <T, T> from the enumeration and its content keys from the classes
+    of its two disc points (:func:`_disc_classes`), each point read once per
+    prime of its norm in the build.  The content keys are a function of
+    (<T, T>, class of a, class of b), so the build derives them once per such
+    triple (:func:`_content_of_classes`), and each (<T, T>, content keys)
+    reaches :func:`coefficient_of_invariants` once, its value then held by
+    every row of the invariant.  A failed consistency check of a Q build,
+    which names the key, is re-raised naming T, as :func:`coefficient` does.
     """
     if P.n != 2:
         raise ValidationError("expansion tables exist only for the n = 2 model")
     if bound < 0:
         raise ValidationError("bound must be >= 0")
     cap = REGION_SCALE * (bound + 1)
-    found, points = _region_rows(F, cap, 0, bound, MAX_TABLE_VECTORS)
-    readings = {}  # (x, y, p) -> coordinate_reading of the disc point x + y omega at p
+    found, disc = _region_rows(F, cap, 0, bound, MAX_TABLE_VECTORS)
+    classes, readings = _disc_classes(F, disc)
+    by_classes = {}  # (<T, T>, class of a, class of b) -> value
     values = {}  # (<T, T>, content keys) -> coefficient_of_invariants
-
-    def content_of(m, g, ends):
-        """The content keys of a row of norm m from its two (x, y, N(z)) ends."""
-        keys = []
-        for p in prime_factors(g):
-            case = F.splitting(p)
-            got = []
-            for x, y, nz in ends:
-                if nz:
-                    if (r := readings.get((x, y, p))) is None:
-                        r = readings[x, y, p] = coordinate_reading(points[x, y][0], nz, p, case)
-                    got.append(r)
-            keys.append(key_of_readings(p, case, m, got))
-        return tuple(keys)
-
     rows = []
     for m, ax, ay, bx, by in found:
-        a, na = points[ax, ay]
-        b, nb = points[bx, by]
-        T = GlobalVector(a, b)
-        g = math.gcd(na, nb, m)
-        content = content_of(m, g, ((ax, ay, na), (bx, by, nb))) if g > 1 else ()
-        if (value := values.get((m, content))) is None:
-            value = values[m, content] = _value_of(T, P, F, m, content)
-        rows.append((T, m, value))
+        ca, cb = classes[ax, ay], classes[bx, by]
+        if (value := by_classes.get((m, ca, cb))) is None:
+            content = _content_of_classes(m, readings[ca], readings[cb])
+            if (value := values.get((m, content))) is None:
+                value = values[m, content] = _value_of(P, F, m, content, ax, ay, bx, by)
+            by_classes[m, ca, cb] = value
+        rows.append((ax, ay, bx, by, m, value))
     return ExpansionTable(F=F, params=P, bound=bound, region_norm_cap=cap,
                           constant=constant_term(P, F), rows=tuple(rows))
 
@@ -380,10 +423,11 @@ def denominator_bound_check(table: ExpansionTable):
     """Every rank-2 rational times (l!)^2 |B_{2l-n+2}| sigma_{l+1-n/2}(D) is integral.
 
     Reads the table's rows.  Returns (True, None) or (False, the offending
-    coefficient).
+    row's coefficient).
     """
     mult = _denominator_multiplier(table.params, table.F)
-    for T, nrm, (rank, rational, sigma, local_q) in table.rows:
+    for ax, ay, bx, by, nrm, (rank, rational, sigma, local_q) in table.rows:
         if rank == 2 and (rational * mult).denominator != 1:
-            return False, FourierCoefficient(T, rank, rational, nrm, sigma, local_q)
+            return False, FourierCoefficient(global_vector(ax, ay, bx, by), rank, rational,
+                                             nrm, sigma, local_q)
     return True, None

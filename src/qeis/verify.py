@@ -269,20 +269,20 @@ def suite_denominators(D: int = 3, ells=(3, 4, 5), bound: int = 12) -> dict:
         P = Params(n=2, ell=ell)
         table = full_expansion(P, F, bound)
         ok, witness = denominator_bound_check(table)
-        rank2 = [(T, rational) for T, _, (rank, rational, _, _) in table.rows if rank == 2]
+        rank2 = [row for row in table.rows if row[5][0] == 2]
         checks += len(rank2)
         if not ok:
             failures.append({"check": "denominator_bound", "ell": ell,
                              "T": witness.T.as_list(),
                              "rational": str(witness.rational)})
-        for T, rational in rank2:
+        for ax, ay, bx, by, _, (_, rational, _, _) in rank2:
             if rational == 0:
                 continue
             checks += 1
             prod = rational / d_nl(P, F)
             if prod.denominator != 1 or prod <= 0:
                 failures.append({"check": "local_product_positive_integer",
-                                 "ell": ell, "T": T.as_list(),
+                                 "ell": ell, "T": [[ax, ay], [bx, by]],
                                  "product": str(prod)})
     return _report("denominators", checks, failures)
 

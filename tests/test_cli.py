@@ -419,6 +419,8 @@ WIDER_EXPANSION_DIGESTS = {
     (3, 3, 48, "json"): "9c3809e615dc92cdc14c2006eaf53d44b4a41521374cf1672290adb5a33817a0",
     (7, 3, 48, "json"): "34f12dd9bab9a7cec90b47db1ffb55a374d3084b139a654db7129f9ea8b9751f",
     (19, 3, 24, "csv"): "8461f2b9f68e989b2b15806f2002272f4b48e0e48552c23d1d88f4e7dea39213",
+    # D = 23 splits at 2 and at 3: readings keep the order of the primes above each
+    (23, 5, 24, "json"): "c422f789cf30fcfa5b0d5ec3c7c95ee8264ef3e6f6b8520be7b31dff4d8f8b26",
 }
 
 
@@ -504,7 +506,8 @@ def test_table_writer_matches_json_dumps_on_hand_made_entries(tmp_path):
         FourierCoefficient(T=global_vector(0, -big, 0, 0), rank=1, rational=Fraction(-big),
                            norm=0, sigma=-big),
     )
-    rows = tuple((e.T, e.norm, (e.rank, e.rational, e.sigma, e.local_q)) for e in entries)
+    rows = tuple((e.T.a.x, e.T.a.y, e.T.b.x, e.T.b.y, e.norm,
+                  (e.rank, e.rational, e.sigma, e.local_q)) for e in entries)
     table = full_expansion(Params(n=2, ell=3), FieldE(3), 0)
     for case in (rows, ()):
         made = replace(table, rows=case)

@@ -226,6 +226,40 @@ def test_denominator_bound_sweep():
         assert ok, (ell, witness)
 
 
+def test_denominator_bound_check_names_the_first_failing_row(monkeypatch):
+    """With a multiplier that clears no denominator, the check returns the
+    first rank-2 row as the coefficient :func:`coefficient` gives for its T.
+    The multiplier is patched after the build: d_nl divides by it."""
+    import qeis.fourier as fourier
+
+    table = full_expansion(P3, F3, 5)
+    monkeypatch.setattr(fourier, "_denominator_multiplier",
+                        lambda P, F: Fraction(1, 10 ** 9 + 7))
+    ok, witness = denominator_bound_check(table)
+    first = next(e for e in table.entries if e.rank == 2)
+    assert not ok and witness == first == coefficient(first.T, P3, F3)
+    assert witness.T.as_list() == [[-3, 1], [0, -1]] and witness.norm == 1
+
+
+def test_suite_denominators_lists_each_failing_row_with_its_T(monkeypatch):
+    """With d_nl patched in verify to a large prime, every nonzero rank-2 row
+    fails the positive-integer check, listed with its T and product; the
+    table itself, built with fourier's d_nl, still passes its bound, so the
+    report holds no denominator_bound failure."""
+    import qeis.verify as verify
+
+    big = 10 ** 9 + 7
+    monkeypatch.setattr(verify, "d_nl", lambda P, F: Fraction(big))
+    report = verify.suite_denominators(D=7, ells=(4,), bound=5)
+    table = full_expansion(Params(n=2, ell=4), FieldE(7), 5)
+    rank2 = [e for e in table.entries if e.rank == 2]
+    expected = [{"check": "local_product_positive_integer", "ell": 4,
+                 "T": e.T.as_list(), "product": str(e.rational / big)}
+                for e in rank2 if e.rational != 0]
+    assert len(expected) > 10 and report["checks"] == len(rank2) + len(expected)
+    assert not report["ok"] and report["failures"] == expected[:10]  # the report keeps 10
+
+
 def test_coefficient_dispatch():
     assert coefficient(global_vector(1, 0, 1, 0), P3, F3).rank == 2
     assert coefficient(GlobalVector(quadint(1), QuadInt(-1, 2)), P3, F3).rank == 1
@@ -481,8 +515,9 @@ def test_table_rows_match_coefficient(D, ell):
     F, P = FieldE(D), Params(n=2, ell=ell)
     for bound in (0, 1, 5, 24):
         table = full_expansion(P, F, bound)
-        expected = [coefficient(T, P, F) for T, _, _ in table.rows]
-        for (T, nrm, (rank, rational, sigma, local_q)), e in zip(table.rows, expected):
+        expected = [coefficient(global_vector(*row[:4]), P, F) for row in table.rows]
+        for (*coords, nrm, (rank, rational, sigma, local_q)), e in zip(table.rows, expected):
+            T = global_vector(*coords)
             assert (T, nrm, rank, rational, sigma, local_q) == (
                 e.T, e.norm, e.rank, e.rational, e.sigma, e.local_q), T
             assert rational is e.rational and local_q is e.local_q, T
@@ -549,9 +584,54 @@ def test_table_reads_each_disc_point_once_per_prime_and_each_invariant_once(monk
         asked.clear()
         table = full_expansion(Params(n=2, ell=3), F, 24)
         assert reads and len(set(reads)) == len(reads), D
-        invariants = {(nrm, content_keys(T, F, nrm)) for T, nrm, _ in table.rows}
+        invariants = {(row[4], content_keys(global_vector(*row[:4]), F, row[4]))
+                      for row in table.rows}
         assert len(asked) == len(set(asked)) == len(invariants) and set(asked) == invariants, D
     assert cases == set(Splitting)
+
+
+def test_table_derives_content_once_per_norm_and_pair_of_classes(monkeypatch):
+    """A table build derives the content keys once per distinct (<T, T>,
+    class of a, class of b), a disc point's class being its coordinate
+    readings at the primes of its norm (none for the zero point); its rows
+    are five ints and a value tuple, and it builds no GlobalVector."""
+    import qeis.fourier as fourier
+    from qeis.hermitian import coordinate_reading
+
+    derived = []
+
+    def counted(m, ra, rb):
+        derived.append((m, *(None if r is None else tuple((p, got) for p, (_, got) in r.items())
+                             for r in (ra, rb))))
+        return content_of_classes(m, ra, rb)
+
+    built = []
+
+    def counted_init(self, a, b):
+        built.append(1)
+        init(self, a, b)
+
+    content_of_classes, init = fourier._content_of_classes, GlobalVector.__init__
+    monkeypatch.setattr(fourier, "_content_of_classes", counted)
+    monkeypatch.setattr(GlobalVector, "__init__", counted_init)
+    for D in (3, 7, 11, 19, 23):
+        F = FieldE(D)
+
+        def cls(x, y):
+            nz = QuadInt(x, y).norm(F)
+            return tuple((p, coordinate_reading(QuadInt(x, y), nz, p, F.splitting(p)))
+                         for p in prime_factors(nz)) if nz else None
+
+        derived.clear()
+        built.clear()
+        table = full_expansion(P3, F, 24)
+        assert not built, D
+        assert all(len(row) == 6 and all(type(x) is int for x in row[:5])
+                   and type(row[5]) is tuple and len(row[5]) == 4 for row in table.rows), D
+        triples = {(m, cls(ax, ay), cls(bx, by)) for ax, ay, bx, by, m, _ in table.rows}
+        assert len(derived) == len(set(derived)) and set(derived) == triples, D
+        assert len(triples) < len(table.rows), D
+        assert len(table.entries) == len(built) == len(table.rows), D
 
 
 def test_coordinate_reading_refuses_an_odd_valuation_at_an_inert_prime():
