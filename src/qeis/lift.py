@@ -38,8 +38,11 @@ class EigenformData:
     ap: dict
 
     def __post_init__(self):
-        if self.weight % 2 != 0 or self.weight < 4:
+        if type(self.weight) is not int or self.weight % 2 != 0 or self.weight < 4:
             raise ValidationError("eigenform weight must be an even integer >= 4")
+        for p, a in self.ap.items():
+            if type(a) is not int:
+                raise ValidationError(f"a_{p} = {a!r} is not a Python int")
 
     def eigenvalue(self, p: int) -> int:
         if p not in self.ap:
@@ -150,13 +153,14 @@ def _power_sum_polys(top: int) -> list:
 def lift_local_exact(q: SqrtPPoly, weight: int) -> list:
     """Coefficients c_m with p^(k e) Qtilde(alpha_p) = sum_m c_m a_p^m, e = (w-1)/2.
 
-    Every c_m is an exact rational (in fact a p-power times an integer); the
-    sqrt(p) bookkeeping cancels by the parity grading.
+    Every c_m is an int (a p-power times an integer): the p-exponent
+    ((k - m)(w - 1) + ((k + j) mod 2)) / 2 is never negative, and the sqrt(p)
+    bookkeeping cancels by the parity grading.
     """
     p = q.p
     k = q.degree // 2
     e2 = weight - 1  # 2e, always odd
-    out = [Fraction(0)] * (k + 1)
+    out = [0] * (k + 1)
     gs = _power_sum_polys(k)
     for j in range(0, k + 1):
         di = q.d[k + j] if k + j <= q.degree else 0
@@ -170,14 +174,16 @@ def lift_local_exact(q: SqrtPPoly, weight: int) -> list:
             num = (k - m) * e2 + ((k + j) % 2)
             if num % 2 != 0:
                 raise ValidationError("half powers failed to cancel; wrong weight?")
-            out[m] += di * g * Fraction(p) ** (num // 2)
+            out[m] += di * g * p ** (num // 2)
     return out
 
 
 def lift_coefficient(T: GlobalVector, h: EigenformData, P: Params, F: FieldE):
     """Exact candidate coefficient <T,T>^(l-(n-1)/2) prod_p Qtilde_{T,p}(alpha_p).
 
-    Requires weight(h) = 2l - n + 2 and <T,T> > 0; returns a Fraction.
+    Requires weight(h) = 2l - n + 2 and <T,T> > 0; returns a Fraction.  Each
+    local factor is an int, summed in Horner form over the c_m of
+    :func:`lift_local_exact`.
     """
     if h.weight != 2 * P.ell - P.n + 2:
         raise ValidationError(
@@ -185,12 +191,14 @@ def lift_coefficient(T: GlobalVector, h: EigenformData, P: Params, F: FieldE):
     nrm = norm(T, F)
     if nrm <= 0:
         raise ValidationError("lift coefficients need <T, T> > 0")
-    total = Fraction(1)
+    total = 1
     for p, q in local_polynomials(T, P, F, nrm).items():
         a_p = h.eigenvalue(p)
-        coeffs = lift_local_exact(q, h.weight)
-        total *= sum(c * Fraction(a_p) ** m for m, c in enumerate(coeffs))
-    return total
+        value = 0
+        for c in reversed(lift_local_exact(q, h.weight)):
+            value = value * a_p + c
+        total *= value
+    return Fraction(total)
 
 
 def lift_coefficient_numeric(T: GlobalVector, satake: dict, P: Params, F: FieldE) -> complex:

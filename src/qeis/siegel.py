@@ -6,10 +6,10 @@ Three ingredients, all exact:
   split hyperbolic lattice of rank 2m, and the ramified normal form of rank
   4m with quadratic form Sum_{i<=m} x_i y_i + p Sum_{i>m} x_i y_i).  A term
   reads eta only through its invariants: :meth:`QuadLatticeShape.invariants`
-  reads them, and :meth:`QuadLatticeShape.term` picks the closed form,
-  B_{r,eta} (:func:`b_term`) on the split shape or C_{r,eta}
-  (:func:`c_term`) on the ramified one.  :func:`term_closed` takes eta
-  itself, as the oracle does;
+  reads them, and :meth:`QuadLatticeShape.series` picks the closed form,
+  the B-series (:func:`b_series`, built in one pass) on the split shape or
+  C_{r,eta} (:func:`c_term`) on the ramified one.  :func:`term_closed`
+  takes eta itself, as the oracle does;
 * a lattice-count oracle that recomputes any single term from the points
   of (Z/p^r)^rank; q and the character argument are sums over the
   hyperbolic pairs, so their joint count is a cyclic convolution of one
@@ -23,7 +23,8 @@ Three ingredients, all exact:
 
 The series is a sum of blocks (:func:`series_blocks`), one per eta: its
 invariants, its r range, where each term lands and its closed-form terms,
-built once per :class:`qeis.hermitian.LocalKey`.  The series assembly, both
+built once per :class:`qeis.hermitian.LocalKey`; blocks with equal
+invariants share one terms tuple.  The series assembly, both
 routes of Q and the oracle check (:func:`check_against_oracle`, which
 recounts each term) read the same blocks; only the oracle check, through
 each block's eta, and :func:`q_poly`'s check of a declared key read
@@ -137,10 +138,16 @@ class QuadLatticeShape:
         eta = [int(c) for c in eta]
         return min(vp(c, self.p) for c in eta), vp(self.quad_form(eta), self.p)
 
+    def series(self, inv, rs: range) -> tuple:
+        """The terms r in ``rs`` at invariants ``inv``: :func:`b_series` on the
+        split lattice, :func:`c_term` at each r on the ramified one."""
+        if self.form == "ramified":
+            return tuple(c_term(r, *inv, self.m, self.p) for r in rs)
+        return b_series(*inv, self.m, self.p, rs)
+
     def term(self, r: int, inv) -> int:
-        """Term r at invariants ``inv``: :func:`b_term` on the split lattice,
-        :func:`c_term` on the ramified one."""
-        return (c_term if self.form == "ramified" else b_term)(r, *inv, self.m, self.p)
+        """Term r at invariants ``inv``, a one-term :meth:`series`."""
+        return self.series(inv, range(r, r + 1))[0]
 
 
 def split_shape(p: int, m: int) -> QuadLatticeShape:
@@ -199,8 +206,9 @@ def term_closed(r: int, eta, shape: QuadLatticeShape) -> int:
     return 0 if inv is None else shape.term(r, inv)
 
 
-def b_term(r: int, v, kq, m: int, p: int) -> int:
-    """B_{r,eta} from v = v(eta) and kq = v_p(q(eta)) alone, in int arithmetic.
+def b_series(v, kq, m: int, p: int, rs: range) -> tuple:
+    """B_{r,eta} for r in ``rs``, from v = v(eta) and kq = v_p(q(eta)) alone,
+    in int arithmetic.
 
     Gauss-sum factorization over the hyperbolic pairs gives
 
@@ -217,20 +225,35 @@ def b_term(r: int, v, kq, m: int, p: int) -> int:
       j = kq - r + 1:   c = -p^(r-j-1), a single term p^(m(r+j)+r-j-1)
                         subtracted when j <= top.
 
-    Either valuation may be +inf; every exponent stays a finite int.
+    The series is built in one pass: one table of the powers p^0..p^(2mR),
+    R the last r, and one of the geometric sums serve every term, and each
+    term's division by p^r must leave no remainder.  Either valuation may be
+    +inf (v = kq = inf for the zero vector); every exponent stays a finite int.
     """
-    if r < 0:
+    if rs and rs[0] < 0:
         raise ValidationError("term index r must be >= 0")
-    if r == 0:
-        return 1
-    total = p ** (2 * m * r) if v >= r else 0
-    top = min(r - 1, v, kq - r + 1)
-    g = min(top, kq - r)
-    total += (p - 1) * p ** (m * r + r - 1) * geometric_sum(p ** (m - 1), g + 1)
-    j = kq - r + 1
-    if 0 <= j <= top:
-        total -= p ** (m * (r + j) + r - j - 1)
-    return _exact_quotient(total, p ** r, "non-integral unramified term")
+    last = rs[-1] if rs else 0
+    power = [1]
+    for _ in range(2 * m * last):
+        power.append(power[-1] * p)
+    geo = [0]  # geo[a] = Sum_{j<a} p^((m-1)j)
+    for j in range(last):
+        geo.append(geo[-1] + power[(m - 1) * j])
+    terms = []
+    for r in rs:
+        if r == 0:
+            terms.append(1)
+            continue
+        total = power[2 * m * r] if v >= r else 0
+        top = min(r - 1, v, kq - r + 1)
+        g = min(top, kq - r)
+        if g >= 0:
+            total += (p - 1) * power[m * r + r - 1] * geo[g + 1]
+        j = kq - r + 1
+        if 0 <= j <= top:
+            total -= power[m * (r + j) + r - j - 1]
+        terms.append(_exact_quotient(total, power[r], "non-integral unramified term"))
+    return tuple(terms)
 
 
 def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
@@ -365,9 +388,10 @@ class SeriesBlock(NamedTuple):
     p^(r + power) adds to the coefficient of t^(2r + shift), a negative
     exponent dividing exactly.  ``inv`` is what the closed form reads, as
     :meth:`QuadLatticeShape.invariants` gives it, and ``terms`` its terms
-    for r in ``rs``, in ints.  ``eta(data)`` builds the vector itself from
-    the coordinates, which only the oracle check needs; ``name`` says how
-    eta comes from T."""
+    for r in ``rs``, a tuple of ints that every block of the key with the
+    same (inv, rs) shares.  ``eta(data)`` builds the vector itself from the
+    coordinates, which only the oracle check needs; ``name`` says how eta
+    comes from T."""
 
     name: str
     inv: tuple
@@ -375,7 +399,7 @@ class SeriesBlock(NamedTuple):
     shift: int
     power: int
     eta: Callable[[LocalVectorData], tuple]
-    terms: list
+    terms: tuple
 
 
 def series_blocks(key: LocalKey):
@@ -391,12 +415,21 @@ def series_blocks(key: LocalKey):
     Ramified: the even part is the C-series of T/varpi, with invariants
     (k2 - 1, k1, k - 1), and the odd part p^(s-n) times the C-series of T
     less its r = 0 term.
+
+    Each series is built in one pass (:meth:`QuadLatticeShape.series`), once
+    per distinct (inv, rs): blocks with equal invariants share one terms
+    tuple.  When k1 = k2, block (p^-i T1, T2) and block (T1, p^-i T2) are
+    such a pair.
     """
     p, case, n, k, k1, k2 = key
     shape = ramified_shape(p, n // 2) if case is Splitting.RAMIFIED else split_shape(p, n)
+    built = {}
 
     def block(name, inv, rs, shift, power, eta):
-        return SeriesBlock(name, inv, rs, shift, power, eta, [shape.term(r, inv) for r in rs])
+        terms = built.get((inv, rs))
+        if terms is None:
+            terms = built[inv, rs] = shape.series(inv, rs)
+        return SeriesBlock(name, inv, rs, shift, power, eta, terms)
 
     if case is Splitting.RAMIFIED:
         return shape, [block("T/varpi", (k2 - 1, k1, k - 1), range(k + 1), 0, 0,
@@ -543,23 +576,28 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     Ramified: Q(X) = R_{T/varpi}(X^2) + Q2(X) + p^(m-1/2) Q1(X)
                     + p^(1/2-m) X^-1 R_T(X^2).
     Each P is extracted from the B-series of one block of
-    :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints.
-    ``blocks`` is the block list of :func:`series_blocks`, built here when
-    None; the ramified case reads only (k, k1, k2).
+    :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints,
+    once per distinct (inv, rs), the key :func:`series_blocks` shares each
+    terms tuple under, and so the degree b.inv[1] of the functional equation
+    is part of it.  ``blocks`` is the block list of :func:`series_blocks`,
+    built here when None; the ramified case reads only (k, k1, k2).
 
     Each P must be palindromic at its block's v_p(q(eta)) (P(0) = 1 then
     fixes its degree), R_T at degree k + 1 and R_{T/varpi} at degree k
     (Katsurada 1999); anything else raises InternalConsistencyError naming
-    the key and the polynomial.
+    the key and the polynomial (for a shared P, its first block).
     """
     p, case, n, k, k1, k2 = key
     d = [0] * (2 * k + 1)
     if case in (Splitting.SPLIT, Splitting.INERT):
         if blocks is None:
             _, blocks = series_blocks(key)
+        extracted = {}
         for b in blocks:
-            poly = extract_P(IntPoly(b.terms), n, p)
-            _check_functional_equation(key, f"P_{b.name}", poly, b.inv[1])
+            poly = extracted.get((b.inv, b.rs))
+            if poly is None:
+                poly = extracted[b.inv, b.rs] = extract_P(IntPoly(b.terms), n, p)
+                _check_functional_equation(key, f"P_{b.name}", poly, b.inv[1])
             i = b.shift
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2

@@ -1,16 +1,19 @@
+import itertools
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qeis.arith import Splitting
 from qeis.errors import ValidationError
-from qeis.fourier import coefficient, d_nl
-from qeis.hermitian import FieldE, Params, global_vector, norm
+from qeis.fourier import coefficient, d_nl, local_polynomials
+from qeis.hermitian import FieldE, LocalKey, Params, global_vector, norm
 from qeis.lift import (EigenformData, delta_eigenvalues, lift_coefficient,
-                       lift_coefficient_numeric, lift_local_exact,
+                       _power_sum_polys, lift_coefficient_numeric, lift_local_exact,
                        satake_from_eigenvalue, standard_L_factors)
-from qeis.siegel import q_poly
+from qeis.siegel import q_poly, q_poly_of_invariants
 from qeis.hermitian import local_quadratic_data
 
 F3 = FieldE(3)
@@ -49,6 +52,19 @@ def test_eigenform_json_roundtrip():
         EigenformData(weight=11, ap={})
     with pytest.raises(ValidationError):
         h.eigenvalue(5)
+
+
+@pytest.mark.parametrize("ap", [{2: -24.0}, {2: Fraction(-24), 3: 252}, {2: True},
+                                {2: np.int64(-24)}])
+def test_eigenform_data_takes_only_int_eigenvalues(ap):
+    """lift_coefficient multiplies each a_p in as it is, so a float a_p would
+    give a rounded product that Fraction(total) then passes off as exact, and
+    a numpy int could wrap around: the constructor refuses anything but a
+    Python int, as from_json does."""
+    with pytest.raises(ValidationError, match="a_2 = .* is not a Python int"):
+        EigenformData(weight=12, ap=ap)
+    with pytest.raises(ValidationError, match="even integer"):
+        EigenformData(weight=12.0, ap={})
 
 
 @pytest.mark.parametrize("text", ['{"weight": 12.9, "ap": {"2": -24, "3": 252}}',
@@ -223,6 +239,60 @@ def test_lift_local_exact_structure():
     q = q_poly(local_quadratic_data(global_vector(1, 0, 1, 0), F3, 2, P), P)
     coeffs = lift_local_exact(q, 12)
     assert coeffs == [Fraction(0), Fraction(1)]   # value = a_2 exactly
+
+
+def _lift_local_reference(q, weight):
+    """The c_m of lift_local_exact by the Fraction loop: every p-power a
+    Fraction, summed term by term."""
+    p = q.p
+    k = q.degree // 2
+    e2 = weight - 1
+    out = [Fraction(0)] * (k + 1)
+    gs = _power_sum_polys(k)
+    for j in range(0, k + 1):
+        di = q.d[k + j] if k + j <= q.degree else 0
+        if di == 0:
+            continue
+        gj = gs[j] if j > 0 else [1]
+        for m, g in enumerate(gj):
+            if g == 0:
+                continue
+            num = (k - m) * e2 + ((k + j) % 2)
+            assert num % 2 == 0
+            out[m] += di * g * Fraction(p) ** (num // 2)
+    return out
+
+
+def test_lift_local_exact_matches_the_fraction_loop():
+    """The int c_m equal the Fraction loop's on every admissible n = 2 key
+    with p in {2, 3, 5, 7, 11, 13} and k <= 8, at weights 4, 12 and 16,
+    and lift_coefficient, which sums them in ints, still returns the Fraction
+    the Fraction loop gives."""
+    checked = 0
+    for p, case, k in itertools.product((2, 3, 5, 7, 11, 13), Splitting, range(9)):
+        for k1, k2 in itertools.product(range(k + 1), repeat=2):
+            key = LocalKey(p, case, 2, k, k1, k2)
+            try:
+                key.check()
+            except ValidationError:
+                continue
+            q = q_poly_of_invariants(key)
+            for weight in (4, 12, 16):
+                got = lift_local_exact(q, weight)
+                assert all(type(c) is int for c in got), key
+                assert got == _lift_local_reference(q, weight), (key, weight)
+                checked += 1
+    assert checked == 3 * 1365  # 190 split and inert keys per p, 45 ramified per odd p
+    P = Params(n=2, ell=6)
+    h = delta_eigenvalues(47)
+    for T in ((1, 0, 1, 0), (12, 6, 18, 0), (2 ** 9, 0, 3 ** 7 * 5, 5), (7 ** 4, 0, 13 ** 3, 0)):
+        T = global_vector(*T)
+        got = lift_coefficient(T, h, P, F3)
+        expected = Fraction(1)
+        for p, q in local_polynomials(T, P, F3, norm(T, F3)).items():
+            expected *= sum(c * Fraction(h.ap[p]) ** m
+                            for m, c in enumerate(_lift_local_reference(q, 12)))
+        assert type(got) is Fraction and got == expected, T
 
 
 def test_lift_rejects_ranks_without_a_global_model():

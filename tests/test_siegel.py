@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalKey, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
-from qeis.siegel import (R_closed_form, assemble_series, b_term, c_term, c_term_gauss,
+from qeis.siegel import (R_closed_form, assemble_series, b_series, c_term, c_term_gauss,
                          check_against_oracle, extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
                          q_poly_of_invariants, ramified_invariants, ramified_shape, series_blocks,
@@ -150,9 +152,11 @@ def _b_term_reference(r, v, kq, m, p):
 
 
 def test_b_term_closed_form_matches_the_term_by_term_sum():
-    """The geometric-series form of b_term against the j-sum, exhaustively:
-    p in {2, 3, 5, 7, 11}, m in {1, 2, 3, 5}, r = 0..24, every v <= 25 with
-    2v <= k_q <= 51 or k_q = inf, and v = k_q = inf: 364,500 terms."""
+    """The one-pass geometric-series form of b_series against the j-sum,
+    exhaustively: p in {2, 3, 5, 7, 11}, m in {1, 2, 3, 5}, r = 0..24,
+    every v <= 25 with 2v <= k_q <= 51 or k_q = inf, and v = k_q = inf:
+    364,500 terms.  A series whose r range starts above 0 is the matching
+    slice of the full one, and a one-term series is the shape's term."""
     inf = math.inf
     pairs = [(v, kq) for v in range(26) for kq in [*range(2 * v, 52), inf]] + [(inf, inf)]
     rs = range(25)
@@ -160,10 +164,17 @@ def test_b_term_closed_form_matches_the_term_by_term_sum():
     for p in (2, 3, 5, 7, 11):
         for m in (1, 2, 3, 5):
             for v, kq in pairs:
-                got = [b_term(r, v, kq, m, p) for r in rs]
-                assert got == [_b_term_reference(r, v, kq, m, p) for r in rs], (p, m, v, kq)
+                got = b_series(v, kq, m, p, rs)
+                assert got == tuple(_b_term_reference(r, v, kq, m, p) for r in rs), (p, m, v, kq)
                 checked += len(rs)
+                start = 1 + v % 24 if v != inf else 12
+                assert b_series(v, kq, m, p, range(start, 25)) == got[start:], (p, m, v, kq)
+            # the last pair is the zero vector's (inf, inf)
+            assert split_shape(p, m).term(24, (inf, inf)) == got[24]
     assert checked == 364_500
+    assert b_series(3, 7, 2, 3, range(0)) == ()
+    with pytest.raises(ValidationError):
+        b_series(3, 7, 2, 3, range(-1, 2))
 
 
 def test_term_ramified_examples():
@@ -386,11 +397,21 @@ def test_oracle_check_names_a_wrong_closed_form_term(D, p, T, monkeypatch):
     target = blocks[-1]
     r = target.rs[-1]
     assert sum(b.inv == target.inv for b in blocks) == 1
-    name = "c_term" if data.case is Splitting.RAMIFIED else "b_term"
-    original = getattr(siegel, name)
+    if data.case is Splitting.RAMIFIED:
+        name = "c_term"
+        original = siegel.c_term
 
-    def off_by_one(rr, *args):
-        return original(rr, *args) + ((rr, *args[:-2]) == (r, *target.inv))
+        def off_by_one(rr, *args):
+            return original(rr, *args) + ((rr, *args[:-2]) == (r, *target.inv))
+    else:
+        name = "b_series"
+        original = siegel.b_series
+
+        def off_by_one(v, kq, m, pp, rs):
+            terms = list(original(v, kq, m, pp, rs))
+            if (v, kq) == target.inv and r in rs:
+                terms[r - rs.start] += 1
+            return tuple(terms)
 
     monkeypatch.setattr(siegel, name, off_by_one)
     with pytest.raises(InternalConsistencyError) as err:
@@ -659,31 +680,47 @@ def test_deep_split_key_both_routes_agree():
     assert closed == q_poly(data, P2)
 
 
-# (key, pinned Q): a split key with four blocks and an inert key
+# (key, pinned Q): a split key with four blocks, an inert key, and a split
+# key with k1 = k2, whose blocks (p^-i T1, T2) and (T1, p^-i T2) pair up
 COLD_KEYS = ((LocalKey(3, Splitting.SPLIT, 2, 4, 1, 2), [1, 2, 7, 5, 7, 5, 7, 2, 1]),
-             (LocalKey(2, Splitting.INERT, 2, 4, 1, 1), [1, 0, 3, 0, 3, 0, 3, 0, 1]))
+             (LocalKey(2, Splitting.INERT, 2, 4, 1, 1), [1, 0, 3, 0, 3, 0, 3, 0, 1]),
+             (LocalKey(3, Splitting.SPLIT, 2, 8, 4, 4),
+              [1, 2, 10, 14, 55, 50, 136, 104, 217, 104, 136, 50, 55, 14, 10, 2, 1]))
 
 
 @pytest.mark.parametrize("key, pinned", COLD_KEYS)
 def test_cold_key_builds_each_term_list_once(key, pinned, monkeypatch):
-    """Both routes of a cold key read one list of B-terms per block, so
-    b_term runs once per term of series_blocks, not once per route."""
+    """Both routes of a cold key read one tuple of B-terms per distinct
+    (inv, rs): b_series runs once for each, not once per block or per
+    route, blocks with equal invariants share the tuple, and P is
+    extracted once per tuple."""
     import qeis.siegel as siegel
 
-    calls = []
-    original = siegel.b_term
+    calls = {"b_series": [], "extract_P": []}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(siegel, name)
 
-    monkeypatch.setattr(siegel, "b_term", counting)
+        def wrapped(*args):
+            calls[name].append(args)
+            return original(*args)
+        monkeypatch.setattr(siegel, name, wrapped)
+
+    counting("b_series")
+    counting("extract_P")
     siegel.q_poly_of_invariants.cache_clear()
     q = q_poly_of_invariants(key)
-    built = len(calls)
     siegel.q_poly_of_invariants.cache_clear()
+    built = [((v, kq), rs) for v, kq, _, _, rs in calls["b_series"]]
+    calls["b_series"].clear()
     _, blocks = series_blocks(key)
-    assert built == sum(len(b.rs) for b in blocks)
+    distinct = {(b.inv, b.rs) for b in blocks}
+    assert len(built) == len(set(built)) and set(built) == distinct
+    assert len(calls["extract_P"]) == len(distinct) == len({id(b.terms) for b in blocks})
+    for a, b in itertools.combinations(blocks, 2):
+        assert (a.terms is b.terms) == (a.inv == b.inv), (a.name, b.name)
+    if key.k1 == key.k2 and key.case is Splitting.SPLIT:
+        assert len(distinct) == key.k1 + 1 < len(blocks)
     assert q == SqrtPPoly(key.p, pinned)
 
 
@@ -961,6 +998,29 @@ def test_every_admissible_key_builds_and_every_other_key_is_refused():
         p, case, *rest = fields
         assert _key_text(p, case.value, *rest) in str(err.value)
     siegel.q_poly_of_invariants.cache_clear()
+
+
+# SHA-256 of the Q of every admissible key below, as the term-by-term build gave it
+ADMISSIBLE_Q_DIGEST = "08fe2ed5c160601ded320c35aa9843d0b01323e2932132bdf930a500017b9239"
+
+
+def test_q_of_every_admissible_key_matches_its_pinned_digest():
+    """The Q of the 1,452 admissible keys of
+    test_every_admissible_key_builds_and_every_other_key_is_refused, in
+    that test's order, written as [[p, case, n, k, k1, k2, d], ...] with
+    json.dumps, hash to the pinned digest."""
+    import qeis.siegel as siegel
+
+    siegel.q_poly_of_invariants.cache_clear()
+    rows = []
+    for p, n, case, k in itertools.product((2, 3, 5, 7), (2, 6, 10), Splitting, range(7)):
+        for k1, k2 in itertools.product(range(k + 1), repeat=2):
+            if _admissible(p, case, k, k1, k2):
+                q = q_poly_of_invariants(LocalKey(p, case, n, k, k1, k2))
+                rows.append([p, case.value, n, k, k1, k2, list(q.d)])
+    siegel.q_poly_of_invariants.cache_clear()
+    assert len(rows) == 1452
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ADMISSIBLE_Q_DIGEST
 
 
 def _t_block_series(key, series, m, p):
