@@ -2,8 +2,9 @@
 
 A case is a ``qeis`` command line; its exit code (0 ok, 1 usage, 2 validation,
 3 internal consistency, 4 resource budget); where pinned, the SHA-256 of its
-document (the ``--out`` file if named, else stdout) less any scipy
-``"numeric"`` and ``"zetaE"`` lines; text stderr must hold; and a time limit.
+document (the ``--out`` file if named, else stdout) less its ``scipy`` lines,
+the scipy ``"numeric"`` and ``"zetaE"`` floats, of which a pinned document
+holds exactly ``scipy``; text stderr must hold; and a time limit.
 No stderr holds "Traceback", stderr is empty after exit 0, and a failed run
 writes no stdout and no ``--out`` file.  Each run starts in a fresh directory
 holding ``FIXTURES``.  tests/test_cli.py runs the clause ``name[id]`` in-process
@@ -23,11 +24,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
 
+from qeis.cli import main as qeis_main
+from qeis.lift import delta_eigenvalues
+
 
 class Case(NamedTuple):
     argv: str
     exit: int = 0
     sha: str | None = None
+    scipy: int = 0
     stderr: str = ""
     seconds: int = 60
 
@@ -36,22 +41,17 @@ FIXTURES = {
     "floats.json": '{"weight": 12.9, "ap": {"2": -24.7, "3": 252}}',
     "dup.json": '{"weight": 12, "ap": {"2": -24, "02": 5, "3": 252}}',
     "not_json.json": '{"weight": 12, "ap": ', "no_ap.json": '{"weight": 12}',
-    # delta_eigenvalues(47).to_json(): tau(p) for p <= 47
-    "delta.json": '{"weight": 12, "ap": {"2": -24, "3": 252, "5": 4830, "7": -16744, '
-                  '"11": 534612, "13": -577738, "17": -6905934, "19": 10661420, '
-                  '"23": 18643272, "29": 128406630, "31": -52843168, "37": -182213314, '
-                  '"41": 308120442, "43": -17125708, "47": 2687348496}}',
+    "delta.json": delta_eigenvalues(47).to_json(),  # tau(p) for p <= 47
 }
 P12, P18 = 10 ** 12 + 63, 10 ** 18 + 3  # primes past the trial-division cap
 LIFT = "lift --D 3 --ell 6 --T 1,0,1,0 --eigenvalues"
 OVER_300 = "exceeds the supported maximum 300"
 
 
-def _expand(key: str, sha: str) -> tuple:
-    """`expand --D D --ell l --bound b --format f --out t.f` for the key "D-l-b-f"."""
-    D, ell, bound, fmt = key.split("-")
+def _expand(D: int, ell: int, bound: int, fmt: str, sha: str) -> tuple:
+    """The pinned table of `expand` written through --out; JSON holds 2 scipy lines."""
     argv = f"expand --D {D} --ell {ell} --bound {bound} --format {fmt} --out t.{fmt}"
-    return (Case(argv, sha=sha),)
+    return (Case(argv, sha=sha, scipy=2 if fmt == "json" else 0),)
 
 
 CLAUSES = {
@@ -161,7 +161,7 @@ CLAUSES = {
         Case(f"coeff --D 3 --T {'1' * 4301},0,1,0", 2, stderr="cannot parse T coordinates"),
     ),
     "expand_csv": _expand(
-        "3-3-1-csv", "c126fdf06f75ca7a8d7d8449a8b23b2ba0661e26c7e534ea540a4f0224b2754e"),
+        3, 3, 1, "csv", "c126fdf06f75ca7a8d7d8449a8b23b2ba0661e26c7e534ea540a4f0224b2754e"),
     "small_runs_succeed": (
         Case("expand --D 3 --bound 4"), Case("local --D 3 --p 2 --T 1,0,1,0 --oracle"),
     ),
@@ -181,27 +181,28 @@ CLAUSES = {
              sha="024f70c53b67015d3d2c383b9cff703acd5c1b80552be3f9e37a98f67fe0c635"),
     ),
     # expansion tables
-    **{f"expansion_bytes_are_pinned[{key[0]}]": _expand(key, sha) for key, sha in (
-        ("3-3-12-json", "93bfc4789bfe73791b04059bc35cb2b8ef0ed4c6060caa934b3e8724aba400c8"),
-        ("7-3-12-json", "f633bdf493f80f0508372bf22dd372b1dc0d517c20bb93b806ce96c9efe5eae5"))},
-    **{f"expansion_csv_bytes_are_pinned[{key[0]}]": _expand(key, sha) for key, sha in (
-        ("3-3-6-csv", "f3ea39a8817e85d4135e2b395688751af3965ecabdfd1a2ef16bbf102ea20dde"),
-        ("7-3-6-csv", "fc8c1fcf716723ad43416b6997c479ff2f05a7adbf6104e69949959fd92c13e7"))},
-    **{f"wider_expansion_bytes_are_pinned[{key}]": _expand(key, sha) for key, sha in (
-        ("3-5-24-json", "21236f952f255acefda5522aeea5f33373776aa866413a84024861a045042b36"),
-        ("7-5-24-json", "4dc4a4b5fe6eb4cc221ab7cde8216e0d53d429a7fac8b4b20cc71a854ca630e7"),
-        ("11-3-12-csv", "d58feeac43d9a1387c652aa3fc03c69c9c65c2c82227bb0335e160c3784e079b"),
-        ("3-3-48-json", "9c3809e615dc92cdc14c2006eaf53d44b4a41521374cf1672290adb5a33817a0"),
-        ("19-3-24-csv", "8461f2b9f68e989b2b15806f2002272f4b48e0e48552c23d1d88f4e7dea39213"))},
+    **{f"expansion_bytes_are_pinned[{D}]": _expand(D, 3, 12, "json", sha) for D, sha in (
+        (3, "93bfc4789bfe73791b04059bc35cb2b8ef0ed4c6060caa934b3e8724aba400c8"),
+        (7, "f633bdf493f80f0508372bf22dd372b1dc0d517c20bb93b806ce96c9efe5eae5"))},
+    **{f"expansion_csv_bytes_are_pinned[{D}]": _expand(D, 3, 6, "csv", sha) for D, sha in (
+        (3, "f3ea39a8817e85d4135e2b395688751af3965ecabdfd1a2ef16bbf102ea20dde"),
+        (7, "fc8c1fcf716723ad43416b6997c479ff2f05a7adbf6104e69949959fd92c13e7"))},
+    **{"wider_expansion_bytes_are_pinned[{}-{}-{}-{}]".format(*key): _expand(*key, sha)
+       for *key, sha in (
+           (3, 5, 24, "json", "21236f952f255acefda5522aeea5f33373776aa866413a84024861a045042b36"),
+           (7, 5, 24, "json", "4dc4a4b5fe6eb4cc221ab7cde8216e0d53d429a7fac8b4b20cc71a854ca630e7"),
+           (11, 3, 12, "csv", "d58feeac43d9a1387c652aa3fc03c69c9c65c2c82227bb0335e160c3784e079b"),
+           (3, 3, 48, "json", "9c3809e615dc92cdc14c2006eaf53d44b4a41521374cf1672290adb5a33817a0"),
+           (19, 3, 24, "csv", "8461f2b9f68e989b2b15806f2002272f4b48e0e48552c23d1d88f4e7dea39213"))},
     "wider_expansion_bytes_are_pinned[3-3-48-csv]": (Case(
         "expand --D 3 --bound 48 --format csv",
         sha="7ae38495b7e08a23a4f211c000f0153a6487fe1ce2ff117ae1749acb5838b9a7"),),
     "wider_expansion_bytes_are_pinned[7-3-48-json]": (Case(
-        "expand --D 7 --bound 48",
+        "expand --D 7 --bound 48", scipy=2,
         sha="34f12dd9bab9a7cec90b47db1ffb55a374d3084b139a654db7129f9ea8b9751f"),),
     # D = 23 splits at 2 and at 3: readings keep the order of the primes above each
     "wider_expansion_bytes_are_pinned[23-5-24-json]": (Case(
-        "expand --D 23 --ell 5 --bound 24",
+        "expand --D 23 --ell 5 --bound 24", scipy=2,
         sha="c422f789cf30fcfa5b0d5ec3c7c95ee8264ef3e6f6b8520be7b31dff4d8f8b26"),),
 }
 
@@ -217,14 +218,12 @@ def _alarm(signum, frame):
 def run_in_process(argv: list, seconds: int):
     """(exit code, stdout, stderr) of ``qeis.cli.main(argv)``, or a None exit
     code past ``seconds``; an escaping exception is a traceback and exit 1."""
-    from qeis.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(seconds)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            code = qeis_main(argv)
     except SystemExit as exc:
         code = exc.code
     except _Timeout:
@@ -280,6 +279,8 @@ def problems(case: Case, run=run_in_process) -> list:
     sha = hashlib.sha256("".join(kept).encode()).hexdigest()
     if case.sha not in (None, sha):
         found.append(f"SHA-256 {sha}, expected {case.sha}")
+    if case.sha and len(lines) - len(kept) != case.scipy:
+        found.append(f"{len(lines) - len(kept)} scipy lines, expected {case.scipy}")
     return found
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ def _stdout(argv: str) -> str:
 
 def test_local_example():
     doc = json.loads(_stdout("local --D 3 --n 2 --ell 3 --p 2 --T 1,0,1,0"))
-    assert (doc["case"], doc["k"], doc["Q"]) == ("inert", 1, [1, 0, 1])
+    assert doc["case"] == "inert"
+    assert doc["k"] == 1
+    assert doc["Q"] == [1, 0, 1]
 
 
 def test_local_unit_norm_q_is_one():
@@ -34,9 +37,11 @@ def test_local_oracle_split_with_divisible_coordinates():
     # D = 11, p = 3 splits, T = (omega, omega) has v = 1 at one prime above 3,
     # exercising the rescaled-vector wedge of the split double sum
     doc = json.loads(_stdout("local --D 11 --p 3 --T 0,1,0,1 --oracle"))
-    assert (doc["case"], doc["k"], sorted((doc["k1"], doc["k2"]))) == ("split", 1, [0, 1])
+    assert doc["case"] == "split"
+    assert doc["k"] == 1 and sorted((doc["k1"], doc["k2"])) == [0, 1]
     assert doc["oracle"]["verdict"] == "agree"
-    assert doc["Q"] == [1, 1, 1]  # the rescaled-vector wedge gives the sqrt(p) X term
+    # the rescaled-vector wedge contributes the sqrt(p) X term
+    assert doc["Q"] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("argv", [["coeff", "--T", "1,0,1,0"], ["expand", "--bound", "2"]])
@@ -110,19 +115,25 @@ def test_huge_table_bound_exits_4_while_the_disc_is_built():
 
 
 def test_expand_schema_and_determinism():
-    runs = [_stdout(f"expand --D 3 --n 2 --ell 3 --bound 2 --workers {w}") for w in (1, 1, 2)]
-    assert runs[0] == runs[1] == runs[2]
-    doc = json.loads(runs[0])
-    assert (doc["C_ell"], doc["D_nl"]) == ("-32/9", "432")
-    assert (doc["constant_term"]["rational"], doc["constant_term"]["symbolic"]) == (
-        "1", "zetaE(l+1)/pi^(2l+1)")
-    assert [(e["rational"], e["localQ"], e["norm"], e["rank"]) for e in doc["entries"]
-            if e["T"] == [[1, 0], [1, 0]]] == [("14256", {"2": [1, 0, 1]}, 2, 2)]
+    f1, f2, f3 = (_stdout(f"expand --D 3 --n 2 --ell 3 --bound 2 --workers {workers}")
+                  for workers in (1, 1, 2))
+    assert f1 == f2
+    assert f1 == f3
+    doc = json.loads(f1)
+    assert doc["C_ell"] == "-32/9"
+    assert doc["D_nl"] == "432"
+    assert doc["constant_term"]["rational"] == "1"
+    assert doc["constant_term"]["symbolic"] == "zetaE(l+1)/pi^(2l+1)"
+    star = [e for e in doc["entries"] if e["T"] == [[1, 0], [1, 0]]]
+    assert star and star[0]["rational"] == "14256"
+    assert star[0]["localQ"] == {"2": [1, 0, 1]}
+    assert star[0]["norm"] == 2 and star[0]["rank"] == 2
 
 
 def test_expand_bound_zero():
-    entries = json.loads(_stdout("expand --D 3 --bound 0"))["entries"]
-    assert entries and all(e["rank"] == 1 for e in entries)
+    doc = json.loads(_stdout("expand --D 3 --bound 0"))
+    assert doc["entries"]
+    assert all(e["rank"] == 1 for e in doc["entries"])
 
 
 def test_coeff_command():
@@ -141,11 +152,13 @@ def test_coeff_writes_rationals_past_the_int_digit_limit():
 
 def test_lift_command():
     doc = json.loads(_stdout("lift --D 3 --ell 6 --T 1,0,1,0 --eigenvalues delta.json"))
-    assert (doc["lift_coefficient"], doc["euler_factors"]["2"]["degree"]) == ("-24", 8)
+    assert doc["lift_coefficient"] == "-24"
+    assert doc["euler_factors"]["2"]["degree"] == 8
 
 
 def test_verify_identities():
-    assert json.loads(_stdout("verify --suite identities"))["ok"] is True
+    doc = json.loads(_stdout("verify --suite identities"))
+    assert doc["ok"] is True
 
 
 def test_verify_oracle_single_prime():
@@ -251,26 +264,23 @@ def test_table_writer_matches_json_dumps_on_hand_made_entries(tmp_path):
         assert _emitted(entry, tmp_path) == reference.encode()
 
 
-# The CLI contract: one in-process test per clause of cli_cases.py, and a fuzz
+# The CLI contract: each clause of cli_cases.py runs in-process as the test of
+# its name, and the clauses "name[id]" as the ids of one test, so the tests the
+# clauses replaced keep their ids; and a fuzz
 
-def _clause_test(clauses):
-    """The test of the clause "name", or of the clauses "name[id]" by id."""
+def _clause_test(family):
     def test(clause):
         failing = {case.argv: found for case in CLAUSES[clause] if (found := problems(case))}
         assert not failing, failing
 
-    if "[" not in clauses[0]:
-        return lambda: test(clauses[0])
-    ids = [clause[clause.index("[") + 1:-1] for clause in clauses]
-    return pytest.mark.parametrize("clause", clauses, ids=ids)(test)
+    if "[" not in family[0]:
+        return lambda: test(family[0])
+    return pytest.mark.parametrize("clause", family, ids=lambda c: c[c.index("[") + 1:-1])(test)
 
 
-_families = {}
-for _clause in CLAUSES:
-    _families.setdefault("test_" + _clause.partition("[")[0], []).append(_clause)
-for _name, _clauses in _families.items():
+for _name, _family in groupby(CLAUSES, lambda clause: "test_" + clause.partition("[")[0]):
     assert _name not in globals(), _name
-    globals()[_name] = _clause_test(_clauses)
+    globals()[_name] = _clause_test(list(_family))
 
 
 _p = st.sampled_from([2, 3, 5, 7, 13, P12, 0, 1, 4, 9, -3])
