@@ -6,9 +6,8 @@ engine with its lattice-count oracle, the archimedean checkers, the global
 Fourier assembly, and the candidate Saito-Kurokawa lifts.
 """
 
-from .arith import (IntPoly, Splitting, SqrtPPoly,
-                    bernoulli, hyp2f1_terminating, kronecker_symbol,
-                    ramanujan_sum, splitting_class, sqrtp_eval_halfint)
+from .arith import (IntPoly, Splitting, SqrtPPoly, bernoulli, hyp2f1_terminating,
+                    kronecker_symbol, sqrtp_eval_halfint)
 from .archimedean import (PiRational, WhittakerEval, arch_constant,
                           bessel_sum_check, comb_identity_check, f0_closed,
                           gamma_integral_check, rank1_vanishing_check,
@@ -20,8 +19,7 @@ from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       coefficient, constant_term, d_nl,
                       denominator_bound_check, full_expansion, sigma_E)
 from .hermitian import (FieldE, GlobalVector, LocalKey, LocalVectorData, Params,
-                        QuadInt, global_vector, local_key, local_quadratic_data,
-                        norm, quadint)
+                        QuadInt, global_vector, local_key, local_quadratic_data, norm)
 from .lift import (EigenformData, SatakeParam, delta_eigenvalues,
                    lift_coefficient, lift_coefficient_numeric,
                    satake_from_eigenvalue, standard_L_factors)

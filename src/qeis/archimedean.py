@@ -7,9 +7,8 @@ controlled quadrature) every special-function identity consumed by the
 Fourier-coefficient computation.  The 50-digit K-Bessel values of the
 identity battery are summed in the standard library's ``decimal``, and its
 half-line integrals use the exp-sinh rule of :func:`_quad_halfline`.  mpmath
-and ``scipy.integrate`` are the references the tests hold these to;
-``scipy.integrate`` is otherwise imported only by the flagged 2-D check
-:func:`fourier_constant_quadrature`.
+and ``scipy.integrate`` are the references the tests hold these to; the
+package imports neither.
 """
 
 from __future__ import annotations
@@ -374,54 +373,3 @@ def rank1_vanishing_check(ell: int, j: int, rel_tol: float = 1e-9) -> bool:
         return False
     # same vanishing through the hypergeometric lens: 2F1(l, -l; 1; 1) = 0
     return hyp2f1_terminating(ell, Fraction(ell), Fraction(1), Fraction(1)) == 0
-
-
-# ---------------------------------------------------------------------------
-# Flagged slow check of the rank-2 archimedean constant
-# ---------------------------------------------------------------------------
-
-def fourier_constant_quadrature(ell: int = 3, r_cut: float = 30.0,
-                                rho_cut: float = 30.0) -> tuple:
-    """Direct quadrature of the rank-2 archimedean integral at T = (1, 1), n = 2.
-
-    The 4+1 dimensional integral defining the u1^l u2^l coefficient collapses
-    to two radial variables: with w = z1 + z2, d = z1 - z2, Lebesgue measure
-    on the complex coordinates, and the character e^(-2 pi i tr<T, v>)
-    (tr<T, v> = 2 Re(w), matching the 4 sqrt(2) pi normalization of beta),
-
-        I_0 = pi^(1-2l) int_0^inf int_0^inf J_0(4 pi R) R rho G(A, B) dR drho,
-
-    where B = R^2, A = (1 - (R^2 - rho^2)/4)^2 and G is the x-integrated
-    kernel in closed form.  Returns (numeric, expected) with expected =
-    2^(2l+n+3) pi^(2l-n+2) <T,T>^(2l-n+1) / ((l!)^2 (2l-n+1)!) * K_0(8 pi).
-    """
-    from scipy import integrate
-    from scipy.special import j0
-
-    n = 2
-
-    def kernel(R: float, rho: float) -> float:
-        B = R * R
-        A = (1.0 - (R * R - rho * rho) / 4.0) ** 2
-        total = 0.0
-        for k in range(ell + 1):
-            total += (math.comb(ell, k) ** 2 * (-B) ** (ell - k)
-                      * gamma_integral_closed(A, A + B, k, 2 * ell + 1))
-        return total
-
-    inner = lambda rho, R: kernel(R, rho) * rho
-
-    def outer(R: float) -> float:
-        val, _ = integrate.quad(inner, 0.0, rho_cut, args=(R,), limit=300,
-                                epsabs=1e-15, epsrel=1e-13)
-        return val * j0(2 * TWO_PI * R) * R
-
-    num, _ = integrate.quad(outer, 0.0, r_cut, limit=2000,
-                            epsabs=1e-13, epsrel=1e-10)
-    num *= math.pi ** (1 - 2 * ell)
-    norm_T = 2
-    expected = (2 ** (2 * ell + n + 3) * math.pi ** (2 * ell - n + 2)
-                * norm_T ** (2 * ell - n + 1)
-                / (math.factorial(ell) ** 2 * math.factorial(2 * ell - n + 1))
-                * bessel_k(0, 8 * math.pi))
-    return num, expected

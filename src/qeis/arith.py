@@ -80,14 +80,6 @@ def vp(x: int, p: int) -> int | float:
     return v
 
 
-def ramanujan_sum(p: int, s: int, t: int) -> int:
-    """Sum of e^(2 pi i c t / p^s) over units c mod p^s.
-
-    Depends on t only through v_p(t); see :func:`ramanujan_sum_vp`.
-    """
-    return ramanujan_sum_vp(p, s, vp(t, p))
-
-
 def ramanujan_sum_vp(p: int, s: int, v) -> int:
     """The Ramanujan sum c_{p^s}(t) from v = v_p(t) alone (v = inf for t = 0).
 
@@ -99,7 +91,7 @@ def ramanujan_sum_vp(p: int, s: int, v) -> int:
         0               otherwise.
     """
     if s < 0:
-        raise ValidationError("ramanujan_sum needs s >= 0")
+        raise ValidationError("ramanujan_sum_vp needs s >= 0")
     if s == 0:
         return 1
     if v >= s:
@@ -119,12 +111,6 @@ class Splitting(Enum):
     RAMIFIED = "ramified"
 
 
-def is_squarefree(n: int) -> bool:
-    """True for n > 0 that no prime square divides, read off :func:`prime_factors`
-    (so an n it cannot factor raises its ResourceBudgetError)."""
-    return n > 0 and math.prod(prime_factors(n)) == n
-
-
 def validate_D(D: int) -> tuple:
     """D must be squarefree and congruent to 3 mod 4 (so 2 is unramified).
 
@@ -138,14 +124,9 @@ def validate_D(D: int) -> tuple:
     raise ValidationError(f"D = {D} is not a squarefree positive integer = 3 mod 4")
 
 
-def splitting_class(D: int, p: int) -> Splitting:
-    """How the rational prime p decomposes in Q(sqrt(-D)), after validating D."""
-    validate_D(D)
-    return splitting_of_valid_D(D, p)
-
-
 def splitting_of_valid_D(D: int, p: int) -> Splitting:
-    """:func:`splitting_class` for a D already validated, as a FieldE's is.
+    """How the rational prime p decomposes in Q(sqrt(-D)), for a D already
+    validated by :func:`validate_D`, as a FieldE's is.
 
     Ramified iff p | D; otherwise split or inert according to whether -D is
     a square mod p (odd p) or to -D mod 8 (p = 2).  D = 3 mod 4 guarantees
@@ -190,14 +171,6 @@ def hyp2f1_terminating(neg_a: int, b: Fraction, c: Fraction, z: Fraction) -> Fra
     return Fraction(num, den)
 
 
-def pochhammer(a: Fraction, n: int) -> Fraction:
-    """Rising factorial (a)_n."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------
@@ -230,17 +203,8 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -289,9 +253,6 @@ class SqrtPPoly:
     def degree(self) -> int:
         return len(self.d) - 1 if self.d else -1
 
-    def is_zero(self) -> bool:
-        return not self.d
-
     def is_monic(self) -> bool:
         return bool(self.d) and self.d[-1] == 1 and self.degree % 2 == 0
 
@@ -303,32 +264,11 @@ class SqrtPPoly:
         return isinstance(other, SqrtPPoly) and self.p == other.p and self.d == other.d
 
 
-def _sqrtp_eval_frac(q: SqrtPPoly, two_e: int) -> Fraction:
-    """Value of q at X = p^(two_e / 2) as an exact rational.
-
-    Each monomial contributes d_i * p^((i*two_e + (i % 2))/2); the exponent
-    is an integer whenever two_e is odd, which is the only parity accepted.
-    """
-    if two_e % 2 == 0:
-        raise ValidationError("evaluation point exponent 2e must be odd")
-    total = Fraction(0)
-    for i, di in enumerate(q.d):
-        if di == 0:
-            continue
-        num = i * two_e + (i % 2)
-        if num % 2 != 0:
-            raise InternalConsistencyError("parity pattern broken in SqrtPPoly")
-        e = num // 2
-        total += di * (Fraction(q.p) ** e)
-    return total
-
-
 def sqrtp_eval_halfint(q: SqrtPPoly, two_e: int) -> int:
     """Exact integer value of q at X = p^(two_e/2) for odd two_e > 0.
 
     Each monomial contributes d_i * p^((i*two_e + (i % 2))/2), an integer
-    power of p by the parity grading, so the sum runs in Python ints;
-    ``_sqrtp_eval_frac`` is the rational reference.
+    power of p by the parity grading, so the sum runs in Python ints.
     """
     if two_e <= 0 or two_e % 2 == 0:
         raise ValidationError("two_e must be a positive odd integer")

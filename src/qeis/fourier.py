@@ -130,15 +130,16 @@ def local_polynomials(T: GlobalVector, P: Params, F: FieldE, nrm: int) -> dict:
 
     The keys come from :func:`norm_keys`; no coordinates are built.  The
     global model has n = 2 only, so other n raise ValidationError.  A failed
-    consistency check of a Q build, which names the key, is re-raised naming T.
+    consistency check of a Q build, which names the key, and a number past
+    the factoring budget, which names the number, are re-raised naming T.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
     try:
         return {key.p: q_poly_of_invariants(key)
                 for key in norm_keys(F, nrm, content_keys(T, F, nrm))}
-    except InternalConsistencyError as exc:
-        raise InternalConsistencyError(f"T = {T.as_list()}, {exc}") from exc
+    except (InternalConsistencyError, ResourceBudgetError) as exc:
+        raise type(exc)(f"T = {T.as_list()}, {exc}") from exc
 
 
 @lru_cache(maxsize=4096)
@@ -166,17 +167,6 @@ def coefficient_of_invariants(P: Params, F: FieldE, nrm: int, content: tuple) ->
     return 2, d_nl(P, F) * prod, None, MappingProxyType(local)
 
 
-def _value_of(P: Params, F: FieldE, nrm: int, content: tuple,
-              ax: int, ay: int, bx: int, by: int) -> tuple:
-    """:func:`coefficient_of_invariants` for T = (ax + ay omega, bx + by omega);
-    a failed consistency check of a Q build, which names the key, is
-    re-raised naming T."""
-    try:
-        return coefficient_of_invariants(P, F, nrm, content)
-    except InternalConsistencyError as exc:
-        raise InternalConsistencyError(f"T = {[[ax, ay], [bx, by]]}, {exc}") from exc
-
-
 def coefficient(T: GlobalVector, P: Params, F: FieldE,
                 with_whittaker: bool = False) -> FourierCoefficient:
     """The Fourier coefficient of T, by the sign of <T, T>.
@@ -187,16 +177,19 @@ def coefficient(T: GlobalVector, P: Params, F: FieldE,
     objects the coefficient shares rather than copies.  The global
     model has n = 2 only, so other n raise ValidationError for every T,
     isotropic and negative-norm ones included.  A failed consistency check of
-    a Q build, which names the key, is re-raised naming T.
+    a Q build, which names the key, and a number past the factoring budget,
+    which names the number, are re-raised naming T.
     """
     if P.n != 2:
         raise ValidationError("the built-in global model has n = 2")
     if not T:
         raise ValidationError("rank-1 coefficients need <T, T> = 0, T != 0")
     nrm = norm(T, F)
-    content = () if nrm < 0 else content_keys(T, F, nrm)
-    a, b = T.a, T.b
-    rank, rational, sigma, local = _value_of(P, F, nrm, content, a.x, a.y, b.x, b.y)
+    try:
+        content = () if nrm < 0 else content_keys(T, F, nrm)
+        rank, rational, sigma, local = coefficient_of_invariants(P, F, nrm, content)
+    except (InternalConsistencyError, ResourceBudgetError) as exc:
+        raise type(exc)(f"T = {T.as_list()}, {exc}") from exc
     w = whittaker_at(T, P.ell, F) if with_whittaker else None
     return FourierCoefficient(T=T, rank=rank, rational=rational, norm=nrm, sigma=sigma,
                               local_q=local, whittaker=w)
@@ -412,7 +405,11 @@ def full_expansion(P: Params, F: FieldE, bound: int) -> ExpansionTable:
         if (value := by_classes.get((m, ca, cb))) is None:
             content = _content_of_classes(m, readings[ca], readings[cb])
             if (value := values.get((m, content))) is None:
-                value = values[m, content] = _value_of(P, F, m, content, ax, ay, bx, by)
+                try:
+                    value = values[m, content] = coefficient_of_invariants(P, F, m, content)
+                except InternalConsistencyError as exc:
+                    raise InternalConsistencyError(
+                        f"T = {[[ax, ay], [bx, by]]}, {exc}") from exc
             by_classes[m, ca, cb] = value
         rows.append((ax, ay, bx, by, m, value))
     return ExpansionTable(F=F, params=P, bound=bound, region_norm_cap=cap,

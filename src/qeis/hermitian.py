@@ -66,9 +66,6 @@ class QuadInt:
     def add(self, other: "QuadInt") -> "QuadInt":
         return QuadInt(self.x + other.x, self.y + other.y)
 
-    def neg(self) -> "QuadInt":
-        return QuadInt(-self.x, -self.y)
-
     def conj(self) -> "QuadInt":
         # omega + conj(omega) = 1
         return QuadInt(self.x + self.y, -self.y)
@@ -93,15 +90,6 @@ class QuadInt:
 
     def as_list(self) -> list:
         return [self.x, self.y]
-
-
-def quadint(x: int, y: int = 0) -> QuadInt:
-    return QuadInt(x, y)
-
-
-def sqrt_minus_D() -> QuadInt:
-    """sqrt(-D) = 2 omega - 1."""
-    return QuadInt(-1, 2)
 
 
 # ---------------------------------------------------------------------------

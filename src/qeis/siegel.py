@@ -145,10 +145,6 @@ class QuadLatticeShape:
             return tuple(c_term(r, *inv, self.m, self.p) for r in rs)
         return b_series(*inv, self.m, self.p, rs)
 
-    def term(self, r: int, inv) -> int:
-        """Term r at invariants ``inv``, a one-term :meth:`series`."""
-        return self.series(inv, range(r, r + 1))[0]
-
 
 def split_shape(p: int, m: int) -> QuadLatticeShape:
     return QuadLatticeShape(p, m, "split")
@@ -203,7 +199,7 @@ def term_closed(r: int, eta, shape: QuadLatticeShape) -> int:
     if r < 0:
         raise ValidationError("term index r must be >= 0")
     inv = shape.invariants(eta)
-    return 0 if inv is None else shape.term(r, inv)
+    return 0 if inv is None else shape.series(inv, range(r, r + 1))[0]
 
 
 def b_series(v, kq, m: int, p: int, rs: range) -> tuple:

@@ -46,6 +46,7 @@ FIXTURES = {
 P12, P18 = 10 ** 12 + 63, 10 ** 18 + 3  # primes past the trial-division cap
 LIFT = "lift --D 3 --ell 6 --T 1,0,1,0 --eigenvalues"
 OVER_300 = "exceeds the supported maximum 300"
+PAST_CAP = "T = [[1, 0], [1000036000099, 0]], cannot factor 2000072000198"
 
 
 def _expand(D: int, ell: int, bound: int, fmt: str, sha: str) -> tuple:
@@ -88,10 +89,17 @@ CLAUSES = {
         Case(f"local --D 7 --p {P18} --T 1,0,1,0", seconds=20,
              sha="d6347077cfef0263f686f7bbbe24372754d768798d2565307dd1dc77cf3e9400"),
     ),
-    # <T, T> = 2 (10^6 + 3)(10^6 + 33): two primes above the trial-division cap
-    "factoring_past_the_cap_is_a_budget_error": (Case(
-        "coeff --D 3 --T 1,0,1000036000099,0", 4, seconds=20,
-        stderr="cannot factor 2000072000198"),),
+    # <T, T> = 2 (10^6 + 3)(10^6 + 33): two primes above the trial-division cap.
+    # The error names T, whether the number is <T, T> or, in the last case,
+    # the content gcd(N(a), N(b), <T, T>) = (10^6 + 3)^2 (10^6 + 33)^2
+    "factoring_past_the_cap_is_a_budget_error": (
+        Case("coeff --D 3 --T 1,0,1000036000099,0", 4, seconds=20, stderr=PAST_CAP),
+        Case("lift --D 3 --ell 6 --T 1,0,1000036000099,0 --eigenvalues delta.json", 4,
+             seconds=20, stderr=PAST_CAP),
+        Case("coeff --D 3 --T 1000036000099,0,1000036000099,0", 4, seconds=20,
+             stderr="T = [[1000036000099, 0], [1000036000099, 0]], "
+                    "cannot factor 1000072001494007128009801"),
+    ),
     # D is validated, and sigma_k(D) read, off one factoring of D
     "large_D_is_validated_and_factored_without_trial_division_to_its_root": (
         Case(f"coeff --D {P18} --T 1,0,1,0", seconds=20,

@@ -332,20 +332,20 @@ def test_quad_halfline_refuses_what_it_cannot_integrate():
 
 
 def test_cli_import_leaves_scipy_integrate_out():
-    """`import qeis.cli` loads scipy.special and numpy only; the flagged 2-D
-    quadrature still imports scipy.integrate when it is called."""
+    """`import qeis.cli` loads scipy.special and numpy only, and a
+    `verify --suite all` run does not load scipy.integrate."""
     code = (
-        "import sys, qeis.cli\n"
+        "import contextlib, io, sys, qeis.cli\n"
         "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', 'scipy.sparse')\n"
         "print([m for m in heavy if m in sys.modules])\n"
-        "from qeis.archimedean import fourier_constant_quadrature\n"
-        "fourier_constant_quadrature(ell=1, r_cut=0.01, rho_cut=0.01)\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qeis.cli.main(['verify', '--suite', 'all'])\n"
+        "print(code, 'scipy.integrate' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    assert proc.stdout.split("\n")[:2] == ["[]", "0 False"]
 
 
 def test_rank1_vanishing_examples():

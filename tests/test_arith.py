@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qeis import arith
-from qeis.arith import (IntPoly, Splitting, SqrtPPoly, _sqrtp_eval_frac,
-                        _tangent_numbers, bernoulli, geometric_sum, hyp2f1_terminating,
-                        is_prime, is_squarefree, kronecker_symbol, pochhammer, prime_factors,
-                        ramanujan_sum, ramanujan_sum_vp, sigma_k, splitting_class,
-                        sqrtp_eval_halfint, validate_D, vp)
+from qeis.arith import (IntPoly, Splitting, SqrtPPoly, _tangent_numbers, bernoulli,
+                        geometric_sum, hyp2f1_terminating, is_prime, kronecker_symbol,
+                        prime_factors, ramanujan_sum_vp, sigma_k, sqrtp_eval_halfint,
+                        validate_D, vp)
 from qeis.errors import InternalConsistencyError, ResourceBudgetError, ValidationError
+from qeis.hermitian import FieldE
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +98,16 @@ def _unit_sum_oracle(p, s, t):
 
 
 def test_ramanujan_examples():
-    assert ramanujan_sum(3, 0, 5) == 1
-    assert ramanujan_sum(3, 1, 1) == -1
-    assert ramanujan_sum(3, 2, 3) == -3
+    assert ramanujan_sum_vp(3, 0, vp(5, 3)) == 1
+    assert ramanujan_sum_vp(3, 1, vp(1, 3)) == -1
+    assert ramanujan_sum_vp(3, 2, vp(3, 3)) == -3
 
 
 def test_ramanujan_against_unit_sum():
     for p in (2, 3, 5):
         for s in range(0, 5):
             for t in range(-p ** 5, p ** 5 + 1):
-                assert ramanujan_sum(p, s, t) == _unit_sum_oracle(p, s, t), (p, s, t)
+                assert ramanujan_sum_vp(p, s, vp(t, p)) == _unit_sum_oracle(p, s, t), (p, s, t)
     assert ramanujan_sum_vp(3, 2, math.inf) == 6
 
 
@@ -116,9 +116,9 @@ def test_ramanujan_against_unit_sum():
 # ---------------------------------------------------------------------------
 
 def test_splitting_examples():
-    assert splitting_class(3, 3) is Splitting.RAMIFIED
-    assert splitting_class(3, 7) is Splitting.SPLIT
-    assert splitting_class(3, 2) is Splitting.INERT
+    assert FieldE(3).splitting(3) is Splitting.RAMIFIED
+    assert FieldE(3).splitting(7) is Splitting.SPLIT
+    assert FieldE(3).splitting(2) is Splitting.INERT
 
 
 def test_splitting_matches_kronecker():
@@ -126,7 +126,7 @@ def test_splitting_matches_kronecker():
     for D in (3, 7, 11, 15, 19, 23):
         for p in primes:
             chi = kronecker_symbol(-D, p)
-            cls = splitting_class(D, p)
+            cls = FieldE(D).splitting(p)
             expect = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}[chi]
             assert cls is expect, (D, p)
 
@@ -134,7 +134,7 @@ def test_splitting_matches_kronecker():
 def test_splitting_rejects_bad_D():
     for D in (4, 5, 12, -3, 27):
         with pytest.raises(ValidationError):
-            splitting_class(D, 5)
+            FieldE(D).splitting(5)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,14 @@ def test_hyp2f1_examples():
     assert hyp2f1_terminating(1, Fraction(1, 2), Fraction(-3, 2), 1) == Fraction(4, 3)
     # 2F1(-1, 2; 1; 1) with ell = 1: value 1 - 2 = -1... the rank-1 instance:
     assert hyp2f1_terminating(1, Fraction(1), Fraction(1), Fraction(1)) == 0
+
+
+def pochhammer(a: Fraction, n: int) -> Fraction:
+    """Rising factorial (a)_n."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= a + i
+    return out
 
 
 def test_hyp2f1_chu_vandermonde_family():
@@ -233,6 +241,27 @@ def test_sqrtp_eval_rejects_even_exponent():
         sqrtp_eval_halfint(SqrtPPoly(3, [1]), -3)
 
 
+def _sqrtp_eval_frac(q: SqrtPPoly, two_e: int) -> Fraction:
+    """Value of q at X = p^(two_e / 2) as an exact rational: the reference
+    for :func:`sqrtp_eval_halfint`.
+
+    Each monomial contributes d_i * p^((i*two_e + (i % 2))/2); the exponent
+    is an integer whenever two_e is odd, which is the only parity accepted.
+    """
+    if two_e % 2 == 0:
+        raise ValidationError("evaluation point exponent 2e must be odd")
+    total = Fraction(0)
+    for i, di in enumerate(q.d):
+        if di == 0:
+            continue
+        num = i * two_e + (i % 2)
+        if num % 2 != 0:
+            raise InternalConsistencyError("parity pattern broken in SqrtPPoly")
+        e = num // 2
+        total += di * (Fraction(q.p) ** e)
+    return total
+
+
 @given(st.integers(0, 3).flatmap(
     lambda k: st.tuples(st.sampled_from([2, 3, 5]),
                         st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1),
@@ -270,8 +299,7 @@ def test_intpoly_basics():
     assert poly.degree == 2
     assert poly.is_monic()
     assert poly.is_palindromic()
-    assert poly(2) == 9
-    assert IntPoly([0, 0]).is_zero()
+    assert IntPoly([0, 0]).coeffs == ()
     for bad in ([1, Fraction(1, 2)], [1, Fraction(3)], [1, 2.0], [1, 0, Fraction(0)]):
         with pytest.raises(TypeError, match=re.escape(f"coefficient {bad[-1]!r} is not")):
             IntPoly(bad)
@@ -369,10 +397,12 @@ def test_sigma_k_matches_the_divisor_sum():
 
 def test_squarefree_is_read_off_the_prime_factors():
     for n in range(-3, 2000):
-        expect = n > 0 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
-        assert is_squarefree(n) == expect, n
-    assert is_squarefree(10 ** 18 + 3) and not is_squarefree(27 * (10 ** 18 + 3))
-    validate_D(10 ** 18 + 3)
-    for D in (27, 49 * (10 ** 18 + 3), 9 * (10 ** 12 + 63)):
+        if n > 0 and n % 4 == 3 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1)):
+            assert validate_D(n) == tuple(prime_factors(n)), n
+        else:
+            with pytest.raises(ValidationError):
+                validate_D(n)
+    assert validate_D(10 ** 18 + 3) == (10 ** 18 + 3,)
+    for D in (27, 9 * (10 ** 18 + 3), 49 * (10 ** 18 + 3), 9 * (10 ** 12 + 63)):
         with pytest.raises(ValidationError, match=f"D = {D} is not"):
             validate_D(D)

@@ -12,7 +12,7 @@ from qeis.fourier import (REGION_SCALE, c_ell, coefficient, constant_term,
                           d_nl, denominator_bound_check, full_expansion,
                           sigma_E, vectors_in_region)
 from qeis.hermitian import (FieldE, GlobalVector, Params, QuadInt,
-                            global_vector, local_key, norm, quadint)
+                            global_vector, local_key, norm)
 from qeis.siegel import q_poly_of_invariants
 
 F3 = FieldE(3)
@@ -30,16 +30,16 @@ def _sigma(T, ell, F):
 
 
 def test_sigma_E_examples():
-    T = GlobalVector(quadint(1), QuadInt(-1, 2))      # (1, sqrt(-3))
+    T = GlobalVector(QuadInt(1, 0), QuadInt(-1, 2))  # (1, sqrt(-3))
     assert _sigma(T, 3, F3) == 1
-    T2 = GlobalVector(quadint(2), QuadInt(-2, 4))     # (2, 2 sqrt(-3))
+    T2 = GlobalVector(QuadInt(2, 0), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
     assert _sigma(T2, 3, F3) == 65
     assert sigma_E((), 3) == 1  # a unit content
 
 
 def test_sigma_E_split_prime():
     # content 7 at a split prime contributes (1 + 7^l) twice when both ideals divide
-    T = GlobalVector(quadint(7), quadint(7))
+    T = GlobalVector(QuadInt(7, 0), QuadInt(7, 0))
     val = _sigma(T, 2, F3)
     assert val == (1 + 49) ** 2
     # a vector divisible by exactly one ideal above 7: 7 = p1 p2, pick a = 1 + 2w
@@ -50,10 +50,10 @@ def test_sigma_E_split_prime():
 
 def test_rank1_coefficient_examples():
     assert c_ell(3) == Fraction(-32, 9)
-    T = GlobalVector(quadint(1), QuadInt(-1, 2))
+    T = GlobalVector(QuadInt(1, 0), QuadInt(-1, 2))
     c = coefficient(T, P3, F3)
     assert (c.rank, c.rational, c.sigma) == (1, Fraction(-32, 9), 1)
-    T2 = GlobalVector(quadint(2), QuadInt(-2, 4))
+    T2 = GlobalVector(QuadInt(2, 0), QuadInt(-2, 4))
     assert coefficient(T2, P3, F3).rational == Fraction(-2080, 9)
     with pytest.raises(ValidationError, match="need <T, T> = 0, T != 0"):
         coefficient(global_vector(0, 0, 0, 0), P3, F3)
@@ -77,7 +77,7 @@ def test_rank2_forced_value():
     T_unit = global_vector(1, 0, 1, -1)   # norm 2*1 + (-1) = 1
     assert norm(T_unit, F3) == 1
     assert coefficient(T_unit, P3, F3).rational == 432
-    assert coefficient(GlobalVector(quadint(1), QuadInt(-1, 2)), P3, F3).rank == 1
+    assert coefficient(GlobalVector(QuadInt(1, 0), QuadInt(-1, 2)), P3, F3).rank == 1
 
 
 def test_rank2_local_product_positive_integer():
@@ -105,7 +105,7 @@ def test_rank2_invariance_under_lattice_isometries():
             continue
         base = coefficient(T, P3, F3).rational
         swap = coefficient(GlobalVector(T.b, T.a), P3, F3).rational
-        neg = coefficient(GlobalVector(T.a.neg(), T.b.neg()), P3, F3).rational
+        neg = coefficient(global_vector(-T.a.x, -T.a.y, -T.b.x, -T.b.y), P3, F3).rational
         omega = QuadInt(0, 1)   # unit for D = 3: N(omega) = 1
         Tw = GlobalVector(T.a.mul(omega, F3), T.b.mul(omega, F3))
         scaled = coefficient(Tw, P3, F3).rational
@@ -262,7 +262,7 @@ def test_suite_denominators_lists_each_failing_row_with_its_T(monkeypatch):
 
 def test_coefficient_dispatch():
     assert coefficient(global_vector(1, 0, 1, 0), P3, F3).rank == 2
-    assert coefficient(GlobalVector(quadint(1), QuadInt(-1, 2)), P3, F3).rank == 1
+    assert coefficient(GlobalVector(QuadInt(1, 0), QuadInt(-1, 2)), P3, F3).rank == 1
     # negative norm: zero coefficient
     T_neg = global_vector(1, 0, -1, 0)
     assert norm(T_neg, F3) < 0

@@ -4,12 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qeis.arith import Splitting, is_squarefree, prime_factors, vp
+from qeis.arith import Splitting, prime_factors, vp
 from qeis.errors import ValidationError
 from qeis.hermitian import (FieldE, GlobalVector, LocalKey, Params, QuadInt,
                             global_vector, local_key, local_quadratic_data, norm,
-                            omega_root_lift, quadint,
-                            ramified_unit, sqrt_minus_D)
+                            omega_root_lift, ramified_unit)
 
 F3 = FieldE(3)
 F7 = FieldE(7)
@@ -43,8 +42,8 @@ def test_norm_equals_self_times_conjugate(a):
     assert a.trace() == a.add(a.conj()).x
 
 
-def test_sqrt_minus_D_square():
-    w = sqrt_minus_D()
+def test_two_omega_minus_one_squares_to_minus_D():
+    w = QuadInt(-1, 2)  # sqrt(-D) = 2 omega - 1
     assert w.mul(w, F3) == QuadInt(-3, 0)
     assert w.mul(w, F7) == QuadInt(-7, 0)
     assert w.trace() == 0
@@ -63,7 +62,7 @@ def test_norm_is_trace_of_a_times_conj_b(a, b, D):
 def test_norm_examples():
     assert norm(global_vector(1, 0, 1, 0), F3) == 2
     # b = sqrt(-3) = -1 + 2 omega gives an isotropic vector
-    assert norm(GlobalVector(quadint(1), QuadInt(-1, 2)), F3) == 0
+    assert norm(GlobalVector(QuadInt(1, 0), QuadInt(-1, 2)), F3) == 0
     assert norm(global_vector(0, 0, 0, 0), F3) == 0
 
 
@@ -96,9 +95,9 @@ def _full_key(T, F, p):
 
 
 def test_local_key_examples():
-    T = GlobalVector(quadint(1), QuadInt(-1, 2))  # (1, sqrt(-3)), isotropic
+    T = GlobalVector(QuadInt(1, 0), QuadInt(-1, 2))  # (1, sqrt(-3)), isotropic
     assert _full_key(T, F3, 3) == LocalKey(3, Splitting.RAMIFIED, 2, math.inf, 0, 0)
-    T2 = GlobalVector(quadint(2), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
+    T2 = GlobalVector(QuadInt(2, 0), QuadInt(-2, 4))  # (2, 2 sqrt(-3))
     assert _full_key(T2, F3, 2) == LocalKey(2, Splitting.INERT, 2, math.inf, 1, 1)
     assert _full_key(global_vector(1, 0, 1, 0), F3, 5) == LocalKey(5, Splitting.INERT, 2, 0, 0, 0)
     assert str(_full_key(global_vector(1, 0, 3, 1), F3, 7)) == \
@@ -120,7 +119,7 @@ def test_split_valuations_sum_to_norm_valuation():
             F = FieldE(D)
             if F.splitting(p) is not Splitting.SPLIT:
                 continue
-            T = GlobalVector(z, quadint(1))
+            T = GlobalVector(z, QuadInt(1, 0))
             key = _full_key(GlobalVector(z, z), F, p)
             assert key.k1 + key.k2 == vp(z.norm(F), p), (z, D, p)
 
@@ -225,7 +224,7 @@ def test_ramified_over_uniformizer_invariants():
 
 def test_local_data_rejects_isotropic():
     with pytest.raises(ValidationError):
-        local_quadratic_data(GlobalVector(quadint(1), QuadInt(-1, 2)), F3, 3, P2)
+        local_quadratic_data(GlobalVector(QuadInt(1, 0), QuadInt(-1, 2)), F3, 3, P2)
 
 
 def test_local_data_rejects_other_ranks():
@@ -318,8 +317,11 @@ def test_omega_root_is_the_least_root_the_scan_finds():
 
     primes = [p for p in range(2, 1000) if prime_factors(p) == [p]] + [65537]
     split = other = 0
-    for D in (D for D in range(3, 120, 4) if is_squarefree(D)):
-        F = FieldE(D)
+    for D in range(3, 120, 4):
+        try:
+            F = FieldE(D)  # validate_D: D squarefree
+        except ValidationError:
+            continue
         for p in primes:
             if F.splitting(p) is Splitting.SPLIT:
                 assert _omega_root_mod_p(F, p) == _omega_root_scan(F, p), (D, p)
