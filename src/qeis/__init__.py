@@ -20,7 +20,7 @@ from .fourier import (ConstantTerm, ExpansionTable, FourierCoefficient, c_ell,
                       denominator_bound_check, full_expansion, sigma_E)
 from .hermitian import (FieldE, GlobalVector, LocalKey, LocalVectorData, Params,
                         QuadInt, global_vector, local_key, local_quadratic_data, norm)
-from .lift import (EigenformData, SatakeParam, delta_eigenvalues,
+from .lift import (EigenformData, delta_eigenvalues,
                    lift_coefficient, lift_coefficient_numeric,
                    satake_from_eigenvalue, standard_L_factors)
 from .siegel import (QuadLatticeShape, R_closed_form, assemble_series,

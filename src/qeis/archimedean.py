@@ -170,14 +170,13 @@ def gamma_integral_closed(C: float, Dv: float, m: int, nn: int) -> float:
     return Dv ** (m - nn + 0.5) / math.factorial(nn - 1) * total
 
 
-def gamma_integral_check(C: float, Dv: float, m: int, nn: int,
-                         rel_tol: float = 1e-9) -> bool:
-    """Exp-sinh quadrature of the rational integral against its closed form."""
+def gamma_integral_check(C: float, Dv: float, m: int, nn: int) -> bool:
+    """Exp-sinh quadrature of the rational integral against its closed form, to 1e-9 relative."""
     if Dv <= 0 or not m < nn:
         raise ValidationError("need Dv > 0 and m < nn")
     closed = gamma_integral_closed(C, Dv, m, nn)
     num = 2.0 * _quad_halfline(lambda x: (x * x + C) ** m / (x * x + Dv) ** nn)
-    return abs(num - closed) <= rel_tol * abs(closed)
+    return abs(num - closed) <= 1e-9 * abs(closed)
 
 
 def _cjk(ell: int, j: int, k: int) -> int:
@@ -313,11 +312,11 @@ def _besselk_50(n: int, x: float) -> Decimal:
         return +value
 
 
-def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
+def bessel_sum_check(ell: int, C: float) -> bool:
     """Telescoping K-Bessel sum: S_l = (-1)^l C^(2l)/(l!)^2 K_0(2C).
 
     The alternating sum cancels about 2l log10(1/C) + log10(K_2l/K_0) digits
-    (15 at l = 6, C = 0.5), so meeting the stated relative tolerance needs
+    (15 at l = 6, C = 0.5), so meeting its 1e-10 relative tolerance needs
     working precision well past binary64; the sum is therefore evaluated in
     ``decimal`` at 50 digits.  Both sides read K_v(2C) from
     :func:`_besselk_50`, which sums each order from the integer-order power
@@ -339,7 +338,7 @@ def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
                   for k in range(ell + 1))
         rhs = (-1) ** ell * Cd ** (2 * ell) / math.factorial(ell) ** 2 \
             * _besselk_50(0, 2 * C)
-        ok = abs(lhs - rhs) <= Decimal(rel_tol) * abs(rhs)
+        ok = abs(lhs - rhs) <= Decimal(1e-10) * abs(rhs)
     # anchor the binary64 Bessel to the same identity where it can resolve it
     if ell <= 1:
         lhs64 = sum((-1) ** k * C ** (ell + k) * bessel_k(ell + k, 2 * C)
@@ -351,11 +350,11 @@ def bessel_sum_check(ell: int, C: float, rel_tol: float = 1e-10) -> bool:
     return ok
 
 
-def rank1_vanishing_check(ell: int, j: int, rel_tol: float = 1e-9) -> bool:
+def rank1_vanishing_check(ell: int, j: int) -> bool:
     """Planar integral value and the alternating factorial sum that kills it.
 
     (a) 2 pi int_0^inf rho^(2l-2j+1) / (1+rho^2)^(2l+1) drho equals
-        pi (l-j)! (l+j-1)! / (2l)! to rel_tol;
+        pi (l-j)! (l+j-1)! / (2l)! to 1e-9 relative;
     (b) sum_j (-1)^j C(l,j)^2 (l-j)! (l+j-1)! = 0 exactly (l >= 1).
     """
     if not (ell >= 1 and 0 <= j <= ell):
@@ -364,7 +363,7 @@ def rank1_vanishing_check(ell: int, j: int, rel_tol: float = 1e-9) -> bool:
         lambda r: r ** (2 * ell - 2 * j + 1) / (1 + r * r) ** (2 * ell + 1))
     closed = (math.pi * math.factorial(ell - j) * math.factorial(ell + j - 1)
               / math.factorial(2 * ell))
-    if abs(num - closed) > rel_tol * abs(closed):
+    if abs(num - closed) > 1e-9 * abs(closed):
         return False
     alt = sum((-1) ** i * math.comb(ell, i) ** 2
               * math.factorial(ell - i) * math.factorial(ell + i - 1)

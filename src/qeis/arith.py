@@ -206,13 +206,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def is_palindromic(self) -> bool:
-        """X^deg P(1/X) == P(X)."""
-        return self.coeffs == self.coeffs[::-1]
-
     def divide_exact(self, root: int, shift: int) -> "IntPoly":
         """Exact quotient of the series by (1 - root * t^shift) for an int
         root; a nonzero remainder raises InternalConsistencyError."""
@@ -259,9 +252,6 @@ class SqrtPPoly:
     def is_palindromic(self) -> bool:
         """X^deg Q(1/X) == Q(X), coefficientwise on the d vector."""
         return self.d == self.d[::-1]
-
-    def __eq__(self, other):
-        return isinstance(other, SqrtPPoly) and self.p == other.p and self.d == other.d
 
 
 def sqrtp_eval_halfint(q: SqrtPPoly, two_e: int) -> int:

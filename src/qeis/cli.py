@@ -41,11 +41,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _rat(x: Fraction) -> str:
-    """An exact rational (a Fraction or an int) as "n" or "n/d"."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _parse_T(text: str) -> GlobalVector:
     try:
         parts = [int(c) for c in text.split(",")]
@@ -62,7 +57,7 @@ def _emit(doc, out_path, fmt: str = "json"):
     An :class:`ExpansionTable` is rendered by :func:`_table_json` or
     :func:`_table_csv` as fmt says, a :class:`FourierCoefficient` as its
     :func:`_entry_json` at depth 0, any other doc by json.dumps(indent=2)
-    with :func:`_rat` for Fractions.  Exact values outgrow Python's int-to-str
+    with str() for Fractions.  Exact values outgrow Python's int-to-str
     digit limit at large ell, so the limit is lifted while rendering only.
     An out_path that cannot be written raises ValidationError naming it.
     """
@@ -75,7 +70,7 @@ def _emit(doc, out_path, fmt: str = "json"):
         elif isinstance(doc, FourierCoefficient):
             text = _entry_json(doc).replace("\n    ", "\n")[4:] + "\n"  # depth 2 to 0
         else:
-            text = json.dumps(doc, indent=2, default=_rat) + "\n"
+            text = json.dumps(doc, indent=2, default=str) + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -96,7 +91,7 @@ def _table_csv(table: ExpansionTable) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ax", "ay", "bx", "by", "norm", "rank", "rational"])
     for ax, ay, bx, by, nrm, (rank, rational, _, _) in table.rows:
-        writer.writerow([ax, ay, bx, by, nrm, rank, _rat(rational)])
+        writer.writerow([ax, ay, bx, by, nrm, rank, rational])
     return buf.getvalue()
 
 
@@ -115,7 +110,7 @@ _Q_ITEM = '        "%d": [\n          %s\n        ]'  # Q_{T,p} is monic: never 
 def _entry_tail(rank: int, rational: Fraction, sigma, local_q) -> str:
     """An entry from "rank" to its closing brace: "rank" and "rational", then
     "sigma" at rank 1 or a non-empty "localQ" ({p: Q_{T,p}} by p) at rank 2."""
-    text = _TAIL % (rank, encode_basestring_ascii(_rat(rational)))
+    text = _TAIL % (rank, encode_basestring_ascii(str(rational)))
     if rank == 1:
         text += _SIGMA % sigma
     elif local_q:
@@ -167,11 +162,12 @@ def cmd_local(args) -> int:
     T = _parse_T(args.T)
     data = local_quadratic_data(T, F, args.p, P)
     q = q_poly(data, P)
+    key = data.key
     doc = {
-        "case": data.case.value,
-        "k": data.k,
-        "k1": data.k1,
-        "k2": data.k2,
+        "case": key.case.value,
+        "k": key.k,
+        "k1": key.k1,
+        "k2": key.k2,
         "Q": list(q.d) if q is not None else None,
         "p": args.p,
         "coefficient_convention": "coeff(X^i) = Q[i] * p^((i mod 2)/2)",
@@ -204,7 +200,7 @@ def _table_header(table: ExpansionTable) -> dict:
     ct = table.constant
     return {
         "params": {
-            "D": table.D, "n": P.n, "ell": P.ell, "bound": table.bound,
+            "D": table.F.D, "n": P.n, "ell": P.ell, "bound": table.bound,
             "region": f"N(a), N(b) <= {table.region_norm_cap}",
             "region_note": "isotropic vectors form an infinite family; the table "
                            "lists only the enumerated coordinate region",
@@ -215,13 +211,13 @@ def _table_header(table: ExpansionTable) -> dict:
             },
         },
         "constant_term": {
-            "rational": _rat(ct.rational),
+            "rational": str(ct.rational),
             "symbolic": ct.symbolic,
             "numeric": ct.numeric,
             "zetaE": ct.zeta_E,
         },
-        "C_ell": _rat(c_ell(P.ell)),
-        "D_nl": _rat(d_nl(P, table.F)),
+        "C_ell": str(c_ell(P.ell)),
+        "D_nl": str(d_nl(P, table.F)),
     }
 
 

@@ -267,10 +267,6 @@ class ExpansionTable:
     rows: tuple
 
     @property
-    def D(self) -> int:
-        return self.F.D
-
-    @property
     def entries(self) -> tuple:
         """The rows as :class:`FourierCoefficient`s, in row order, built on
         each read: the objects :func:`coefficient` gives for the same T."""

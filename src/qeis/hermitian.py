@@ -284,7 +284,9 @@ def local_key(T: GlobalVector, F: FieldE, p: int, nrm: int) -> LocalKey:
 @dataclass(frozen=True)
 class LocalVectorData:
     """A :class:`LocalKey`, whose fields read as the data's own (data.p, ...),
-    with the quadratic-lattice coordinates of a T of that key.
+    with the quadratic-lattice coordinates of a T of that key.  The package
+    reads the key as ``data.key``; the forwarding ``__getattr__`` stays for
+    perfbench/tracer.py and the tests, which read its fields off the data.
 
     ``coords`` must have 2n entries and is read only by the oracle check and
     by :func:`qeis.siegel.q_poly`'s check of the key, in the split normal form

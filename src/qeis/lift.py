@@ -93,21 +93,15 @@ class EigenformData:
                            "ap": {str(p): a for p, a in sorted(self.ap.items())}})
 
 
-@dataclass(frozen=True)
-class SatakeParam:
-    p: int
-    alpha: complex
-
-
-def satake_from_eigenvalue(a_p: int, weight: int, p: int) -> SatakeParam:
-    """A root of X^2 - (a_p p^(-(w-1)/2)) X + 1; no Ramanujan bound assumed."""
+def satake_from_eigenvalue(a_p: int, weight: int, p: int) -> complex:
+    """alpha_p, a root of X^2 - (a_p p^(-(w-1)/2)) X + 1; no Ramanujan bound assumed."""
     b = a_p * p ** (-(weight - 1) / 2.0)
     disc = b * b - 4.0
     root = cmath.sqrt(complex(disc))
     alpha = (b + root) / 2.0
     if alpha == 0:
         alpha = (b - root) / 2.0
-    return SatakeParam(p=p, alpha=alpha)
+    return alpha
 
 
 def delta_eigenvalues(p_max: int = 50) -> EigenformData:
@@ -210,10 +204,9 @@ def lift_coefficient_numeric(T: GlobalVector, satake: dict, P: Params, F: FieldE
     total = complex(nrm ** e)
     for p, q in local_polynomials(T, P, F, nrm).items():
         k = q.degree // 2
-        alpha = satake[p] if isinstance(satake[p], complex) else satake[p].alpha
         val = 0j
         for i, di in enumerate(q.d):
-            val += di * p ** ((i % 2) / 2.0) * alpha ** (i - k)
+            val += di * p ** ((i % 2) / 2.0) * satake[p] ** (i - k)
         total *= val
     return total
 
@@ -262,7 +255,7 @@ def standard_L_factors(p: int, h: EigenformData, P: Params, F: FieldE) -> EulerF
     case-appropriate multiplicity (doubled for split, sign pair for inert).
     """
     n = P.n
-    alpha = satake_from_eigenvalue(h.eigenvalue(p), h.weight, p).alpha
+    alpha = satake_from_eigenvalue(h.eigenvalue(p), h.weight, p)
     cls = F.splitting(p)
     roots = []
     shifts = [p ** (-(n - 1) / 2.0 + i) for i in range(n)]

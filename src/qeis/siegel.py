@@ -121,22 +121,28 @@ class QuadLatticeShape:
     def in_dual(self, vec) -> bool:
         return all(c.denominator == 1 for c in self._weighted(vec))
 
-    def in_lattice(self, vec) -> bool:
-        return all(Fraction(c).denominator == 1 for c in vec)
-
     def invariants(self, eta):
         """All the closed form reads of eta.
 
         Split: (v(eta), v_p(q(eta))), None outside the lattice; both are +inf
         for the zero vector, and v_p(q(eta)) is +inf when eta is isotropic.
-        Ramified: (k1, k2, k) of :func:`ramified_invariants`.
+        Ramified: (k1, k2, k) with k1 = min(v(eta_1), v(eta_2)) and
+        k2 = min(v(eta_1), v(eta_2) + 1), eta_1 the unit block and eta_2 the
+        p-block, and k = v_p(q(eta)).  Ramified coordinates given as ints stay
+        in int arithmetic; any other input, dual vectors included, goes
+        through Fraction.
         """
-        if self.form == "ramified":
-            return ramified_invariants(eta, self)
-        if not self.in_lattice(eta):
-            return None
-        eta = [int(c) for c in eta]
-        return min(vp(c, self.p) for c in eta), vp(self.quad_form(eta), self.p)
+        p, m, half = self.p, self.m, self.rank // 2
+        if self.form == "split":
+            if not all(Fraction(c).denominator == 1 for c in eta):
+                return None
+            eta = [int(c) for c in eta]
+            return min(vp(c, p) for c in eta), vp(self.quad_form(eta), p)
+        if not all(isinstance(c, int) for c in eta):
+            eta = [Fraction(c) for c in eta]
+        v1 = min(_vp_frac(c, p) for c in [*eta[:m], *eta[half:half + m]])
+        v2 = min(_vp_frac(c, p) for c in [*eta[m:half], *eta[half + m:]])
+        return min(v1, v2), min(v1, v2 + 1), _vp_frac(self.quad_form(eta), p)
 
     def series(self, inv, rs: range) -> tuple:
         """The terms r in ``rs`` at invariants ``inv``: :func:`b_series` on the
@@ -152,29 +158,6 @@ def split_shape(p: int, m: int) -> QuadLatticeShape:
 
 def ramified_shape(p: int, m: int) -> QuadLatticeShape:
     return QuadLatticeShape(p, m, "ramified")
-
-
-def ramified_invariants(eta, shape: QuadLatticeShape):
-    """(k1, k2, k) of a vector in the rank-4m ramified lattice.
-
-    k1 = min(v(eta_1), v(eta_2)), k2 = min(v(eta_1), v(eta_2) + 1) with
-    eta_1 the unit block and eta_2 the p-block; k = v_p(q(eta)).  Coordinates
-    given as ints stay in int arithmetic; any other input, dual vectors
-    included, goes through Fraction.
-    """
-    if shape.form != "ramified":
-        raise ValidationError("ramified invariants need a ramified shape")
-    if not all(isinstance(c, int) for c in eta):
-        eta = [Fraction(c) for c in eta]
-    m, half = shape.m, shape.rank // 2
-    unit_block = list(eta[:m]) + list(eta[half:half + m])
-    p_block = list(eta[m:half]) + list(eta[half + m:])
-    v1 = min(_vp_frac(c, shape.p) for c in unit_block)
-    v2 = min(_vp_frac(c, shape.p) for c in p_block)
-    k1 = min(v1, v2)
-    k2 = min(v1, v2 + 1)
-    k = _vp_frac(shape.quad_form(eta), shape.p)
-    return k1, k2, k
 
 
 def _vp_frac(x, p: int):
@@ -635,31 +618,6 @@ def q_poly_from_series(key: LocalKey, series: IntPoly) -> SqrtPPoly:
                          for i, c in enumerate(quot.coeffs)])
 
 
-def _check_invariants(data: LocalVectorData) -> None:
-    """Reject local data whose coordinates do not carry its declared key.
-
-    Q is served by key, so a wrong field would silently return the
-    polynomial of another key.  Coordinates must be integral here.
-    """
-    p, case, n = data.p, data.case, data.n
-    if len(data.coords) != 2 * n:
-        raise ValidationError(
-            f"local data at p={p} has {len(data.coords)} coordinates; n={n} needs {2 * n}")
-    coords = [int(c) for c in data.coords]
-    if case is Splitting.RAMIFIED:
-        k1, k2, k = ramified_invariants(coords, ramified_shape(p, n // 2))
-    else:
-        k1 = min(vp(c, p) for c in coords[:n])
-        k2 = min(vp(c, p) for c in coords[n:])
-        if case is Splitting.INERT:
-            k1 = k2 = min(k1, k2)
-        k = vp(split_shape(p, n).quad_form(coords), p)
-    read = LocalKey(p, case, n, k, k1, k2)
-    if read != data.key:
-        raise ValidationError(f"local data declares {data.key} but its coordinates "
-                              f"carry {read}")
-
-
 @lru_cache(maxsize=4096)
 def q_poly_of_invariants(key: LocalKey) -> SqrtPPoly:
     """Q_{T,p} for every T with this key, which must be admissible
@@ -695,11 +653,26 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
     and raises ValidationError when the declared key disagrees with the
     coordinates.
     """
-    if P.n != data.n:
-        raise ValidationError(
-            f"local data at p={data.p} has n = {data.n}, but P declares n = {P.n}")
-    if data.k1 < 0 or data.k2 < 0 or not all(
-            Fraction(c).denominator == 1 for c in data.coords):
+    p, case, n, k, k1, k2 = key = data.key
+    if P.n != n:
+        raise ValidationError(f"local data at p={p} has n = {n}, but P declares n = {P.n}")
+    if k1 < 0 or k2 < 0 or not all(Fraction(c).denominator == 1 for c in data.coords):
         return None
-    _check_invariants(data)
-    return q_poly_of_invariants(data.key)
+    # Q is served by key, so a key its coordinates do not carry would
+    # silently return the polynomial of another key
+    if len(data.coords) != 2 * n:
+        raise ValidationError(
+            f"local data at p={p} has {len(data.coords)} coordinates; n={n} needs {2 * n}")
+    coords = [int(c) for c in data.coords]
+    if case is Splitting.RAMIFIED:
+        k1, k2, k = ramified_shape(p, n // 2).invariants(coords)
+    else:
+        k1 = min(vp(c, p) for c in coords[:n])
+        k2 = min(vp(c, p) for c in coords[n:])
+        if case is Splitting.INERT:
+            k1 = k2 = min(k1, k2)
+        k = vp(split_shape(p, n).quad_form(coords), p)
+    read = LocalKey(p, case, n, k, k1, k2)
+    if read != key:
+        raise ValidationError(f"local data declares {key} but its coordinates carry {read}")
+    return q_poly_of_invariants(key)

@@ -19,8 +19,7 @@ from .fourier import (d_nl, denominator_bound_check, full_expansion,
                       vectors_in_region)
 from .hermitian import FieldE, Params, local_quadratic_data, norm
 from .siegel import (DEFAULT_BUDGET, c_term_gauss, extract_R, palindromic,
-                     R_closed_form, q_poly, ramified_invariants,
-                     ramified_shape, split_shape, term_oracle)
+                     R_closed_form, q_poly, ramified_shape, split_shape, term_oracle)
 
 SUITES = ("oracle", "functional", "identities", "denominators", "all")
 
@@ -75,7 +74,7 @@ def sample_ramified_vectors(p: int, m: int, count: int, k_cap: int, seed: int = 
         q = shape.quad_form(vec)
         if q == 0:
             continue
-        k1, k2, k = ramified_invariants(vec, shape)
+        k1, k2, k = shape.invariants(vec)
         if k2 < 0 or k > k_cap:
             continue
         out.append(vec)
@@ -208,7 +207,7 @@ def r_arbitration(m_cap: int = 2, k_cap: int = 4, p: int = 3) -> dict:
 # Identity battery
 # ---------------------------------------------------------------------------
 
-def suite_identities(seed: int = 2024) -> dict:
+def suite_identities() -> dict:
     failures = []
     checks = 0
     for ell in range(0, 13):
@@ -221,7 +220,7 @@ def suite_identities(seed: int = 2024) -> dict:
             checks += 1
             if not arch.bessel_sum_check(ell, C):
                 failures.append({"check": "bessel_sum", "ell": ell, "C": C})
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     for _ in range(20):
         m = rng.randint(0, 4)
         nn = rng.randint(m + 1, m + 7)
@@ -277,8 +276,6 @@ def suite_denominators(D: int = 3, ells=(3, 4, 5), bound: int = 12) -> dict:
                              "T": witness.T.as_list(),
                              "rational": str(witness.rational)})
         for ax, ay, bx, by, _, (_, rational, _, _) in rank2:
-            if rational == 0:
-                continue
             checks += 1
             prod = rational / d_nl(P, F)
             if prod.denominator != 1 or prod <= 0:

@@ -170,8 +170,20 @@ CLAUSES = {
     ),
     "expand_csv": _expand(
         3, 3, 1, "csv", "c126fdf06f75ca7a8d7d8449a8b23b2ba0661e26c7e534ea540a4f0224b2754e"),
-    "small_runs_succeed": (
-        Case("expand --D 3 --bound 4"), Case("local --D 3 --p 2 --T 1,0,1,0 --oracle"),
+    "small_runs_succeed": (Case("expand --D 3 --bound 4"),),
+    # a coefficient at rank 1 (sigma) and at a negative norm (rational 0), and the
+    # key of an inert, a split and a ramified (k1 = k2 = 1, k = 3) local datum
+    "keys_and_rationals_are_pinned": (
+        Case("coeff --D 3 --T 1,0,0,0",
+             sha="84a0b1c85b1475863d096fd0dd2712fbe2cc39324cd5814713dd1ae8500abbea"),
+        Case("coeff --D 3 --T 1,0,-1,0",
+             sha="523da1d34428414288c688d196873e35bc40c48f985cff8c6f5f58a332a4a9bb"),
+        Case("local --D 3 --p 2 --T 1,0,1,0 --oracle",
+             sha="9419ce078a3e4339629601b67b2cf00892ce7191dfad30927c9f0ab3d240645e"),
+        Case("local --D 7 --p 2 --T 2,0,3,1 --oracle",
+             sha="9babb918977852080e5203f2ede3f8a330bfd8b08b4c432dbafcb6d859ecf629"),
+        Case("local --D 3 --p 3 --T=-3,0,3,3 --oracle",
+             sha="a462340cace943e488e65b6736419e471a07198875849c7007f0f2dc86029519"),
     ),
     # cold Q_{T,p} keys at deep valuations, and the verification suites
     "requests_are_pinned": (

@@ -251,8 +251,8 @@ def test_criterion_10_lift_sanity():
     rng = random.Random(31)
     T = global_vector(1, 0, 3, 0)   # norm 6
     for _ in range(20):
-        a2 = satake_from_eigenvalue(rng.randint(-3000, 3000), 12, 2).alpha
-        a3 = satake_from_eigenvalue(rng.randint(-3000, 3000), 12, 3).alpha
+        a2 = satake_from_eigenvalue(rng.randint(-3000, 3000), 12, 2)
+        a3 = satake_from_eigenvalue(rng.randint(-3000, 3000), 12, 3)
         v1 = lift_coefficient_numeric(T, {2: a2, 3: a3}, P6, F3)
         v2 = lift_coefficient_numeric(T, {2: 1 / a2, 3: 1 / a3}, P6, F3)
         ok = ok and abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)

@@ -189,13 +189,11 @@ def test_q_consistency_error_names_T_and_the_key(monkeypatch):
 
 def _entry_doc(entry) -> dict:
     """One coefficient as a dict: the document of a table entry and of `coeff`."""
-    from qeis.cli import _rat
-
     doc = {
         "T": entry.T.as_list(),
         "norm": entry.norm,
         "rank": entry.rank,
-        "rational": _rat(entry.rational),
+        "rational": str(entry.rational),
     }
     if entry.rank == 1:
         doc["sigma"] = entry.sigma

@@ -206,7 +206,7 @@ def test_ramified_normal_form_isometry():
 
 def test_ramified_over_uniformizer_invariants():
     """T/varpi swaps the valuation pattern: (k1', k2', k') = (k2-1, k1, k-1)."""
-    from qeis.siegel import ramified_invariants, ramified_shape
+    from qeis.siegel import ramified_shape
 
     rng = random.Random(37)
     for _ in range(50):
@@ -216,7 +216,7 @@ def test_ramified_over_uniformizer_invariants():
             continue
         d = local_quadratic_data(T, F3, 3, P2)
         sh = ramified_shape(3, 1)
-        k1o, k2o, ko = ramified_invariants(d.coords_over_uniformizer, sh)
+        k1o, k2o, ko = sh.invariants(d.coords_over_uniformizer)
         assert (k1o, k2o) == (d.k2 - 1, d.k1)
         if ko >= 0:
             assert ko == d.k - 1
@@ -234,11 +234,11 @@ def test_local_data_rejects_other_ranks():
 
 def _key_from_coords(data):
     """The key read off the quadratic coordinates alone."""
-    from qeis.siegel import ramified_invariants, ramified_shape
+    from qeis.siegel import ramified_shape
 
     p, coords = data.p, [int(c) for c in data.coords]
     if data.case is Splitting.RAMIFIED:
-        k1, k2, k = ramified_invariants(coords, ramified_shape(p, 1))
+        k1, k2, k = ramified_shape(p, 1).invariants(coords)
         return LocalKey(p, data.case, 2, k, k1, k2)
     k1, k2 = (min(vp(c, p) for c in half) for half in (coords[:2], coords[2:]))
     if data.case is Splitting.INERT:

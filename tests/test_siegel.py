@@ -16,7 +16,7 @@ from qeis.hermitian import (FieldE, LocalKey, LocalVectorData, Params, global_ve
 from qeis.siegel import (R_closed_form, assemble_series, b_series, c_term, c_term_gauss,
                          check_against_oracle, extract_P, extract_R,
                          q_poly, q_poly_closed_form, q_poly_from_series,
-                         q_poly_of_invariants, ramified_invariants, ramified_shape, series_blocks,
+                         q_poly_of_invariants, ramified_shape, series_blocks,
                          split_shape, term_closed, term_oracle)
 from qeis.verify import r_arbitration, sample_ramified_vectors
 
@@ -78,14 +78,15 @@ def test_shape_invariants_per_form():
     assert sh.invariants((0, 0, 0, 0)) == (math.inf, math.inf)
     assert sh.invariants((Fraction(1, 3), 0, 1, 0)) is None
     rsh = ramified_shape(3, 1)
-    for eta in ((1, 0, 1, 0), (0, Fraction(1, 3), 0, 3), (3, 1, 9, 0)):
-        assert rsh.invariants(eta) == ramified_invariants(eta, rsh)
+    for eta, inv in (((1, 0, 1, 0), (0, 0, 0)), ((0, Fraction(1, 3), 0, 3), (-1, 0, 1)),
+                     ((3, 1, 9, 0), (0, 1, 3))):
+        assert rsh.invariants(eta) == inv
 
 
 def _term_unramified_reference(r, eta, shape):
     """B_{r,eta} as first written: Fraction coordinates, v(eta) and q(eta)
     recomputed for every r, and a Ramanujan sum of q(eta)/p^(2j) for every j."""
-    if not shape.in_lattice(eta):
+    if not all(Fraction(c).denominator == 1 for c in eta):
         return 0
     eta = [int(e) for e in eta]
     if r == 0:
@@ -581,7 +582,7 @@ def test_extract_P_functional_equation_random():
         poly = extract_P(_closed_series(eta, sh, k), 2, 3)
         assert poly.degree == k
         assert poly.is_monic()
-        assert poly.is_palindromic()
+        assert poly.coeffs == poly.coeffs[::-1]
         seen += 1
 
 
@@ -881,6 +882,42 @@ def test_q_poly_rejects_declared_invariants_the_coordinates_lack():
         q_poly(data, P6)
 
 
+def test_q_poly_reads_its_outcomes_in_order():
+    """n mismatch, then None outside the lattice, then the coordinate count,
+    then the key; a float coordinate of integral value reads as its int."""
+    key = LocalKey(5, Splitting.SPLIT, 2, 1, 0, 0)
+    with pytest.raises(ValidationError, match="P declares n = 2"):
+        q_poly(LocalVectorData(key._replace(n=6), coords=(Fraction(1, 5),)), P2)
+    assert q_poly(LocalVectorData(key, coords=(Fraction(1, 5),)), P2) is None
+    assert q_poly(LocalVectorData(key._replace(k1=-1), coords=(1,)), P2) is None
+    with pytest.raises(ValidationError, match="has 1 coordinates"):
+        q_poly(LocalVectorData(key, coords=(1,)), P2)
+    with pytest.raises(ValidationError, match="carry"):
+        q_poly(LocalVectorData(key._replace(k=2), coords=(1, 0, 5, 1)), P2)
+    assert q_poly(LocalVectorData(key, coords=(1.0, 0, 5.0, 1.0)), P2) == \
+        q_poly(LocalVectorData(key, coords=(1, 0, 5, 1)), P2) == SqrtPPoly(5, [1, 0, 1])
+
+
+def test_keys_are_read_from_the_key_not_through_local_data_fields(monkeypatch, capsys):
+    """q_poly, the oracle check and `qeis local` read data.key, never a
+    LocalKey field that LocalVectorData forwards to it."""
+    from qeis import cli
+    from qeis.verify import suite_functional
+
+    forward = LocalVectorData.__getattr__
+
+    def refuse(self, name):
+        if name in LocalKey._fields:
+            raise AssertionError(f"LocalVectorData.{name} read through __getattr__")
+        return forward(self, name)
+
+    monkeypatch.setattr(LocalVectorData, "__getattr__", refuse)
+    assert cli.main(["local", "--D", "3", "--p", "3", "--T=-3,0,3,3", "--oracle"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == {"verdict": "agree"}
+    rep = suite_functional(Ds=[3], norm_cap=4, coord_cap=8)
+    assert rep["ok"] and rep["checks"] == 396
+
+
 def test_q_poly_rejects_a_declared_n_that_differs_from_the_data():
     """The rank is data.n; an n = 6 key must not be served as n = 2."""
     data = LocalVectorData(LocalKey(5, Splitting.SPLIT, 6, 2, 1, 0),
@@ -939,7 +976,7 @@ def test_q_poly_hand_supplied_higher_rank_ramified():
     assert q_poly(data, P6) == SqrtPPoly(3, [1])
     # k = 1 with k1 = k2 = 0
     coords = (1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0)
-    k1, k2, k = ramified_invariants(coords, sh)
+    k1, k2, k = sh.invariants(coords)
     assert (k1, k2, k) == (0, 0, 1)
     data = LocalVectorData(LocalKey(3, Splitting.RAMIFIED, 6, 1, 0, 0),
                            coords=coords, prec=3)
@@ -1079,10 +1116,10 @@ def test_a_broken_P_or_R_functional_equation_names_its_key(target, hit, fields, 
 
 def test_ramified_invariants_of_synthetic_vectors():
     sh = ramified_shape(3, 1)
-    assert ramified_invariants((1, 0, 1, 0), sh) == (0, 0, 0)
-    assert ramified_invariants((3, 1, 3, 0), sh) == (0, 1, 2)
-    assert ramified_invariants((3, 1, 3, 1), sh) == (0, 1, 1)
-    assert ramified_invariants((0, Fraction(1, 3), 1, 0), sh)[0] == -1
+    assert sh.invariants((1, 0, 1, 0)) == (0, 0, 0)
+    assert sh.invariants((3, 1, 3, 0)) == (0, 1, 2)
+    assert sh.invariants((3, 1, 3, 1)) == (0, 1, 1)
+    assert sh.invariants((0, Fraction(1, 3), 1, 0))[0] == -1
 
 
 def _ramified_invariants_reference(eta, sh):
@@ -1105,9 +1142,9 @@ def test_ramified_invariants_int_path_matches_fraction_path():
             sh = ramified_shape(p, m)
             for vec in sample_ramified_vectors(p, m, 40, k_cap=4, seed=p + m):
                 expected = _ramified_invariants_reference(vec, sh)
-                assert ramified_invariants(vec, sh) == expected, vec
+                assert sh.invariants(vec) == expected, vec
                 if all(c.denominator == 1 for c in vec):
-                    assert ramified_invariants([int(c) for c in vec], sh) == expected, vec
+                    assert sh.invariants([int(c) for c in vec]) == expected, vec
                 else:
                     duals += 1
     assert duals > 0
