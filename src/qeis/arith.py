@@ -258,12 +258,20 @@ def sqrtp_eval_halfint(q: SqrtPPoly, two_e: int) -> int:
     """Exact integer value of q at X = p^(two_e/2) for odd two_e > 0.
 
     Each monomial contributes d_i * p^((i*two_e + (i % 2))/2), an integer
-    power of p by the parity grading, so the sum runs in Python ints.
+    power of p by the parity grading, so with x = p^two_e the value is
+    E(x) + p^((two_e + 1)/2) O(x), E and O the even and odd parts of d, each
+    summed by Horner's rule in Python ints.
     """
     if two_e <= 0 or two_e % 2 == 0:
         raise ValidationError("two_e must be a positive odd integer")
     p = q.p
-    return sum(di * p ** ((i * two_e + i % 2) // 2) for i, di in enumerate(q.d) if di)
+    x = p ** two_e
+    even = odd = 0
+    for c in reversed(q.d[0::2]):
+        even = even * x + c
+    for c in reversed(q.d[1::2]):
+        odd = odd * x + c
+    return even + p ** ((two_e + 1) // 2) * odd
 
 
 # ---------------------------------------------------------------------------

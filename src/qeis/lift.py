@@ -19,11 +19,13 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import SqrtPPoly
 from .errors import ValidationError
 from .fourier import local_polynomials
 from .hermitian import FieldE, GlobalVector, Params, norm
+from .siegel import power_table
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +132,10 @@ def delta_eigenvalues(p_max: int = 50) -> EigenformData:
 # Chebyshev-basis expansion of Qtilde
 # ---------------------------------------------------------------------------
 
-def _power_sum_polys(top: int) -> list:
-    """G_j with X^j + X^-j = G_j(X + X^-1); integer coefficient lists."""
+@lru_cache(maxsize=None)
+def _power_sum_polys(top: int) -> tuple:
+    """G_0..G_top with X^j + X^-j = G_j(X + X^-1); integer coefficient
+    tuples, built once per degree."""
     polys = [[2], [0, 1]]
     for j in range(2, top + 1):
         prev, prev2 = polys[j - 1], polys[j - 2]
@@ -141,19 +145,22 @@ def _power_sum_polys(top: int) -> list:
         for i, c in enumerate(prev2):
             new[i] -= c
         polys.append(new)
-    return polys[: top + 1]
+    return tuple(map(tuple, polys[: top + 1]))
 
 
 def lift_local_exact(q: SqrtPPoly, weight: int) -> list:
     """Coefficients c_m with p^(k e) Qtilde(alpha_p) = sum_m c_m a_p^m, e = (w-1)/2.
 
-    Every c_m is an int (a p-power times an integer): the p-exponent
-    ((k - m)(w - 1) + ((k + j) mod 2)) / 2 is never negative, and the sqrt(p)
-    bookkeeping cancels by the parity grading.
+    Every c_m is an int (a p-power times an integer, the power read from
+    the prime's :func:`qeis.siegel.power_table`): the p-exponent
+    ((k - m)(w - 1) + ((k + j) mod 2)) / 2 is never negative for w >= 1,
+    and the sqrt(p) bookkeeping cancels by the parity grading.
     """
-    p = q.p
+    if weight < 1:
+        raise ValidationError(f"weight {weight} is not positive")
     k = q.degree // 2
     e2 = weight - 1  # 2e, always odd
+    power = power_table(q.p, (k * e2 + 1) // 2)
     out = [0] * (k + 1)
     gs = _power_sum_polys(k)
     for j in range(0, k + 1):
@@ -168,7 +175,7 @@ def lift_local_exact(q: SqrtPPoly, weight: int) -> list:
             num = (k - m) * e2 + ((k + j) % 2)
             if num % 2 != 0:
                 raise ValidationError("half powers failed to cancel; wrong weight?")
-            out[m] += di * g * p ** (num // 2)
+            out[m] += di * g * power[num // 2]
     return out
 
 

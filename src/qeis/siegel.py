@@ -30,6 +30,11 @@ recounts each term) read the same blocks; only the oracle check, through
 each block's eta, and :func:`q_poly`'s check of a declared key read
 coordinates.
 
+The powers of p come from one table per prime (:func:`power_table`), grown
+on demand and shared by :func:`b_series`, :func:`assemble_series`,
+:func:`extract_P`, the shift factors of :func:`q_poly_closed_form`,
+:func:`q_poly_from_series` and :func:`qeis.lift.lift_local_exact`.
+
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
 shows that the literal reading p^(r(2m-1)-1) fails the extraction
@@ -60,6 +65,22 @@ def _exact_quotient(a: int, b: int, what: str) -> int:
     if rest:
         raise InternalConsistencyError(what)
     return quot
+
+
+_POWER_TABLES: dict = {}
+
+
+def power_table(p: int, top: int) -> tuple:
+    """(p^0, p^1, ...), at least up to p^top: one table per prime, grown on
+    demand and shared by every loop here and in :mod:`qeis.lift` that reads
+    powers of p.  A grown table replaces the old one, which is never changed."""
+    table = _POWER_TABLES.get(p, (1,))
+    if len(table) <= top:
+        grown = list(table)
+        while len(grown) <= top:
+            grown.append(grown[-1] * p)
+        table = _POWER_TABLES[p] = tuple(grown)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +225,16 @@ def b_series(v, kq, m: int, p: int, rs: range) -> tuple:
       j = kq - r + 1:   c = -p^(r-j-1), a single term p^(m(r+j)+r-j-1)
                         subtracted when j <= top.
 
-    The series is built in one pass: one table of the powers p^0..p^(2mR),
-    R the last r, and one of the geometric sums serve every term, and each
-    term's division by p^r must leave no remainder.  Either valuation may be
-    +inf (v = kq = inf for the zero vector); every exponent stays a finite int.
+    The series is built in one pass: the prime's :func:`power_table`, read
+    up to p^(2mR), R the last r, and one table of the geometric sums serve
+    every term, and each term's division by p^r must leave no remainder.
+    Either valuation may be +inf (v = kq = inf for the zero vector); every
+    exponent stays a finite int.
     """
     if rs and rs[0] < 0:
         raise ValidationError("term index r must be >= 0")
     last = rs[-1] if rs else 0
-    power = [1]
-    for _ in range(2 * m * last):
-        power.append(power[-1] * p)
+    power = power_table(p, 2 * m * last)
     geo = [0]  # geo[a] = Sum_{j<a} p^((m-1)j)
     for j in range(last):
         geo.append(geo[-1] + power[(m - 1) * j])
@@ -430,17 +450,19 @@ def assemble_series(key: LocalKey, blocks=None) -> IntPoly:
 
     ``blocks`` is the block list of :func:`series_blocks`, built here when None.
     """
-    p, k = key.p, key.k
+    n, k = key.n, key.k
     if blocks is None:
         _, blocks = series_blocks(key)
+    power = power_table(key.p, n * (k + 1))  # every |r + b.power| is at most n(k + 1)
     coeffs = [0] * (2 * k + 3)
     for b in blocks:
         for r, term in zip(b.rs, b.terms):
             e = r + b.power
-            if e < 0:
-                term = _exact_quotient(term, p ** -e,
-                                       "assembled local series has non-integral term")
-            coeffs[2 * r + b.shift] += term * p ** max(e, 0)
+            if e >= 0:
+                coeffs[2 * r + b.shift] += term * power[e]
+            else:
+                coeffs[2 * r + b.shift] += _exact_quotient(
+                    term, power[-e], "assembled local series has non-integral term")
     return IntPoly(coeffs)
 
 
@@ -473,8 +495,9 @@ def extract_P(series: IntPoly, m: int, p: int) -> IntPoly:
     The division must be exact, the rescaled coefficients integral, and the
     quotient monic; anything else signals corrupted input.
     """
-    quot = series.divide_exact(p ** (m - 1), 1)
-    poly = IntPoly([_exact_quotient(c, p ** (m * i),
+    power = power_table(p, m * (len(series.coeffs) + 1))
+    quot = series.divide_exact(power[m - 1], 1)
+    poly = IntPoly([_exact_quotient(c, power[m * i],
                                     "P extraction produced a non-integer coefficient")
                     for i, c in enumerate(quot.coeffs)])
     if not poly.is_monic():
@@ -571,6 +594,7 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     if case in (Splitting.SPLIT, Splitting.INERT):
         if blocks is None:
             _, blocks = series_blocks(key)
+        power = power_table(p, k * (n - 1) // 2)
         extracted = {}
         for b in blocks:
             poly = extracted.get((b.inv, b.rs))
@@ -581,7 +605,7 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
             # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
             e = (i * (n - 1) - (i % 2)) // 2
             for rr, c in enumerate(poly.coeffs):
-                d[2 * rr + i] += c * p ** e
+                d[2 * rr + i] += c * power[e]
     else:
         m = n // 2
         r_t = R_closed_form(k1, k2, k, m, p)
@@ -608,12 +632,13 @@ def q_poly_from_series(key: LocalKey, series: IntPoly) -> SqrtPPoly:
     the division or of a rescaling raises InternalConsistencyError.
     """
     p, n = key.p, key.n
+    power = power_table(p, n + len(series.coeffs) * (n + 1) // 2)
     if key.case is Splitting.RAMIFIED:
-        quot = series.divide_exact(p ** (n // 2), 1)
+        quot = series.divide_exact(power[n // 2], 1)
     else:
-        quot = series.divide_exact(p ** n, 2)
+        quot = series.divide_exact(power[n], 2)
     # the coefficient of t^i carries p^((i(n+1) + (i mod 2))/2) times its d entry
-    return SqrtPPoly(p, [_exact_quotient(c, p ** ((i * (n + 1) + i % 2) // 2),
+    return SqrtPPoly(p, [_exact_quotient(c, power[(i * (n + 1) + i % 2) // 2],
                                          "series division broke the sqrt(p) grading")
                          for i, c in enumerate(quot.coeffs)])
 
@@ -656,7 +681,8 @@ def q_poly(data: LocalVectorData, P) -> SqrtPPoly | None:
     p, case, n, k, k1, k2 = key = data.key
     if P.n != n:
         raise ValidationError(f"local data at p={p} has n = {n}, but P declares n = {P.n}")
-    if k1 < 0 or k2 < 0 or not all(Fraction(c).denominator == 1 for c in data.coords):
+    if k1 < 0 or k2 < 0 or not all(type(c) is int or Fraction(c).denominator == 1
+                                   for c in data.coords):
         return None
     # Q is served by key, so a key its coordinates do not carry would
     # silently return the polynomial of another key

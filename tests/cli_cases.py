@@ -199,6 +199,14 @@ CLAUSES = {
              sha="8a0b2ba07debc7d946774d51414f97530691ed746d5458c688e7e50988c708fe"),
         Case("verify --suite all",
              sha="024f70c53b67015d3d2c383b9cff703acd5c1b80552be3f9e37a98f67fe0c635"),
+        # deep keys: split p = 13 at k = 40, inert p = 5 at k = 20, ramified p = 11 at k = 22
+        Case("local --D 3 --ell 6 --p 13 "
+             "--T=19004963774880799438801,0,0,19004963774880799438801",
+             sha="58925b1210f109b7cb6f79bfde3daf62363ca1cad8c9b28cde59c7778a9b0809"),
+        Case("coeff --D 3 --ell 6 --T=9765625,0,0,9765625",
+             sha="626219363b003c2384c286270929fe6e1008b77593f3dbdbd2a99fca70eec743"),
+        Case("local --D 11 --ell 6 --p 11 --T=285311670611,0,0,285311670611",
+             sha="8504bad2c5f88212d75cc360e5318f67921fd2a9637981f39519f70b15c62048"),
     ),
     # expansion tables
     **{f"expansion_bytes_are_pinned[{D}]": _expand(D, 3, 12, "json", sha) for D, sha in (

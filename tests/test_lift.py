@@ -295,6 +295,20 @@ def test_lift_local_exact_matches_the_fraction_loop():
         assert type(got) is Fraction and got == expected, T
 
 
+def test_lift_local_exact_refuses_a_weight_whose_half_powers_do_not_cancel():
+    """An odd weight leaves a half power of p on the odd coefficients of Q,
+    and a weight below 1 a negative p-exponent: each raises ValidationError,
+    not an IndexError of the power table or a wrong int."""
+    q = q_poly_of_invariants(LocalKey(3, Splitting.SPLIT, 2, 4, 1, 2))
+    assert q.d[1] != 0
+    with pytest.raises(ValidationError, match=r"^half powers failed to cancel; wrong weight\?$"):
+        lift_local_exact(q, 11)
+    for weight in (0, -2, -11):
+        with pytest.raises(ValidationError, match="is not positive"):
+            lift_local_exact(q, weight)
+    assert lift_local_exact(q, 12) == _lift_local_reference(q, 12)
+
+
 def test_lift_rejects_ranks_without_a_global_model():
     """The key carries n, so n = 6 must not be served from n = 2 valuations."""
     with pytest.raises(ValidationError, match="n = 2"):

@@ -13,8 +13,9 @@ from qeis.errors import (InternalConsistencyError, ResourceBudgetError,
                          ValidationError)
 from qeis.hermitian import (FieldE, LocalKey, LocalVectorData, Params, global_vector,
                             local_quadratic_data, norm)
+from qeis.lift import lift_local_exact
 from qeis.siegel import (R_closed_form, assemble_series, b_series, c_term, c_term_gauss,
-                         check_against_oracle, extract_P, extract_R,
+                         check_against_oracle, extract_P, extract_R, power_table,
                          q_poly, q_poly_closed_form, q_poly_from_series,
                          q_poly_of_invariants, ramified_shape, series_blocks,
                          split_shape, term_closed, term_oracle)
@@ -898,6 +899,17 @@ def test_q_poly_reads_its_outcomes_in_order():
         q_poly(LocalVectorData(key, coords=(1, 0, 5, 1)), P2) == SqrtPPoly(5, [1, 0, 1])
 
 
+@pytest.mark.parametrize("c, integral", [(3, True), (True, True), (Fraction(4, 2), True),
+                                         (2.0, True), (Fraction(1, 2), False), (2.5, False)])
+def test_q_poly_integrality_test_reads_every_coordinate_type(c, integral):
+    """An int coordinate skips the Fraction of the integrality test; a bool,
+    an integral Fraction and an integral float pass it as their int, and a
+    non-integral Fraction or float gives the zero marker."""
+    key = LocalKey(5, Splitting.SPLIT, 2, 0, 0, 0)  # q = c + 1 is a unit at 5
+    got = q_poly(LocalVectorData(key, coords=(1, 1, c, 1)), P2)
+    assert got == (SqrtPPoly(5, [1]) if integral else None)
+
+
 def test_keys_are_read_from_the_key_not_through_local_data_fields(monkeypatch, capsys):
     """q_poly, the oracle check and `qeis local` read data.key, never a
     LocalKey field that LocalVectorData forwards to it."""
@@ -1058,6 +1070,56 @@ def test_q_of_every_admissible_key_matches_its_pinned_digest():
     siegel.q_poly_of_invariants.cache_clear()
     assert len(rows) == 1452
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ADMISSIBLE_Q_DIGEST
+
+
+# the deep keys: split (p, 2j, j, j) for j <= 20, the split k = 40 key of
+# test_deep_split_key_both_routes_agree, inert (p, 2j, j, j) for j <= 10,
+# ramified (k1, k2, k) = (j, j, 2j) and (j, j + 1, 2j + 1) for j <= 10, and
+# n = 6 split (p, 2j, j, j) for j <= 8
+DEEP_KEYS = (
+    [LocalKey(p, Splitting.SPLIT, 2, 2 * j, j, j) for p in (2, 3, 5, 7, 11, 13) for j in range(21)]
+    + [LocalKey(13, Splitting.SPLIT, 2, 40, 13, 7)]
+    + [LocalKey(p, Splitting.INERT, 2, 2 * j, j, j) for p in (2, 3, 5) for j in range(11)]
+    + [LocalKey(p, Splitting.RAMIFIED, 2, k, k1, k2) for p in (3, 7, 11) for j in range(11)
+       for k1, k2, k in ((j, j, 2 * j), (j, j + 1, 2 * j + 1))]
+    + [LocalKey(p, Splitting.SPLIT, 6, 2 * j, j, j) for p in (2, 3) for j in range(9)])
+# SHA-256 of the deep keys' Q and lift coefficients, as the per-term p ** e build gave them
+DEEP_KEYS_DIGEST = "a5b9ad50b2ebe4ac062a389674c526c53a9269d3da7552005c13d7542ffb2254"
+
+
+def test_q_and_lift_of_the_deep_keys_match_their_pinned_digest():
+    """The 244 deep keys, written as [[str(key), d, c], ...] with json.dumps,
+    d the key's Q and c its lift_local_exact at weight 12, hash to the
+    pinned digest: the admissible-key pin stops at k = 6."""
+    import qeis.siegel as siegel
+
+    assert len(DEEP_KEYS) == 244
+    siegel.q_poly_of_invariants.cache_clear()
+    rows = []
+    for key in DEEP_KEYS:
+        q = q_poly_of_invariants(key)
+        rows.append([str(key), list(q.d), lift_local_exact(q, 12)])
+    siegel.q_poly_of_invariants.cache_clear()
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEEP_KEYS_DIGEST
+
+
+def test_power_table_holds_every_requested_power_of_p():
+    """A request is served from the prime's table, grown when it falls
+    short: after a smaller and after a larger request, and after a k = 40
+    build has grown it, every entry is p ** e."""
+    import qeis.siegel as siegel
+
+    p = 10 ** 12 + 39  # a prime no other test builds a table for
+    for top in (5, 2, 40, 17):
+        table = power_table(p, top)
+        assert len(table) > top and all(table[e] == p ** e for e in range(top + 1))
+    assert power_table(p, 40) is power_table(p, 3)  # a table that reaches top is not rebuilt
+    siegel.q_poly_of_invariants.cache_clear()
+    q_poly_of_invariants(LocalKey(13, Splitting.SPLIT, 2, 40, 13, 7))
+    siegel.q_poly_of_invariants.cache_clear()
+    table = siegel._POWER_TABLES[13]
+    assert len(table) > 2 * 2 * 41  # the k = 40 B-series read up to p^(2mR), R = 41
+    assert all(c == 13 ** e for e, c in enumerate(table))
 
 
 def _t_block_series(key, series, m, p):
