@@ -208,18 +208,28 @@ class IntPoly:
 
     def divide_exact(self, root: int, shift: int) -> "IntPoly":
         """Exact quotient of the series by (1 - root * t^shift) for an int
-        root; a nonzero remainder raises InternalConsistencyError."""
-        quot = [0] * max(len(self.coeffs) - shift, 0)
-        for i, c in enumerate(self.coeffs):
-            prev = quot[i - shift] if i >= shift else 0
-            val = c + root * prev
-            if i < len(quot):
-                quot[i] = val
-            elif val != 0:
-                raise InternalConsistencyError(
-                    f"series not divisible by (1 - {root} t^{shift}); residue at t^{i}"
-                )
-        return IntPoly(quot)
+        root (:func:`divide_exact_coeffs`)."""
+        return IntPoly(divide_exact_coeffs(self.coeffs, root, shift))
+
+
+def divide_exact_coeffs(coeffs, root: int, shift: int) -> list:
+    """The quotient of the series with coefficient list ``coeffs`` by
+    (1 - root * t^shift), for an int root, as a plain list.
+
+    One pass in place: entry i becomes c_i + root * quot_(i-shift), and the
+    last ``shift`` entries are the remainder; a nonzero one raises
+    InternalConsistencyError naming the first.
+    """
+    quot = list(coeffs)
+    for i in range(shift, len(quot)):
+        quot[i] += root * quot[i - shift]
+    cut = max(len(quot) - shift, 0)
+    for i in range(cut, len(quot)):
+        if quot[i]:
+            raise InternalConsistencyError(
+                f"series not divisible by (1 - {root} t^{shift}); residue at t^{i}")
+    del quot[cut:]
+    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,16 @@ recounts each term) read the same blocks; only the oracle check, through
 each block's eta, and :func:`q_poly`'s check of a declared key read
 coordinates.
 
-The powers of p come from one table per prime (:func:`power_table`), grown
-on demand and shared by :func:`b_series`, :func:`assemble_series`,
-:func:`extract_P`, the shift factors of :func:`q_poly_closed_form`,
-:func:`q_poly_from_series` and :func:`qeis.lift.lift_local_exact`.
+The powers of p come from one table per prime (:func:`power_table`), and
+the geometric sums 1 + p^e + ... + p^(e(a-1)) from one table per (p, e)
+(:func:`geometric_table`), both grown on demand.  Every closed form, every
+extraction and assembly pass here and :func:`qeis.lift.lift_local_exact`
+read them; only :func:`c_term_gauss`, the independent reference, and the
+oracle compute their own powers.  Each pass is a plain int loop: one per
+B-series, and for P, R and Q a quotient pass
+(:func:`qeis.arith.divide_exact_coeffs`) then a rescale pass, remainders
+checked in that order.  Mirrored split blocks, which add the same terms at
+the same places, are summed once, times two.
 
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
@@ -51,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import IntPoly, Splitting, SqrtPPoly, geometric_sum, ramanujan_sum_vp, vp
+from .arith import IntPoly, Splitting, SqrtPPoly, divide_exact_coeffs, ramanujan_sum_vp, vp
 from .errors import InternalConsistencyError, ResourceBudgetError, ValidationError
 from .hermitian import LocalKey, LocalVectorData
 
@@ -67,6 +73,19 @@ def _exact_quotient(a: int, b: int, what: str) -> int:
     return quot
 
 
+def _rescale(coeffs, scales, what: str) -> list:
+    """[c // s for c, s in zip(coeffs, scales)] for int scales that divide
+    their coefficients; a remainder raises InternalConsistencyError with the
+    message ``what``."""
+    out = []
+    for c, s in zip(coeffs, scales):
+        c, rest = divmod(c, s)
+        if rest:
+            raise InternalConsistencyError(what)
+        out.append(c)
+    return out
+
+
 _POWER_TABLES: dict = {}
 
 
@@ -80,6 +99,23 @@ def power_table(p: int, top: int) -> tuple:
         while len(grown) <= top:
             grown.append(grown[-1] * p)
         table = _POWER_TABLES[p] = tuple(grown)
+    return table
+
+
+_GEOMETRIC_TABLES: dict = {}
+
+
+def geometric_table(p: int, e: int, top: int) -> tuple:
+    """(G_0, G_1, ...), G_a = 1 + p^e + ... + p^(e(a-1)) the geometric sum of
+    a terms, at least up to G_top: one table per (p, e), grown on demand as
+    :func:`power_table` is, by G_(a+1) = p^e G_a + 1."""
+    table = _GEOMETRIC_TABLES.get((p, e), (0,))
+    if len(table) <= top:
+        step = power_table(p, e)[e]
+        grown = list(table)
+        while len(grown) <= top:
+            grown.append(grown[-1] * step + 1)
+        table = _GEOMETRIC_TABLES[p, e] = tuple(grown)
     return table
 
 
@@ -155,7 +191,7 @@ class QuadLatticeShape:
         """
         p, m, half = self.p, self.m, self.rank // 2
         if self.form == "split":
-            if not all(Fraction(c).denominator == 1 for c in eta):
+            if not all(type(c) is int or Fraction(c).denominator == 1 for c in eta):
                 return None
             eta = [int(c) for c in eta]
             return min(vp(c, p) for c in eta), vp(self.quad_form(eta), p)
@@ -225,33 +261,38 @@ def b_series(v, kq, m: int, p: int, rs: range) -> tuple:
       j = kq - r + 1:   c = -p^(r-j-1), a single term p^(m(r+j)+r-j-1)
                         subtracted when j <= top.
 
-    The series is built in one pass: the prime's :func:`power_table`, read
-    up to p^(2mR), R the last r, and one table of the geometric sums serve
-    every term, and each term's division by p^r must leave no remainder.
-    Either valuation may be +inf (v = kq = inf for the zero vector); every
-    exponent stays a finite int.
+    The series is built in one int loop: the prime's :func:`power_table`,
+    read up to p^(2mR), R the last r, and its :func:`geometric_table` of
+    ratio p^(m-1) serve every term, and each term's division by p^r must
+    leave no remainder.  Either valuation may be +inf (v = kq = inf for the
+    zero vector); every exponent stays a finite int.
     """
     if rs and rs[0] < 0:
         raise ValidationError("term index r must be >= 0")
     last = rs[-1] if rs else 0
     power = power_table(p, 2 * m * last)
-    geo = [0]  # geo[a] = Sum_{j<a} p^((m-1)j)
-    for j in range(last):
-        geo.append(geo[-1] + power[(m - 1) * j])
+    geo = geometric_table(p, m - 1, last)
+    unit = p - 1
     terms = []
     for r in rs:
         if r == 0:
             terms.append(1)
             continue
         total = power[2 * m * r] if v >= r else 0
-        top = min(r - 1, v, kq - r + 1)
-        g = min(top, kq - r)
-        if g >= 0:
-            total += (p - 1) * power[m * r + r - 1] * geo[g + 1]
+        g = r - 1  # top = min(r - 1, v, j), and g = min(top, j - 1)
+        if v < g:
+            g = v
         j = kq - r + 1
-        if 0 <= j <= top:
-            total -= power[m * (r + j) + r - j - 1]
-        terms.append(_exact_quotient(total, power[r], "non-integral unramified term"))
+        if j <= g:  # top = j: the sum ends in the single term at j
+            if j >= 0:
+                total -= power[m * (r + j) + r - j - 1]
+            g = j - 1
+        if g >= 0:
+            total += unit * power[m * r + r - 1] * geo[g + 1]
+        quot, rest = divmod(total, power[r])
+        if rest:
+            raise InternalConsistencyError("non-integral unramified term")
+        terms.append(quot)
     return tuple(terms)
 
 
@@ -271,16 +312,17 @@ def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
         raise ValidationError(f"inconsistent ramified invariants {(k1, k2, k)}")
     if r == 0:
         return 1
-    # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1) = unit * geometric_sum(step, top)
-    unit = (p - 1) * p ** ((2 * r + 1) * m - 1)
-    step = p ** (2 * m - 1)
+    if r > k + 1:
+        return 0
+    power = power_table(p, 4 * m * (k + 1))  # every exponent below is at most 4m(k + 1)
+    geo = geometric_table(p, 2 * m - 1, k + 1)
+    # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1) = unit * geo[top]
+    unit = (p - 1) * power[(2 * r + 1) * m - 1]
     if r <= k2:
-        return p ** (r * (4 * m - 1)) + unit * geometric_sum(step, r)
+        return power[r * (4 * m - 1)] + unit * geo[r]
     if r <= k - k1:
-        return unit * geometric_sum(step, k1 + 1)
-    if r <= k + 1:
-        return unit * geometric_sum(step, k - r + 1) - p ** ((2 * k + 3) * m + r - k - 2)
-    return 0
+        return unit * geo[k1 + 1]
+    return unit * geo[k - r + 1] - power[(2 * k + 3) * m + r - k - 2]
 
 
 def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
@@ -289,6 +331,9 @@ def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
     Used as an internal cross-check of the four-range case analysis:
     C_r = p^-r ( p^{4mr} [k2 >= r]
           + Sum_{j=0}^{min(r-1, k1)} p^{(2r+2j+1)m} c_{p^{r-j}}(p^{k-2j}) ).
+    It computes its powers of p with ``**`` on purpose, not from
+    :func:`power_table`: as the independent reference it shares no table
+    with :func:`c_term`.
     """
     if k2 < 0:
         return 0
@@ -444,25 +489,54 @@ def series_blocks(key: LocalKey):
         for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
+def _placements(blocks):
+    """(block, multiplicity) once per distinct (inv, rs, shift, power), in
+    the order of first occurrence: blocks that agree on all four add the
+    same terms at the same places, as the mirrored split blocks
+    (p^-i T1, T2) and (T1, p^-i T2) do when k1 = k2.  Blocks of equal
+    (inv, rs) share one terms tuple, which stands for the pair here."""
+    seen = {}
+    for b in blocks:
+        place = (id(b.terms), b.shift, b.power)
+        if place in seen:
+            seen[place][1] += 1
+        else:
+            seen[place] = [b, 1]
+    return seen.values()
+
+
 def assemble_series(key: LocalKey, blocks=None) -> IntPoly:
     """The truncated local series E^T_{2,p}(s) as an exact polynomial in
     t = p^(-s): the sum of :func:`series_blocks`, in Python ints.
 
-    ``blocks`` is the block list of :func:`series_blocks`, built here when None.
+    Each distinct placement of a terms tuple is summed once, times the
+    number of blocks that share it, in one pass over coefficients
+    2r + shift, r in rs: term r times p^(r + power) read from the prime's
+    :func:`power_table`, or divided exactly by p^-(r + power) where that
+    exponent is negative (the odd ramified block).  ``blocks`` is the block
+    list of :func:`series_blocks`, built here when None.
     """
     n, k = key.n, key.k
     if blocks is None:
         _, blocks = series_blocks(key)
     power = power_table(key.p, n * (k + 1))  # every |r + b.power| is at most n(k + 1)
     coeffs = [0] * (2 * k + 3)
-    for b in blocks:
-        for r, term in zip(b.rs, b.terms):
-            e = r + b.power
-            if e >= 0:
-                coeffs[2 * r + b.shift] += term * power[e]
-            else:
-                coeffs[2 * r + b.shift] += _exact_quotient(
-                    term, power[-e], "assembled local series has non-integral term")
+    for b, mult in _placements(blocks):
+        # the index and exponent of the first term, each advanced per term
+        terms, i, e = b.terms, 2 * b.rs.start + b.shift, b.rs.start + b.power
+        if e < 0:  # the odd ramified block: its first -e terms divide exactly
+            head, terms = terms[:-e], terms[-e:]
+            for t in head:
+                t, rest = divmod(t, power[-e])
+                if rest:
+                    raise InternalConsistencyError("assembled local series has non-integral term")
+                coeffs[i] += mult * t
+                i += 2
+                e += 1
+        for t in terms:
+            coeffs[i] += mult * t * power[e]
+            i += 2
+            e += 1
     return IntPoly(coeffs)
 
 
@@ -492,14 +566,16 @@ def check_against_oracle(data: LocalVectorData, budget: int = DEFAULT_BUDGET) ->
 def extract_P(series: IntPoly, m: int, p: int) -> IntPoly:
     """The monic P with sum_r B_r t'^r = (1 - p^(m-1) t') P(p^m t').
 
-    The division must be exact, the rescaled coefficients integral, and the
-    quotient monic; anything else signals corrupted input.
+    A quotient pass over the coefficient list (:func:`divide_exact_coeffs`),
+    then a rescale pass dividing coefficient i by p^(mi), both in plain int
+    lists.  The division must be exact, the rescaled coefficients integral,
+    and the quotient monic, checked in that order; anything else signals
+    corrupted input.
     """
     power = power_table(p, m * (len(series.coeffs) + 1))
-    quot = series.divide_exact(power[m - 1], 1)
-    poly = IntPoly([_exact_quotient(c, power[m * i],
-                                    "P extraction produced a non-integer coefficient")
-                    for i, c in enumerate(quot.coeffs)])
+    quot = divide_exact_coeffs(series.coeffs, power[m - 1], 1)
+    poly = IntPoly(_rescale(quot, power[0:m * len(quot):m],
+                            "P extraction produced a non-integer coefficient"))
     if not poly.is_monic():
         raise InternalConsistencyError(f"extracted P = {poly} is not monic")
     return poly
@@ -516,10 +592,12 @@ def R_closed_form(k1: int, k2: int, k: int, m: int, p: int) -> IntPoly:
     if k2 < 0 or k1 < -1 or k2 not in (k1, k1 + 1) or k - k1 - k2 < 0:
         raise ValidationError(f"inconsistent ramified invariants {(k1, k2, k)}")
     kp = k - k1 - k2
+    scale = power_table(p, m)[m]
+    geo = geometric_table(p, 2 * m - 1, k + 1)
     coeffs = [0] * (k + 1)
     for r in range(1, k + 1):
         a = r if r <= k2 else k1 + 1 if r <= k2 + kp else k - r + 1
-        coeffs[r] = p ** m * geometric_sum(p ** (2 * m - 1), a)
+        coeffs[r] = scale * geo[a]
     return IntPoly(coeffs)
 
 
@@ -533,13 +611,14 @@ def extract_R(series: IntPoly, k1: int, k2: int, k: int, m: int, p: int) -> list
     of the rescaling by p^(2m i) raises InternalConsistencyError.
     """
     reduced = list(series.coeffs) + [0] * max(k + 3 - len(series.coeffs), 0)
+    power = power_table(p, 4 * m * len(reduced))  # every exponent below is below that
     for r in range(k2 + 1):
-        reduced[r] -= p ** (r * (4 * m - 1))
+        reduced[r] -= power[r * (4 * m - 1)]
     for r in range(k1 + 1):
-        reduced[r + 1] += p ** (3 * m - 1 + r * (4 * m - 1))
-    quot = IntPoly(reduced).divide_exact(p ** (2 * m - 1), 1)
-    return [_exact_quotient(c, p ** (2 * m * i), "R extraction produced a non-integer coefficient")
-            for i, c in enumerate(quot.coeffs)]
+        reduced[r + 1] += power[3 * m - 1 + r * (4 * m - 1)]
+    quot = IntPoly(reduced).divide_exact(power[2 * m - 1], 1).coeffs
+    return _rescale(quot, power[0:2 * m * len(quot):2 * m],
+                    "R extraction produced a non-integer coefficient")
 
 
 def palindromic(coeffs, d: int) -> bool:
@@ -557,15 +636,14 @@ def _check_functional_equation(key: LocalKey, name: str, poly: IntPoly, d: int) 
 
 def _q1_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Odd-part polynomial Q1, coefficient of X^(2r+1) for r = 0..k-1."""
-    step = p ** (2 * m - 1)
-    return [geometric_sum(step, r + 1 if r <= k2 - 1 else k2 if r < k - k2 else k - r)
-            for r in range(k)]
+    geo = geometric_table(p, 2 * m - 1, k)
+    return [geo[r + 1 if r <= k2 - 1 else k2 if r < k - k2 else k - r] for r in range(k)]
 
 
 def _q2_closed(k1: int, k2: int, k: int, m: int, p: int) -> list:
     """Even-part polynomial Q2, coefficient of X^(2r) for r = 0..k."""
-    step = p ** (2 * m - 1)
-    return [geometric_sum(step, r + 1 if r <= k1 else k1 + 1 if r < k - k1 else k - r + 1)
+    geo = geometric_table(p, 2 * m - 1, k + 1)
+    return [geo[r + 1 if r <= k1 else k1 + 1 if r < k - k1 else k - r + 1]
             for r in range(k + 1)]
 
 
@@ -581,8 +659,11 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints,
     once per distinct (inv, rs), the key :func:`series_blocks` shares each
     terms tuple under, and so the degree b.inv[1] of the functional equation
-    is part of it.  ``blocks`` is the block list of :func:`series_blocks`,
-    built here when None; the ramified case reads only (k, k1, k2).
+    is part of it; each distinct (inv, rs, shift) adds its shifted P once,
+    times the number of blocks that share it.  ``blocks`` is the block list
+    of :func:`series_blocks`, built here when None; the ramified case reads
+    only (k, k1, k2).  Every power of p, and every geometric sum of the
+    ramified closed forms, comes from the prime's tables.
 
     Each P must be palindromic at its block's v_p(q(eta)) (P(0) = 1 then
     fixes its degree), R_T at degree k + 1 and R_{T/varpi} at degree k
@@ -596,18 +677,20 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
             _, blocks = series_blocks(key)
         power = power_table(p, k * (n - 1) // 2)
         extracted = {}
-        for b in blocks:
+        for b, mult in _placements(blocks):
             poly = extracted.get((b.inv, b.rs))
             if poly is None:
                 poly = extracted[b.inv, b.rs] = extract_P(IntPoly(b.terms), n, p)
                 _check_functional_equation(key, f"P_{b.name}", poly, b.inv[1])
             i = b.shift
-            # exponent of the sqrt(p)-free part of p^(i(n-1)/2)
-            e = (i * (n - 1) - (i % 2)) // 2
-            for rr, c in enumerate(poly.coeffs):
-                d[2 * rr + i] += c * power[e]
+            # the sqrt(p)-free part of p^(i(n-1)/2), once per placement
+            scale = mult * power[(i * (n - 1) - (i % 2)) // 2]
+            for c in poly.coeffs:
+                d[i] += c * scale
+                i += 2
     else:
         m = n // 2
+        power = power_table(p, m)
         r_t = R_closed_form(k1, k2, k, m, p)
         r_tw = R_closed_form(k2 - 1, k1, k - 1, m, p)
         _check_functional_equation(key, "R_T", r_t, k + 1)
@@ -617,9 +700,12 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
         for rr, c in enumerate(_q2_closed(k1, k2, k, m, p)):
             d[2 * rr] += c
         for rr, c in enumerate(_q1_closed(k1, k2, k, m, p)):
-            d[2 * rr + 1] += c * p ** (m - 1)
-        for rr, c in enumerate(r_t.coeffs[1:], 1):  # R_T has no constant term
-            d[2 * rr - 1] += _exact_quotient(c, p ** m, "R_T coefficient not divisible by p^m")
+            d[2 * rr + 1] += c * power[m - 1]
+        # R_T has no constant term: its X^(2rr) lands at X^(2rr - 1), rr >= 1
+        r_t_over = _rescale(r_t.coeffs[1:], [power[m]] * k,
+                            "R_T coefficient not divisible by p^m")
+        for rr, c in enumerate(r_t_over):
+            d[2 * rr + 1] += c
     return SqrtPPoly(p, d)
 
 
@@ -628,19 +714,19 @@ def q_poly_from_series(key: LocalKey, series: IntPoly) -> SqrtPPoly:
 
     Unramified: E(t) = (1 - p^n t^2) Q(p^((n+1)/2) t);
     ramified:   E(t) = (1 - p^(n/2) t) Q(p^((n+1)/2) t).
-    The series is divided in Python ints, and a nonzero remainder of
-    the division or of a rescaling raises InternalConsistencyError.
+    A quotient pass over the coefficient list (:func:`divide_exact_coeffs`),
+    then a rescale pass, both in plain int lists; a nonzero remainder of
+    the division, then of a rescaling, raises InternalConsistencyError.
     """
     p, n = key.p, key.n
     power = power_table(p, n + len(series.coeffs) * (n + 1) // 2)
     if key.case is Splitting.RAMIFIED:
-        quot = series.divide_exact(power[n // 2], 1)
+        quot = divide_exact_coeffs(series.coeffs, power[n // 2], 1)
     else:
-        quot = series.divide_exact(power[n], 2)
+        quot = divide_exact_coeffs(series.coeffs, power[n], 2)
     # the coefficient of t^i carries p^((i(n+1) + (i mod 2))/2) times its d entry
-    return SqrtPPoly(p, [_exact_quotient(c, power[(i * (n + 1) + i % 2) // 2],
-                                         "series division broke the sqrt(p) grading")
-                         for i, c in enumerate(quot.coeffs)])
+    scales = [power[(i * (n + 1) + i % 2) // 2] for i in range(len(quot))]
+    return SqrtPPoly(p, _rescale(quot, scales, "series division broke the sqrt(p) grading"))
 
 
 @lru_cache(maxsize=4096)

@@ -84,6 +84,17 @@ def test_shape_invariants_per_form():
         assert rsh.invariants(eta) == inv
 
 
+
+@pytest.mark.parametrize("c, inv", [(3, (1, 2)), (True, (0, 1)), (Fraction(4, 2), (0, 1)),
+                                    (2.0, (0, 1)), (Fraction(1, 2), None), (2.5, None)])
+def test_split_invariants_integrality_test_reads_every_coordinate_type(c, inv):
+    """An int coordinate skips the Fraction of the split integrality test; a
+    bool, an integral Fraction and an integral float read as their int, and
+    a non-integral Fraction or float lies outside the lattice."""
+    got = split_shape(3, 2).invariants((3, 3, c, 3))  # q = 3c + 9
+    assert got == inv
+    assert got is None or all(type(x) is int for x in got)
+
 def _term_unramified_reference(r, eta, shape):
     """B_{r,eta} as first written: Fraction coordinates, v(eta) and q(eta)
     recomputed for every r, and a Ramanujan sum of q(eta)/p^(2j) for every j."""
@@ -454,6 +465,36 @@ def test_oracle_check_recounts_exactly_the_assembled_terms(D, p, T, monkeypatch)
         assert all(eta == data.coords for _, eta, _ in calls)
 
 
+# (data, mirrored): a split key with k1 = k2 = 1, whose blocks (p^-1 T1, T2) and
+# (T1, p^-1 T2) share their shift and power, an inert key and a ramified key
+EVERY_BLOCK_DATA = (
+    (LocalVectorData(LocalKey(2, Splitting.SPLIT, 2, 2, 1, 1), coords=(2, 0, 2, 0), prec=4), True),
+    (_check_data(3, 2, (2, 0, 8, 8)), False),
+    (_check_data(3, 3, (3, 0, 3, 0)), False))
+
+
+@pytest.mark.parametrize("data, mirrored", EVERY_BLOCK_DATA, ids=["split", "inert", "ramified"])
+def test_oracle_check_recounts_every_block_mirrored_ones_included(data, mirrored, monkeypatch):
+    """The oracle check calls term_oracle once per term of every block of
+    series_blocks, Sum len(b.rs) times, also where assembly sums two
+    mirrored blocks once."""
+    import qeis.siegel as siegel
+
+    assert q_poly(data, P2) is not None  # the declared key is the coordinates' own
+    calls = []
+
+    def counting(r, eta, shape, budget=None):
+        calls.append(r)
+        return term_oracle(r, eta, shape, budget=budget)
+
+    monkeypatch.setattr(siegel, "term_oracle", counting)
+    check_against_oracle(data)
+    _, blocks = series_blocks(data.key)
+    placed = {(b.inv, b.rs, b.shift, b.power) for b in blocks}
+    assert (len(placed) < len(blocks)) == mirrored
+    assert len(calls) == sum(len(b.rs) for b in blocks)
+
+
 # ---------------------------------------------------------------------------
 # Series assembly and the unit-norm corollaries
 # ---------------------------------------------------------------------------
@@ -624,6 +665,40 @@ def test_int_extraction_keeps_its_exactness_checks(monkeypatch):
     monkeypatch.setattr(siegel, "c_term", lambda *args: 1)
     with pytest.raises(InternalConsistencyError, match="non-integral term"):
         assemble_series(ramified.key)
+
+
+def test_b_series_raises_on_a_non_integral_term(monkeypatch):
+    """A power of p read wrongly for one term leaves a remainder of the
+    division by p^r, and b_series raises rather than truncate it."""
+    import qeis.siegel as siegel
+
+    m, p, r = 2, 3, 3
+    assert len(b_series(5, 7, m, p, range(5))) == 5
+    original = siegel.power_table
+
+    def corrupted(pp, top):
+        table = list(original(pp, top))
+        table[2 * m * r] += 1  # p^(2mr), read by term r since v >= r
+        return tuple(table)
+
+    monkeypatch.setattr(siegel, "power_table", corrupted)
+    with pytest.raises(InternalConsistencyError, match="non-integral unramified term"):
+        siegel.b_series(5, 7, m, p, range(5))
+
+
+def test_assemble_series_raises_on_a_non_integral_negative_exponent_term():
+    """The odd ramified block reads term r times p^(r - n): a term r < n
+    that p^(n - r) does not divide raises from assemble_series."""
+    key = local_quadratic_data(global_vector(3, 0, 3, 0), F3, 3, P2).key
+    assert key.case is Splitting.RAMIFIED
+    _, blocks = series_blocks(key)
+    odd = blocks[-1]
+    assert odd.rs.start + odd.power < 0
+    assemble_series(key, blocks)
+    bumped = odd._replace(terms=(odd.terms[0] + 1,) + odd.terms[1:])
+    with pytest.raises(InternalConsistencyError,
+                       match="assembled local series has non-integral term"):
+        assemble_series(key, blocks[:-1] + [bumped])
 
 
 def _split_series_reference(data, n):
