@@ -36,10 +36,9 @@ the geometric sums 1 + p^e + ... + p^(e(a-1)) from one table per (p, e)
 extraction and assembly pass here and :func:`qeis.lift.lift_local_exact`
 read them; only :func:`c_term_gauss`, the independent reference, and the
 oracle compute their own powers.  Each pass is a plain int loop: one per
-B-series, and for P, R and Q a quotient pass
-(:func:`qeis.arith.divide_exact_coeffs`) then a rescale pass, remainders
-checked in that order.  Mirrored split blocks, which add the same terms at
-the same places, are summed once, times two.
+B-series, one per block of the assembly, and for P, R and Q a quotient
+pass (:func:`qeis.arith.divide_exact_coeffs`) then a rescale pass,
+remainders checked in that order.
 
 The first-range numerator of the ramified closed form is implemented as
 p^(r(2m-1)) - 1 (geometric-sum reading); :func:`qeis.verify.r_arbitration`
@@ -77,13 +76,7 @@ def _rescale(coeffs, scales, what: str) -> list:
     """[c // s for c, s in zip(coeffs, scales)] for int scales that divide
     their coefficients; a remainder raises InternalConsistencyError with the
     message ``what``."""
-    out = []
-    for c, s in zip(coeffs, scales):
-        c, rest = divmod(c, s)
-        if rest:
-            raise InternalConsistencyError(what)
-        out.append(c)
-    return out
+    return [_exact_quotient(c, s, what) for c, s in zip(coeffs, scales)]
 
 
 _POWER_TABLES: dict = {}
@@ -289,10 +282,7 @@ def b_series(v, kq, m: int, p: int, rs: range) -> tuple:
             g = j - 1
         if g >= 0:
             total += unit * power[m * r + r - 1] * geo[g + 1]
-        quot, rest = divmod(total, power[r])
-        if rest:
-            raise InternalConsistencyError("non-integral unramified term")
-        terms.append(quot)
+        terms.append(_exact_quotient(total, power[r], "non-integral unramified term"))
     return tuple(terms)
 
 
@@ -314,15 +304,24 @@ def c_term(r: int, k1, k2, k, m: int, p: int) -> int:
         return 1
     if r > k + 1:
         return 0
-    power = power_table(p, 4 * m * (k + 1))  # every exponent below is at most 4m(k + 1)
-    geo = geometric_table(p, 2 * m - 1, k + 1)
-    # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1) = unit * geo[top]
-    unit = (p - 1) * power[(2 * r + 1) * m - 1]
+    # every table is sized from r or from a finite k: k1, k2 and k may be
+    # +inf (k for an isotropic eta, all three for the zero vector), and the
+    # last range, where k < r + k1, is the only one that reads k
     if r <= k2:
-        return power[r * (4 * m - 1)] + unit * geo[r]
+        top = r
+    elif r <= k - k1:
+        top = k1 + 1
+    else:
+        top = k - r + 1
+    power = power_table(p, 4 * m * r)  # p^(r(4m-1)) and p^((2r+1)m-1) lie below p^(4mr)
+    # Sum_{j < top} (p - 1) p^((2r+2j+1)m - j - 1) = (p - 1) p^((2r+1)m-1) G_top
+    geo = (p - 1) * power[(2 * r + 1) * m - 1] * geometric_table(p, 2 * m - 1, top)[top]
+    if r <= k2:
+        return power[r * (4 * m - 1)] + geo
     if r <= k - k1:
-        return unit * geo[k1 + 1]
-    return unit * geo[k - r + 1] - power[(2 * k + 3) * m + r - k - 2]
+        return geo
+    e = (2 * k + 3) * m + r - k - 2
+    return geo - power_table(p, e)[e]
 
 
 def c_term_gauss(r: int, k1, k2, k, m: int, p: int) -> int:
@@ -489,52 +488,33 @@ def series_blocks(key: LocalKey):
         for i, j in [(i, 0) for i in range(k1 + 1)] + [(0, j) for j in range(1, k2 + 1)]]
 
 
-def _placements(blocks):
-    """(block, multiplicity) once per distinct (inv, rs, shift, power), in
-    the order of first occurrence: blocks that agree on all four add the
-    same terms at the same places, as the mirrored split blocks
-    (p^-i T1, T2) and (T1, p^-i T2) do when k1 = k2.  Blocks of equal
-    (inv, rs) share one terms tuple, which stands for the pair here."""
-    seen = {}
-    for b in blocks:
-        place = (id(b.terms), b.shift, b.power)
-        if place in seen:
-            seen[place][1] += 1
-        else:
-            seen[place] = [b, 1]
-    return seen.values()
-
-
 def assemble_series(key: LocalKey, blocks=None) -> IntPoly:
     """The truncated local series E^T_{2,p}(s) as an exact polynomial in
     t = p^(-s): the sum of :func:`series_blocks`, in Python ints.
 
-    Each distinct placement of a terms tuple is summed once, times the
-    number of blocks that share it, in one pass over coefficients
-    2r + shift, r in rs: term r times p^(r + power) read from the prime's
-    :func:`power_table`, or divided exactly by p^-(r + power) where that
-    exponent is negative (the odd ramified block).  ``blocks`` is the block
-    list of :func:`series_blocks`, built here when None.
+    Each block is one pass over coefficients 2r + shift, r in rs: term r
+    times p^(r + power) read from the prime's :func:`power_table`, or
+    divided exactly by p^-(r + power) where that exponent is negative (the
+    odd ramified block).  ``blocks`` is the block list of
+    :func:`series_blocks`, built here when None.
     """
     n, k = key.n, key.k
     if blocks is None:
         _, blocks = series_blocks(key)
     power = power_table(key.p, n * (k + 1))  # every |r + b.power| is at most n(k + 1)
     coeffs = [0] * (2 * k + 3)
-    for b, mult in _placements(blocks):
+    for b in blocks:
         # the index and exponent of the first term, each advanced per term
         terms, i, e = b.terms, 2 * b.rs.start + b.shift, b.rs.start + b.power
         if e < 0:  # the odd ramified block: its first -e terms divide exactly
             head, terms = terms[:-e], terms[-e:]
             for t in head:
-                t, rest = divmod(t, power[-e])
-                if rest:
-                    raise InternalConsistencyError("assembled local series has non-integral term")
-                coeffs[i] += mult * t
+                coeffs[i] += _exact_quotient(
+                    t, power[-e], "assembled local series has non-integral term")
                 i += 2
                 e += 1
         for t in terms:
-            coeffs[i] += mult * t * power[e]
+            coeffs[i] += t * power[e]
             i += 2
             e += 1
     return IntPoly(coeffs)
@@ -616,7 +596,9 @@ def extract_R(series: IntPoly, k1: int, k2: int, k: int, m: int, p: int) -> list
         reduced[r] -= power[r * (4 * m - 1)]
     for r in range(k1 + 1):
         reduced[r + 1] += power[3 * m - 1 + r * (4 * m - 1)]
-    quot = IntPoly(reduced).divide_exact(power[2 * m - 1], 1).coeffs
+    while reduced and not reduced[-1]:  # so the quotient ends at R's degree
+        reduced.pop()
+    quot = divide_exact_coeffs(reduced, power[2 * m - 1], 1)
     return _rescale(quot, power[0:2 * m * len(quot):2 * m],
                     "R extraction produced a non-integer coefficient")
 
@@ -659,8 +641,7 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
     :func:`series_blocks`, read off (v(eta), v_p(q(eta))), in Python ints,
     once per distinct (inv, rs), the key :func:`series_blocks` shares each
     terms tuple under, and so the degree b.inv[1] of the functional equation
-    is part of it; each distinct (inv, rs, shift) adds its shifted P once,
-    times the number of blocks that share it.  ``blocks`` is the block list
+    is part of it; each block adds its shifted P.  ``blocks`` is the block list
     of :func:`series_blocks`, built here when None; the ramified case reads
     only (k, k1, k2).  Every power of p, and every geometric sum of the
     ramified closed forms, comes from the prime's tables.
@@ -677,14 +658,14 @@ def q_poly_closed_form(key: LocalKey, blocks=None) -> SqrtPPoly:
             _, blocks = series_blocks(key)
         power = power_table(p, k * (n - 1) // 2)
         extracted = {}
-        for b, mult in _placements(blocks):
+        for b in blocks:
             poly = extracted.get((b.inv, b.rs))
             if poly is None:
                 poly = extracted[b.inv, b.rs] = extract_P(IntPoly(b.terms), n, p)
                 _check_functional_equation(key, f"P_{b.name}", poly, b.inv[1])
             i = b.shift
-            # the sqrt(p)-free part of p^(i(n-1)/2), once per placement
-            scale = mult * power[(i * (n - 1) - (i % 2)) // 2]
+            # the sqrt(p)-free part of p^(i(n-1)/2)
+            scale = power[(i * (n - 1) - (i % 2)) // 2]
             for c in poly.coeffs:
                 d[i] += c * scale
                 i += 2

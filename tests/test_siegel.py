@@ -312,6 +312,23 @@ def test_oracle_matches_closed_forms_small_grid():
             assert term_closed(r, eta, rsh) == term_oracle(r, eta, rsh)
 
 
+def test_ramified_closed_form_at_infinite_valuations():
+    """An isotropic eta has k = v_p(q(eta)) = +inf, and the zero vector
+    k1 = k2 = k = +inf; the closed form still gives the finite counted term,
+    also at the ranges that a finite k would cut off."""
+    sh = ramified_shape(3, 1)
+    pinned = {(1, 0, 0, 0): (0, 0, math.inf, [18, 162, 1458]),
+              (0, 0, 0, 0): (math.inf, math.inf, math.inf, [45, 1377, 38637]),
+              (3, 0, 0, 0): (1, 1, math.inf, [45, 648, 5832]),
+              (0, 1, 0, 0): (0, 1, math.inf, [45, 162, 1458])}
+    for eta, (k1, k2, k, terms) in pinned.items():
+        assert sh.invariants(eta) == (k1, k2, k)
+        assert [term_closed(r, eta, sh) for r in (1, 2, 3)] == terms, eta
+        assert [c_term_gauss(r, k1, k2, k, 1, 3) for r in (1, 2, 3)] == terms, eta
+        assert [term_oracle(r, eta, sh) for r in (1, 2, 3)] == terms, eta
+        assert sh.series((k1, k2, k), range(1, 4)) == tuple(terms)
+
+
 def test_oracle_matches_closed_form_rank8_ramified():
     """m = 2 ramified lattice (rank 8): the closed form's m-scaling is real."""
     rng = random.Random(53)
@@ -476,8 +493,8 @@ EVERY_BLOCK_DATA = (
 @pytest.mark.parametrize("data, mirrored", EVERY_BLOCK_DATA, ids=["split", "inert", "ramified"])
 def test_oracle_check_recounts_every_block_mirrored_ones_included(data, mirrored, monkeypatch):
     """The oracle check calls term_oracle once per term of every block of
-    series_blocks, Sum len(b.rs) times, also where assembly sums two
-    mirrored blocks once."""
+    series_blocks, Sum len(b.rs) times, also for two mirrored blocks that
+    add the same terms at the same places."""
     import qeis.siegel as siegel
 
     assert q_poly(data, P2) is not None  # the declared key is the coordinates' own
